@@ -34,6 +34,10 @@ class TermKind(enum.Enum):
     RETURN = "return"
 
 
+_DIRECT_KINDS = (TermKind.COND, TermKind.JUMP, TermKind.CALL)
+_INDIRECT_KINDS = (TermKind.INDIRECT_JUMP, TermKind.INDIRECT_CALL)
+
+
 @dataclass
 class Terminator:
     """Terminator of a basic block.
@@ -54,10 +58,10 @@ class Terminator:
     candidates: Sequence[Tuple[str, float]] = ()
 
     def __post_init__(self) -> None:
-        if self.kind in (TermKind.COND, TermKind.JUMP, TermKind.CALL):
+        if self.kind in _DIRECT_KINDS:
             if self.target is None:
                 raise ValueError(f"{self.kind} terminator requires a target")
-        if self.kind in (TermKind.INDIRECT_JUMP, TermKind.INDIRECT_CALL):
+        elif self.kind in _INDIRECT_KINDS:
             if not self.candidates:
                 raise ValueError(f"{self.kind} terminator requires candidates")
         if not 0.0 <= self.taken_prob <= 1.0:
@@ -93,16 +97,21 @@ class BasicBlock:
 
 @dataclass
 class Function:
-    """A function: an ordered list of basic blocks, entry first."""
+    """A function: an ordered list of basic blocks, entry first.
+
+    The blocks are fixed at construction: ``label_index`` maps each
+    block label to its position.
+    """
 
     name: str
     blocks: List[BasicBlock]
+    label_index: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError(f"function {self.name} has no blocks")
-        labels = [b.label for b in self.blocks]
-        if len(labels) != len(set(labels)):
+        self.label_index = {b.label: i for i, b in enumerate(self.blocks)}
+        if len(self.label_index) != len(self.blocks):
             raise ValueError(f"function {self.name} has duplicate block labels")
 
     @property
@@ -110,10 +119,12 @@ class Function:
         return self.blocks[0]
 
     def block_index(self, label: str) -> int:
-        for i, block in enumerate(self.blocks):
-            if block.label == label:
-                return i
-        raise KeyError(f"function {self.name}: no block labelled {label!r}")
+        try:
+            return self.label_index[label]
+        except KeyError:
+            raise KeyError(
+                f"function {self.name}: no block labelled {label!r}"
+            ) from None
 
     @property
     def n_instructions(self) -> int:
@@ -124,8 +135,8 @@ class Function:
 class _Layout:
     """Resolved addresses for one program."""
 
-    func_base: Dict[str, int] = field(default_factory=dict)
-    block_base: Dict[Tuple[str, str], int] = field(default_factory=dict)
+    #: function name -> start address of each block, in block order
+    block_bases: Dict[str, List[int]] = field(default_factory=dict)
     total_bytes: int = 0
 
 
@@ -161,20 +172,22 @@ class Program:
 
     def _compute_layout(self) -> _Layout:
         layout = _Layout()
+        block_bases = layout.block_bases
+        align = self.func_align
         addr = self.base_address
         for name, func in self.functions.items():
-            if self.func_align > 1 and addr % self.func_align:
-                addr += self.func_align - addr % self.func_align
-            layout.func_base[name] = addr
+            if align > 1 and addr % align:
+                addr += align - addr % align
+            bases = block_bases[name] = []
             for block in func.blocks:
-                layout.block_base[(name, block.label)] = addr
+                bases.append(addr)
                 addr += block.n_instructions * INSTRUCTION_SIZE
         layout.total_bytes = addr - self.base_address
         return layout
 
     def _validate_targets(self) -> None:
         for func in self.functions.values():
-            labels = {b.label for b in func.blocks}
+            labels = func.label_index
             for block in func.blocks:
                 term = block.terminator
                 if term.kind in (TermKind.COND, TermKind.JUMP):
@@ -205,10 +218,15 @@ class Program:
                             )
 
     def function_address(self, name: str) -> int:
-        return self._layout.func_base[name]
+        return self._layout.block_bases[name][0]
 
     def block_address(self, func_name: str, label: str) -> int:
-        return self._layout.block_base[(func_name, label)]
+        bases = self._layout.block_bases[func_name]
+        return bases[self.functions[func_name].block_index(label)]
+
+    def block_addresses(self, func_name: str) -> List[int]:
+        """Start address of each block of ``func_name``, in block order."""
+        return self._layout.block_bases[func_name]
 
     @property
     def code_bytes(self) -> int:

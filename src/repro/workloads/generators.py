@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.cfg import BasicBlock, Function, Program, Terminator, TermKind
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.synthetic import generate_trace, randint
 from repro.workloads.trace import Trace
 
 CATEGORIES = ("crypto", "int", "fp", "srv")
@@ -111,15 +112,17 @@ class _ProgramShape:
             start = i * per_handler
             end = len(self.internals) if i == n_handlers - 1 else start + per_handler
             self.segment[handler] = self.internals[start:end]
+        # Function name -> its segment: a handler's own, else the first
+        # segment holding the name; anything else falls back to internals.
+        self._segment_by_name: Dict[str, List[str]] = {}
+        for members in self.segment.values():
+            for member in members:
+                self._segment_by_name.setdefault(member, members)
+        self._segment_by_name.update(self.segment)
 
     def segment_of(self, func_name: str) -> List[str]:
         """Internal segment a function belongs to (its handler's segment)."""
-        if func_name in self.segment:
-            return self.segment[func_name]
-        for members in self.segment.values():
-            if func_name in members:
-                return members
-        return self.internals
+        return self._segment_by_name.get(func_name, self.internals)
 
 
 def build_program(params: ProgramParams, seed: int) -> Program:
@@ -132,12 +135,10 @@ def build_program(params: ProgramParams, seed: int) -> Program:
     """
     rng = random.Random(seed)
     shape = _ProgramShape(params)
-    util_weights = _zipf_weights(len(shape.utils), params.zipf_s)
     functions = [_build_main(shape, params, rng)]
-    for name in shape.handlers + shape.utils + shape.internals:
-        functions.append(
-            _build_function(name, shape, params, util_weights, rng)
-        )
+    for name in shape.handlers:
+        functions.append(_build_handler(name, shape, params, rng))
+    functions.extend(_build_functions(shape, params, rng))
     layout = functions[1:]
     rng.shuffle(layout)
     return Program([functions[0]] + layout, entry=shape.main)
@@ -153,7 +154,7 @@ def _build_main(shape: _ProgramShape, params: ProgramParams, rng: random.Random)
     blocks = [
         BasicBlock(
             label="dispatch",
-            n_instructions=rng.randint(*params.instrs_per_block),
+            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
             terminator=Terminator(TermKind.INDIRECT_CALL, candidates=candidates),
             load_frac=params.load_frac,
             store_frac=params.store_frac,
@@ -169,35 +170,96 @@ def _build_main(shape: _ProgramShape, params: ProgramParams, rng: random.Random)
     return Function(shape.main, blocks)
 
 
-def _build_function(
-    name: str,
-    shape: _ProgramShape,
-    params: ProgramParams,
-    util_weights: List[float],
-    rng: random.Random,
-) -> Function:
-    if name in shape.segment:
-        return _build_handler(name, shape, params, rng)
-    n_blocks = rng.randint(*params.blocks_per_func)
-    blocks: List[BasicBlock] = []
-    for b in range(n_blocks):
-        n_instr = rng.randint(*params.instrs_per_block)
-        is_last = b == n_blocks - 1
-        term = (
-            Terminator(TermKind.RETURN)
-            if is_last
-            else _pick_terminator(name, b, n_blocks, shape, params, util_weights, rng)
-        )
-        blocks.append(
-            BasicBlock(
-                label=f"b{b}",
-                n_instructions=n_instr,
-                terminator=term,
-                load_frac=params.load_frac,
-                store_frac=params.store_frac,
+def _build_functions(
+    shape: _ProgramShape, params: ProgramParams, rng: random.Random
+) -> List[Function]:
+    """The shared utilities, then the internals, in name order.
+
+    Program generation spends most of its time here, one terminator per
+    block, so everything the loop reads is hoisted into locals.  Every
+    draw keeps its order and value (DESIGN.md section 13).
+    """
+    random_ = rng.random
+    bits = rng.getrandbits
+    choices = rng.choices
+    utils = shape.utils
+    internals = shape.internals
+    segment_of = shape.segment_of
+    util_cum = list(accumulate(_zipf_weights(len(utils), params.zipf_s)))
+    blocks_lo, blocks_hi = params.blocks_per_func
+    instrs_lo, instrs_hi = params.instrs_per_block
+    loop_prob = params.loop_prob
+    loop_taken_prob = params.loop_taken_prob
+    cond_prob = params.cond_prob
+    call_prob = params.call_prob
+    indirect_frac = params.indirect_frac
+    biases = params.cond_bias_choices
+    load_frac = params.load_frac
+    store_frac = params.store_frac
+    labels = [f"b{b}" for b in range(blocks_hi)]
+
+    def pick_callees(func_name: str, k: int) -> List[str]:
+        """Pick ``k`` distinct callees: mostly the caller's own segment,
+        with a Zipf-weighted chance of a shared utility."""
+        segment = segment_of(func_name)
+        chosen: List[str] = []
+        seen = {func_name}
+        attempts = 0
+        while len(chosen) < k and attempts < 40:
+            attempts += 1
+            if utils and random_() < 0.35:
+                cand = choices(utils, cum_weights=util_cum)[0]
+            else:
+                pool = segment or internals or utils or [func_name]
+                cand = pool[randint(bits, 0, len(pool) - 1)]
+            if cand in seen:
+                continue
+            seen.add(cand)
+            chosen.append(cand)
+        if not chosen:
+            chosen.append(utils[0] if utils else internals[0])
+        return chosen
+
+    def pick_terminator(func_name: str, b: int, n_blocks: int) -> Terminator:
+        roll = random_()
+        if roll < loop_prob:
+            # Self-loop: re-execute this block with probability
+            # loop_taken_prob (mean trip count 1/(1-p)).  Self-loops keep
+            # per-function dwell time bounded — back edges to earlier
+            # blocks would nest loops multiplicatively and let one
+            # function absorb the whole trace.
+            return Terminator(TermKind.COND, labels[b], loop_taken_prob)
+        roll -= loop_prob
+        if roll < cond_prob and b + 2 < n_blocks:
+            forward = randint(bits, b + 1, n_blocks - 1)
+            bias = biases[randint(bits, 0, len(biases) - 1)]
+            return Terminator(TermKind.COND, labels[forward], bias)
+        roll -= cond_prob
+        if roll < call_prob:
+            if random_() < indirect_frac:
+                callees = pick_callees(func_name, 3)
+                weights = [10.0] + [1.0] * (len(callees) - 1)
+                return Terminator(
+                    TermKind.INDIRECT_CALL, candidates=list(zip(callees, weights))
+                )
+            return Terminator(TermKind.CALL, pick_callees(func_name, 1)[0])
+        return Terminator(TermKind.FALLTHROUGH)
+
+    functions: List[Function] = []
+    for name in utils + internals:
+        n_blocks = randint(bits, blocks_lo, blocks_hi)
+        last = n_blocks - 1
+        blocks: List[BasicBlock] = []
+        for b in range(n_blocks):
+            n_instr = randint(bits, instrs_lo, instrs_hi)
+            term = (
+                Terminator(TermKind.RETURN)
+                if b == last
+                else pick_terminator(name, b, n_blocks)
             )
-        )
-    return Function(name, blocks)
+            blocks.append(BasicBlock(labels[b], n_instr, term, load_frac, store_frac))
+        functions.append(Function(name, blocks))
+    return functions
 
 
 def _build_handler(
@@ -224,7 +286,7 @@ def _build_handler(
         blocks.append(
             BasicBlock(
                 label=f"b{b}",
-                n_instructions=rng.randint(*params.instrs_per_block),
+                n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
                 terminator=Terminator(TermKind.INDIRECT_CALL, candidates=candidates),
                 load_frac=params.load_frac,
                 store_frac=params.store_frac,
@@ -233,79 +295,13 @@ def _build_handler(
     blocks.append(
         BasicBlock(
             label=f"b{len(slices)}",
-            n_instructions=rng.randint(*params.instrs_per_block),
+            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
             terminator=Terminator(TermKind.RETURN),
             load_frac=params.load_frac,
             store_frac=params.store_frac,
         )
     )
     return Function(name, blocks)
-
-
-def _pick_terminator(
-    func_name: str,
-    block_idx: int,
-    n_blocks: int,
-    shape: _ProgramShape,
-    params: ProgramParams,
-    util_weights: List[float],
-    rng: random.Random,
-) -> Terminator:
-    roll = rng.random()
-    if roll < params.loop_prob:
-        # Self-loop: re-execute this block with probability loop_taken_prob
-        # (mean trip count 1/(1-p)).  Self-loops keep per-function dwell
-        # time bounded — back edges to earlier blocks would nest loops
-        # multiplicatively and let one function absorb the whole trace.
-        return Terminator(
-            TermKind.COND, target=f"b{block_idx}", taken_prob=params.loop_taken_prob
-        )
-    roll -= params.loop_prob
-    if roll < params.cond_prob and block_idx + 2 < n_blocks:
-        forward = rng.randint(block_idx + 1, n_blocks - 1)
-        bias = rng.choice(list(params.cond_bias_choices))
-        return Terminator(TermKind.COND, target=f"b{forward}", taken_prob=bias)
-    roll -= params.cond_prob
-    if roll < params.call_prob:
-        if rng.random() < params.indirect_frac:
-            callees = _pick_callees(func_name, shape, util_weights, rng, k=3)
-            weights = [10.0] + [1.0] * (len(callees) - 1)
-            candidates = list(zip(callees, weights))
-            return Terminator(TermKind.INDIRECT_CALL, candidates=candidates)
-        callee = _pick_callees(func_name, shape, util_weights, rng, k=1)[0]
-        return Terminator(TermKind.CALL, target=callee)
-    return Terminator(TermKind.FALLTHROUGH)
-
-
-def _pick_callees(
-    func_name: str,
-    shape: _ProgramShape,
-    util_weights: List[float],
-    rng: random.Random,
-    k: int,
-) -> List[str]:
-    """Pick ``k`` distinct callees: mostly the caller's own segment, with a
-    Zipf-weighted chance of a shared utility."""
-    segment = shape.segment_of(func_name)
-    chosen: List[str] = []
-    seen = {func_name}
-    attempts = 0
-    while len(chosen) < k and attempts < 40:
-        attempts += 1
-        if shape.utils and rng.random() < 0.35:
-            cand = rng.choices(shape.utils, weights=util_weights, k=1)[0]
-        elif segment:
-            cand = rng.choice(segment)
-        else:
-            cand = rng.choice(shape.internals or shape.utils or [func_name])
-        if cand in seen:
-            continue
-        seen.add(cand)
-        chosen.append(cand)
-    if not chosen:
-        fallback = shape.utils[0] if shape.utils else shape.internals[0]
-        chosen.append(fallback)
-    return chosen
 
 
 #: Per-category parameter presets.  ``n_funcs`` x mean function size sets the

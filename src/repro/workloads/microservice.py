@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.cfg import BasicBlock, Function, Program, Terminator, TermKind
-from repro.workloads.synthetic import generate_trace
+from repro.workloads.synthetic import generate_trace, randint
 from repro.workloads.trace import Instruction, Trace
 
 MICROSERVICE_CATEGORY = "microservice"
@@ -180,7 +181,7 @@ def _tier_function(
     tier: int,
     shape: _ChainShape,
     params: MicroserviceParams,
-    util_weights: List[float],
+    util_cum: List[float],
     rng: random.Random,
 ) -> Function:
     """One tier function: marshalling blocks around RPC stubs.
@@ -189,9 +190,10 @@ def _tier_function(
     (1-2 candidate callees when virtual), with helper calls and branchy
     validation between them; the leaf tier runs compute/copy loops.
     """
+    bits = rng.getrandbits
     is_leaf = tier == params.tiers - 1
-    n_blocks = rng.randint(*params.blocks_per_func)
-    n_rpc = 0 if is_leaf else rng.randint(*params.rpc_fanout)
+    n_blocks = randint(bits, *params.blocks_per_func)
+    n_rpc = 0 if is_leaf else randint(bits, *params.rpc_fanout)
     rpc_blocks = set(
         rng.sample(range(max(1, n_blocks - 1)), min(n_rpc, max(1, n_blocks - 1)))
     )
@@ -199,13 +201,13 @@ def _tier_function(
     blocks: List[BasicBlock] = []
     for b in range(n_blocks):
         is_last = b == n_blocks - 1
-        n_instr = rng.randint(*params.instrs_per_block)
+        n_instr = randint(bits, *params.instrs_per_block)
         if is_last:
             term = Terminator(TermKind.RETURN)
         elif b in rpc_blocks and next_tier is not None:
             # The RPC stub: a few plausible next-tier endpoints, one hot.
             if rng.random() < params.indirect_frac:
-                k = rng.randint(2, 4)
+                k = randint(bits, 2, 4)
                 callees = rng.sample(next_tier, min(k, len(next_tier)))
                 weights = [8.0] + [1.0] * (len(callees) - 1)
                 term = Terminator(
@@ -215,7 +217,7 @@ def _tier_function(
             else:
                 term = Terminator(TermKind.CALL, target=rng.choice(next_tier))
         else:
-            term = _glue_terminator(b, n_blocks, shape, params, util_weights, rng)
+            term = _glue_terminator(b, n_blocks, shape, params, util_cum, rng)
         blocks.append(
             BasicBlock(
                 label=f"b{b}",
@@ -233,7 +235,7 @@ def _glue_terminator(
     n_blocks: int,
     shape: _ChainShape,
     params: MicroserviceParams,
-    util_weights: List[float],
+    util_cum: List[float],
     rng: random.Random,
 ) -> Terminator:
     """Between RPC stubs: copy loops, validation skips, helper calls."""
@@ -245,12 +247,12 @@ def _glue_terminator(
         )
     roll -= params.loop_prob
     if roll < params.cond_prob and block_idx + 2 < n_blocks:
-        forward = rng.randint(block_idx + 1, n_blocks - 1)
-        bias = rng.choice(list(params.cond_bias_choices))
+        forward = randint(rng.getrandbits, block_idx + 1, n_blocks - 1)
+        bias = rng.choice(params.cond_bias_choices)
         return Terminator(TermKind.COND, target=f"b{forward}", taken_prob=bias)
     roll -= params.cond_prob
     if roll < 0.30 and shape.utils:
-        helper = rng.choices(shape.utils, weights=util_weights, k=1)[0]
+        helper = rng.choices(shape.utils, cum_weights=util_cum)[0]
         return Terminator(TermKind.CALL, target=helper)
     return Terminator(TermKind.FALLTHROUGH)
 
@@ -262,7 +264,7 @@ def _util_function(
     blocks = [
         BasicBlock(
             label="copy",
-            n_instructions=rng.randint(*params.instrs_per_block),
+            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
             terminator=Terminator(
                 TermKind.COND, target="copy", taken_prob=0.66
             ),
@@ -286,7 +288,7 @@ def _frontend(shape: _ChainShape, params: MicroserviceParams, rng: random.Random
     blocks = [
         BasicBlock(
             label="accept",
-            n_instructions=rng.randint(*params.instrs_per_block),
+            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
             terminator=Terminator(TermKind.INDIRECT_CALL, candidates=candidates),
             load_frac=params.load_frac,
             store_frac=params.store_frac,
@@ -315,12 +317,12 @@ def build_rpc_program(
     """
     rng = random.Random(seed)
     shape = _ChainShape(params)
-    util_weights = _zipf_weights(len(shape.utils), params.zipf_s)
+    util_cum = list(accumulate(_zipf_weights(len(shape.utils), params.zipf_s)))
     functions: List[Function] = [_frontend(shape, params, rng)]
     for tier, names in enumerate(shape.tiers):
         for name in names:
             functions.append(
-                _tier_function(name, tier, shape, params, util_weights, rng)
+                _tier_function(name, tier, shape, params, util_cum, rng)
             )
     for name in shape.utils:
         functions.append(_util_function(name, params, rng))
@@ -391,7 +393,7 @@ def make_microservice_workload(spec) -> Trace:
     rng = random.Random(spec.seed ^ 0x5EED_0C5)
     tenants = spec.tenants
     if tenants is None:
-        count = rng.randint(2, min(4, len(SERVICE_NAMES)))
+        count = randint(rng.getrandbits, 2, min(4, len(SERVICE_NAMES)))
         tenants = tuple(rng.sample(SERVICE_NAMES, count))
     for service in tenants:
         if service not in MICROSERVICE_PARAMS:

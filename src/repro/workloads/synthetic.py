@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.workloads.cfg import (
     INSTRUCTION_SIZE,
     BasicBlock,
     Program,
+    Terminator,
     TermKind,
 )
 from repro.workloads.trace import BranchType, Instruction, Trace
@@ -26,6 +27,34 @@ _DATA_REGION_BASE = 0x10_0000_0000
 _DATA_REGION_SIZE = 32 * 1024
 _SHARED_REGION_BASE = 0x20_0000_0000
 _SHARED_REGION_SIZE = 4 * 1024 * 1024
+
+_NOT_BRANCH = BranchType.NOT_BRANCH
+
+
+def randint(getrandbits: Callable[[int], int], lo: int, hi: int) -> int:
+    """``Random.randint(lo, hi)``, draw for draw, in one call.
+
+    ``getrandbits`` is the generator's bound method.  CPython's
+    ``randint``, ``randrange`` and ``choice`` all reduce to
+    ``Random._randbelow(n)``: draw ``n.bit_length()`` bits and redraw while
+    the value is ``>= n``.  This replays that for ``n = hi - lo + 1``, so
+    every draw keeps its order and value: ``seq[randint(bits, 0,
+    len(seq) - 1)]`` is ``rng.choice(seq)``.  The generated traces depend
+    on it; see DESIGN.md section 13.
+    """
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randint({lo}, {hi})")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r
+
+
+#: Per-function walk tables: blocks, block start addresses, label ->
+#: block index, and the base of the function's data region.
+_Frame = Tuple[List[BasicBlock], List[int], Dict[str, int], int]
 
 
 class CfgInterpreter:
@@ -50,164 +79,158 @@ class CfgInterpreter:
         self._func = program.entry
         self._block_idx = 0
         self._restarts = 0
+        self._frames: Dict[str, _Frame] = {}
 
     @property
     def restarts(self) -> int:
         """How many times the walk returned from the entry and restarted."""
         return self._restarts
 
+    def _frame(self, name: str) -> _Frame:
+        frame = self._frames.get(name)
+        if frame is None:
+            func = self.program.functions[name]
+            # Stable per-function data region id (process-independent,
+            # unlike the built-in str hash which varies with PYTHONHASHSEED).
+            region = zlib.crc32(name.encode()) & 0xFFFF
+            frame = self._frames[name] = (
+                func.blocks,
+                self.program.block_addresses(name),
+                func.label_index,
+                _DATA_REGION_BASE + region * _DATA_REGION_SIZE,
+            )
+        return frame
+
     def run(self, n_instructions: int) -> List[Instruction]:
-        """Emit at least ``n_instructions`` records (rounded up to a block)."""
+        """Emit at least ``n_instructions`` records (rounded up to a block).
+
+        Body instructions are loads with probability ``load_frac``, stores
+        with ``store_frac``; their data address is mostly in the
+        function's own region, sometimes in the shared one.
+        """
         out: List[Instruction] = []
+        append = out.append
+        random_ = self.rng.random
+        bits = self.rng.getrandbits
         while len(out) < n_instructions:
-            self._step_block(out)
+            frame = self._frame(self._func)
+            blocks, bases, _labels, region = frame
+            block = blocks[self._block_idx]
+            term = block.terminator
+            has_branch = term.kind is not TermKind.FALLTHROUGH
+            base = bases[self._block_idx]
+            body = block.n_instructions - 1 if has_branch else block.n_instructions
+            end = base + body * INSTRUCTION_SIZE
+            load_frac = block.load_frac
+            mem_frac = load_frac + block.store_frac
+            for pc in range(base, end, INSTRUCTION_SIZE):
+                roll = random_()
+                is_load = roll < load_frac
+                if is_load or roll < mem_frac:
+                    if random_() < 0.8:
+                        addr = region + randint(bits, 0, _DATA_REGION_SIZE - 1)
+                    else:
+                        addr = _SHARED_REGION_BASE + randint(
+                            bits, 0, _SHARED_REGION_SIZE - 1
+                        )
+                    append(Instruction(
+                        pc, 4, _NOT_BRANCH, False, 0, is_load, not is_load,
+                        addr & ~0x7,
+                    ))
+                else:
+                    append(Instruction(pc))
+            if has_branch:
+                append(self._terminate(end, frame, term))
+            else:
+                self._advance_fallthrough(blocks)
         return out
-
-    # -- block execution ---------------------------------------------------
-
-    def _step_block(self, out: List[Instruction]) -> None:
-        func = self.program.functions[self._func]
-        block = func.blocks[self._block_idx]
-        base = self.program.block_address(self._func, block.label)
-        term = block.terminator
-        has_branch = term.kind != TermKind.FALLTHROUGH
-
-        body_count = block.n_instructions - 1 if has_branch else block.n_instructions
-        for i in range(body_count):
-            out.append(self._body_instruction(base + i * INSTRUCTION_SIZE, block))
-
-        if not has_branch:
-            self._advance_fallthrough(func)
-            return
-
-        branch_pc = base + (block.n_instructions - 1) * INSTRUCTION_SIZE
-        out.append(self._terminate(branch_pc, func, block))
-
-    def _body_instruction(self, pc: int, block: BasicBlock) -> Instruction:
-        roll = self.rng.random()
-        if roll < block.load_frac:
-            return Instruction(pc=pc, is_load=True, data_addr=self._data_address())
-        if roll < block.load_frac + block.store_frac:
-            return Instruction(pc=pc, is_store=True, data_addr=self._data_address())
-        return Instruction(pc=pc)
-
-    def _data_address(self) -> int:
-        """Pick a data address: mostly function-local, sometimes shared."""
-        if self.rng.random() < 0.8:
-            # Stable per-function region id (process-independent, unlike
-            # the built-in str hash which varies with PYTHONHASHSEED).
-            region = zlib.crc32(self._func.encode()) & 0xFFFF
-            base = _DATA_REGION_BASE + region * _DATA_REGION_SIZE
-            return base + self.rng.randrange(_DATA_REGION_SIZE) & ~0x7
-        return _SHARED_REGION_BASE + self.rng.randrange(_SHARED_REGION_SIZE) & ~0x7
 
     # -- terminators ---------------------------------------------------------
 
-    def _terminate(self, pc: int, func, block: BasicBlock) -> Instruction:
-        term = block.terminator
-        if term.kind == TermKind.COND:
-            return self._do_cond(pc, func, block)
-        if term.kind == TermKind.JUMP:
-            target = self.program.block_address(self._func, term.target)
-            self._block_idx = func.block_index(term.target)
+    def _terminate(self, pc: int, frame: _Frame, term: Terminator) -> Instruction:
+        blocks, bases, labels, _region = frame
+        kind = term.kind
+        if kind is TermKind.COND:
+            taken = self.rng.random() < term.taken_prob
+            target_idx = labels[term.target]
+            if taken:
+                self._block_idx = target_idx
+            else:
+                self._advance_fallthrough(blocks)
+            return Instruction(
+                pc=pc,
+                branch_type=BranchType.CONDITIONAL,
+                taken=taken,
+                target=bases[target_idx],
+            )
+        if kind is TermKind.JUMP:
+            self._block_idx = labels[term.target]
             return Instruction(
                 pc=pc,
                 branch_type=BranchType.DIRECT_JUMP,
                 taken=True,
-                target=target,
+                target=bases[self._block_idx],
             )
-        if term.kind == TermKind.INDIRECT_JUMP:
-            label = self._weighted_choice(term.candidates)
-            target = self.program.block_address(self._func, label)
-            self._block_idx = func.block_index(label)
+        if kind is TermKind.INDIRECT_JUMP:
+            self._block_idx = labels[self._weighted_choice(term.candidates)]
             return Instruction(
                 pc=pc,
                 branch_type=BranchType.INDIRECT_JUMP,
                 taken=True,
-                target=target,
+                target=bases[self._block_idx],
             )
-        if term.kind == TermKind.CALL:
-            return self._do_call(pc, func, block, term.target, indirect=False)
-        if term.kind == TermKind.INDIRECT_CALL:
+        if kind is TermKind.CALL:
+            return self._do_call(pc, blocks, term.target, BranchType.DIRECT_CALL)
+        if kind is TermKind.INDIRECT_CALL:
             callee = self._weighted_choice(term.candidates)
-            return self._do_call(pc, func, block, callee, indirect=True)
-        if term.kind == TermKind.RETURN:
-            return self._do_return(pc)
+            return self._do_call(pc, blocks, callee, BranchType.INDIRECT_CALL)
+        if kind is TermKind.RETURN:
+            self._unwind()
+            target = self.program.block_addresses(self._func)[self._block_idx]
+            return Instruction(
+                pc=pc, branch_type=BranchType.RETURN, taken=True, target=target
+            )
         raise AssertionError(f"unhandled terminator {term.kind}")
 
-    def _do_cond(self, pc: int, func, block: BasicBlock) -> Instruction:
-        term = block.terminator
-        taken = self.rng.random() < term.taken_prob
-        target = self.program.block_address(self._func, term.target)
-        if taken:
-            self._block_idx = func.block_index(term.target)
-        else:
-            self._advance_fallthrough(func)
-        return Instruction(
-            pc=pc,
-            branch_type=BranchType.CONDITIONAL,
-            taken=taken,
-            target=target,
-        )
-
     def _do_call(
-        self, pc: int, func, block: BasicBlock, callee: str, indirect: bool
+        self, pc: int, blocks: List[BasicBlock], callee: str, btype: BranchType
     ) -> Instruction:
         if len(self._stack) >= self.max_call_depth:
             # Depth-bounded: demote the call to a plain instruction and
             # continue with the fall-through block.
-            self._advance_fallthrough(func)
-            return Instruction(pc=pc)
-        resume_idx = self._block_idx + 1
-        self._stack.append((self._func, resume_idx))
-        target = self.program.function_address(callee)
+            self._advance_fallthrough(blocks)
+            return Instruction(pc)
+        self._stack.append((self._func, self._block_idx + 1))
         self._func = callee
         self._block_idx = 0
-        btype = BranchType.INDIRECT_CALL if indirect else BranchType.DIRECT_CALL
+        target = self.program.function_address(callee)
         return Instruction(pc=pc, branch_type=btype, taken=True, target=target)
-
-    def _do_return(self, pc: int) -> Instruction:
-        while self._stack:
-            caller, resume_idx = self._stack.pop()
-            caller_func = self.program.functions[caller]
-            if resume_idx < len(caller_func.blocks):
-                self._func = caller
-                self._block_idx = resume_idx
-                target = self.program.block_address(
-                    caller, caller_func.blocks[resume_idx].label
-                )
-                return Instruction(
-                    pc=pc, branch_type=BranchType.RETURN, taken=True, target=target
-                )
-            # The call was the caller's last block: keep unwinding.
-        # Returned from the entry function: restart the event loop.
-        self._restarts += 1
-        self._func = self.program.entry
-        self._block_idx = 0
-        target = self.program.function_address(self._func)
-        return Instruction(
-            pc=pc, branch_type=BranchType.RETURN, taken=True, target=target
-        )
 
     # -- helpers -------------------------------------------------------------
 
-    def _advance_fallthrough(self, func) -> None:
-        if self._block_idx + 1 < len(func.blocks):
+    def _advance_fallthrough(self, blocks: List[BasicBlock]) -> None:
+        if self._block_idx + 1 < len(blocks):
             self._block_idx += 1
-            return
-        # Implicit return at the end of the function.
+        else:
+            # Implicit return at the end of the function.
+            self._unwind()
+
+    def _unwind(self) -> None:
+        """Resume the innermost caller that has a block left after its
+        call; returning from the entry function restarts the event loop."""
+        functions = self.program.functions
         while self._stack:
             caller, resume_idx = self._stack.pop()
-            caller_func = self.program.functions[caller]
-            if resume_idx < len(caller_func.blocks):
+            if resume_idx < len(functions[caller].blocks):
                 self._func = caller
                 self._block_idx = resume_idx
                 return
+            # The call was the caller's last block: keep unwinding.
         self._restarts += 1
         self._func = self.program.entry
         self._block_idx = 0
 
-    def _weighted_choice(self, candidates) -> str:
+    def _weighted_choice(self, candidates: Sequence[Tuple[str, float]]) -> str:
         total = sum(w for _c, w in candidates)
         roll = self.rng.random() * total
         acc = 0.0

@@ -49,6 +49,32 @@ class TestProgramShape:
         assert member in shape.segment_of(member)
 
 
+def _segment_of_by_scan(shape, func_name):
+    """The original linear scan: a handler maps to its own segment, the
+    first segment that contains the name wins, anything else gets
+    ``internals``."""
+    if func_name in shape.segment:
+        return shape.segment[func_name]
+    for members in shape.segment.values():
+        if func_name in members:
+            return members
+    return shape.internals
+
+
+class TestSegmentOfMap:
+    @pytest.mark.parametrize(
+        "params",
+        list(CATEGORY_PARAMS.values())
+        # More handlers than internals: most segments are empty.
+        + [ProgramParams(n_funcs=22, n_handlers=16, shared_utils=4)],
+        ids=list(CATEGORY_PARAMS) + ["starved"],
+    )
+    def test_same_list_object_as_linear_scan(self, params):
+        shape = _ProgramShape(params)
+        for name in shape.names + ["no_such_function"]:
+            assert shape.segment_of(name) is _segment_of_by_scan(shape, name)
+
+
 class TestBuildProgram:
     def test_deterministic(self):
         params = CATEGORY_PARAMS["int"]

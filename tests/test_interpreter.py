@@ -1,9 +1,11 @@
 """Tests for the CFG interpreter: control-transfer semantics."""
 
+import random
+
 import pytest
 
 from repro.workloads.cfg import ProgramBuilder, Terminator, TermKind
-from repro.workloads.synthetic import CfgInterpreter, generate_trace
+from repro.workloads.synthetic import CfgInterpreter, generate_trace, randint
 from repro.workloads.trace import BranchType
 
 
@@ -219,3 +221,26 @@ class TestGenerateTrace:
         trace = generate_trace(loop_program, 10, name="t", category="fp")
         assert trace.name == "t"
         assert trace.category == "fp"
+
+
+class TestRandintReplay:
+    """``randint`` must replay ``Random._randbelow`` draw for draw."""
+
+    def test_matches_random_randint(self):
+        ours, ref = random.Random(7), random.Random(7)
+        ranges = [(0, 0), (3, 14), (0, 32 * 1024 - 1), (0, 4 * 1024 * 1024 - 1),
+                  (2, 4), (-5, 5), (1, 2 ** 40)]
+        for lo, hi in ranges * 100:
+            assert randint(ours.getrandbits, lo, hi) == ref.randint(lo, hi)
+        assert ours.random() == ref.random()
+
+    def test_matches_random_choice(self):
+        ours, ref = random.Random(11), random.Random(11)
+        for n in range(1, 70):
+            seq = list(range(n))
+            assert seq[randint(ours.getrandbits, 0, n - 1)] == ref.choice(seq)
+        assert ours.random() == ref.random()
+
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="empty range"):
+            randint(random.Random(0).getrandbits, 3, 2)
