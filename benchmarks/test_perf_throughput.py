@@ -13,7 +13,7 @@ gates each new record against the trajectory in CI.
 The backend sweep earns its keep twice over: every run carries a
 ``backend`` tag and a measured ``speedup_vs_reference`` (the CI speedup
 gate reads the per-backend geomean), and the benchmark asserts the
-fast backends' :meth:`~repro.sim.stats.SimStats.signature` equals the
+staged backend's :meth:`~repro.sim.stats.SimStats.signature` equals the
 reference backend's bit-for-bit on the full bench suite — the largest
 identity check in the repo, riding along with every bench run.
 """
@@ -41,7 +41,6 @@ from repro.analysis.runcache import RunCache
 from repro.obs.profiler import PhaseProfiler, set_stage_profiler
 from repro.sim.config import SimConfig
 from repro.sim.simulator import simulate
-from repro.sim.stages import vector
 from repro.workloads.generators import CATEGORIES, WorkloadSpec
 
 TRAJECTORY_PATH = os.path.join(
@@ -61,11 +60,9 @@ BENCH_SUITE = [
 
 BENCH_CONFIGS = ("no", "entangling_4k")
 
-#: Every available simulator backend, reference first (it anchors the
-#: speedup ratios and the bit-identity assertion).
-BENCH_BACKENDS = ("reference", "staged") + (
-    ("numpy",) if vector.NUMPY_AVAILABLE else ()
-)
+#: Both simulator backends, reference first (it anchors the speedup
+#: ratios and the bit-identity assertion).
+BENCH_BACKENDS = ("reference", "staged")
 
 
 def _geomean(values):
@@ -119,7 +116,7 @@ def _run_backend_sweep() -> dict:
 
 def test_perf_throughput():
     # Truthful backend labels: an outer REPRO_BACKEND (e.g. the CI
-    # backend-matrix job) must not silently re-route the "reference" leg.
+    # staged-backend job) must not silently re-route the "reference" leg.
     outer_backend = os.environ.pop("REPRO_BACKEND", None)
     try:
         per_backend = _run_backend_sweep()
@@ -128,7 +125,7 @@ def test_perf_throughput():
             os.environ["REPRO_BACKEND"] = outer_backend
     stages, reference_entries = per_backend["reference"]
 
-    # The largest bit-identity check in the repo: every fast backend must
+    # The largest bit-identity check in the repo: the staged backend must
     # reproduce the reference signatures exactly on the full bench suite.
     ref_wall = {}
     ref_signatures = {}

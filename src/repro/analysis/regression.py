@@ -292,7 +292,7 @@ def _runs_by_pair(
 
 
 def parse_speedup_requirements(specs: List[str]) -> Dict[str, float]:
-    """``["staged:1.8", "numpy:1.5"]`` → ``{"staged": 1.8, "numpy": 1.5}``.
+    """``["staged:1.8"]`` → ``{"staged": 1.8}``.
 
     Raises:
         ValueError: a spec is not ``BACKEND:FACTOR`` with a positive

@@ -217,9 +217,30 @@ def _telemetry(args: argparse.Namespace, command: str, n_tasks: int = 1):
         bus.close()
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+@contextmanager
+def _scoped_environ(overrides: dict):
+    """Set environment variables for one command, then restore them.
+
+    Worker processes started inside the scope inherit the overrides;
+    on exit (normal or not) each variable gets its previous value back,
+    or is removed again if it was unset, so a later in-process command
+    does not see them.
+    """
     import os
 
+    previous = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace and args.trace_file:
         print("run: give either a positional trace or --trace-file, not both",
               file=sys.stderr)
@@ -229,16 +250,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run: a trace is required (positional or --trace-file)",
               file=sys.stderr)
         return 2
+    overrides = {}
     if args.backend:
         # One switch covers both the in-process path and guarded worker
         # processes (the environment is inherited); an explicit
         # SimConfig.backend in library code still takes precedence.
-        os.environ["REPRO_BACKEND"] = args.backend
+        overrides["REPRO_BACKEND"] = args.backend
     if args.check:
         # Propagate to worker processes (guarded mode) and keep the
         # in-process path on the same code route as REPRO_SANITIZE=1.
-        os.environ["REPRO_SANITIZE"] = "1"
-    with _telemetry(args, "run") as bus:
+        overrides["REPRO_SANITIZE"] = "1"
+    with _scoped_environ(overrides), _telemetry(args, "run") as bus:
         checker = None
         if args.task_timeout is not None or args.retries is not None:
             # Guarded execution: run the simulation in a worker process
@@ -952,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="simulator engine (default: REPRO_BACKEND env or reference); "
-             "all backends produce bit-identical statistics",
+             "both backends produce bit-identical statistics",
     )
     run.add_argument(
         "--check",

@@ -95,9 +95,9 @@ class InstructionPrefetcher:
     #: Ideal prefetchers make every L1I access hit (simulator support).
     is_ideal: bool = False
     #: Passive prefetchers never request anything and keep no state: every
-    #: hook is a no-op returning ().  The staged/numpy simulator cores may
-    #: skip hook dispatch entirely for passive prefetchers (the batch fast
-    #: paths rely on this), so only set it when *all* hooks are inherited
+    #: hook is a no-op returning ().  The staged simulator core may skip
+    #: hook dispatch entirely for passive prefetchers (its passive streak
+    #: loop relies on this), so only set it when *all* hooks are inherited
     #: no-ops.
     is_passive: bool = False
 

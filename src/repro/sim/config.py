@@ -14,8 +14,8 @@ from repro.check.errors import ConfigError
 
 _REPLACEMENT_POLICIES = ("lru", "fifo")
 _BRANCH_PREDICTORS = ("gshare", "bimodal")
-#: Simulator cores; all produce bit-identical signatures (see repro.sim.stages).
-BACKENDS = ("reference", "staged", "numpy")
+#: Simulator cores; both produce bit-identical signatures (see repro.sim.stages).
+BACKENDS = ("reference", "staged")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class SimConfig:
     # -- simulator core (host-side choice, never architectural: every
     # backend produces bit-identical SimStats signatures, and the field
     # is excluded from run-cache keys)
-    backend: str = "reference"   # or "staged" / "numpy"
+    backend: str = "reference"   # or "staged"
 
     def __post_init__(self) -> None:
         self.validate()

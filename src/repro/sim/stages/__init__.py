@@ -1,18 +1,15 @@
-"""Simulator backends: the staged core and its vectorized fast path.
+"""Simulator backends: the reference oracle and the staged fast core.
 
-Three interchangeable engines drive the same front-end model (see
+Two interchangeable engines drive the same front-end model (see
 DESIGN.md §11):
 
 * ``"reference"`` — the original per-cycle
   :class:`~repro.sim.simulator.Simulator`; the correctness anchor.
 * ``"staged"`` — :class:`~repro.sim.stages.core.StagedSimulator`: stage
-  modules over array-of-struct state, event-skipping, and a monolithic
-  passive-prefetcher loop.
-* ``"numpy"`` — :class:`~repro.sim.stages.vector.NumpySimulator`: the
-  staged core plus vectorized batch processing of branch-free all-hit
-  spans; falls back to ``"staged"`` when numpy is not importable.
+  modules over array-of-struct state, event-skipping, and monolithic
+  passive/active streak loops.
 
-Every backend produces bit-identical
+Both backends produce bit-identical
 :meth:`~repro.sim.stats.SimStats.signature` results; only wall-clock
 telemetry differs.  :func:`resolve_backend` picks the engine from the
 config field and the ``REPRO_BACKEND`` environment variable.
@@ -78,29 +75,15 @@ def resolve_backend(config_backend: Optional[str] = None) -> Type:
 
     An explicit non-default ``config.backend`` wins; otherwise the
     ``REPRO_BACKEND`` environment variable fills in; otherwise the
-    reference engine runs.  Requesting ``"numpy"`` without numpy
-    installed falls back to ``"staged"`` (logged, never an error: the
-    backends are bit-identical, so the fallback only affects speed).
+    reference engine runs.
     """
-    requested, source = _select(config_backend)
-    chosen = requested
-    note = ""
-    if requested == "numpy":
-        from repro.sim.stages import vector
-
-        if not vector.NUMPY_AVAILABLE:
-            chosen = "staged"
-            note = " (numpy unavailable: fell back to staged)"
-    key = (requested, source, chosen)
+    chosen, source = _select(config_backend)
+    key = (chosen, source)
     if key not in _announced:
         _announced.add(key)
-        logger.info("simulator backend: %s via %s%s", chosen, source, note)
+        logger.info("simulator backend: %s via %s", chosen, source)
     if chosen == "reference":
         from repro.sim.simulator import Simulator
 
         return Simulator
-    if chosen == "staged":
-        return StagedSimulator
-    from repro.sim.stages import vector
-
-    return vector.NumpySimulator
+    return StagedSimulator

@@ -282,12 +282,7 @@ class StagedSimulator:
 
     # -- the monolithic passive-prefetcher loop ------------------------------
 
-    def _run_passive(
-        self,
-        limit: int,
-        max_cycles: Optional[int] = None,
-        until_quiesce: bool = False,
-    ) -> None:
+    def _run_passive(self, limit: int) -> None:
         """Batch-run cycles for a passive prefetcher with no observers.
 
         Preconditions (established by ``run``): no tracer, no profiler,
@@ -306,15 +301,6 @@ class StagedSimulator:
         it.  Cold paths (fills, miss allocation) go through the real
         ``MshrFile`` / ``FastMetaCache`` methods; only the dominant hit
         and retire paths are inlined.
-
-        ``max_cycles`` bounds the number of loop iterations so the numpy
-        backend can interleave scalar stretches with vectorized span
-        processing; None (the default) runs to the limit or trace end.
-        ``until_quiesce`` additionally returns at the first top-of-cycle
-        state where the numpy fast path could engage (MSHR drained, no
-        waiter, predict unblocked) — but only after at least one miss
-        was allocated here, so a caller whose span check just rejected
-        this very state always makes progress before re-checking.
         """
         config = self.config
         stats = self.stats
@@ -338,7 +324,6 @@ class StagedSimulator:
         l1d_sets = l1d._sets
         l1d_nsets = l1d.sets
         l1d_ways = l1d.ways
-        l1d_members = l1d._members
         l1i_counts = self._l1i_counts
         l1d_counts = self._l1d_counts
         # The L2 -> LLC -> DRAM walk is inlined below (same accounting as
@@ -348,11 +333,9 @@ class StagedSimulator:
         l2_sets = l2._sets
         l2_nsets = l2.sets
         l2_ways = l2.ways
-        l2_members = l2._members
         llc_sets = llc._sets
         llc_nsets = llc.sets
         llc_ways = llc.ways
-        llc_members = llc._members
         waiting = self._waiting
         fq_line = self.fq_line
         fq_remaining = self.fq_remaining
@@ -386,8 +369,6 @@ class StagedSimulator:
         stall_until = self._pred_stall_until
         blocked_idx = self._pred_blocked_idx
         retired_total = self._retired
-        cycles_budget = sys.maxsize if max_cycles is None else max_cycles
-        had_alloc = False
 
         # Out-of-band counter accumulation (flushed on exit).
         demand_accesses = 0
@@ -479,7 +460,6 @@ class StagedSimulator:
                         else:
                             fill_ready = request_instruction(line_addr, cycle + latency)
                             mshr_allocate(line_addr, cycle, fill_ready, True, None)
-                            had_alloc = True
                         ready_val = None
                     idx = len(fq_line)
                     fq_line.append(line_addr)
@@ -582,34 +562,16 @@ class StagedSimulator:
                                                 llc_set[data_line] = True
                                             else:
                                                 if len(llc_set) >= llc_ways:
-                                                    v = next(iter(llc_set))
-                                                    del llc_set[v]
-                                                    if llc_members is not None:
-                                                        llc_members.discard(v)
+                                                    del llc_set[next(iter(llc_set))]
                                                 llc_set[data_line] = True
-                                                if llc_members is not None:
-                                                    llc_members.add(data_line)
-                                                llc._version += 1
                                                 llc_writes += 1
                                             if len(l2_set) >= l2_ways:
-                                                v = next(iter(l2_set))
-                                                del l2_set[v]
-                                                if l2_members is not None:
-                                                    l2_members.discard(v)
+                                                del l2_set[next(iter(l2_set))]
                                             l2_set[data_line] = True
-                                            if l2_members is not None:
-                                                l2_members.add(data_line)
-                                            l2._version += 1
                                             l2_writes += 1
                                         if len(data_set) >= l1d_ways:
-                                            victim_addr = next(iter(data_set))
-                                            del data_set[victim_addr]
-                                            if l1d_members is not None:
-                                                l1d_members.discard(victim_addr)
+                                            del data_set[next(iter(data_set))]
                                         data_set[data_line] = True
-                                        if l1d_members is not None:
-                                            l1d_members.add(data_line)
-                                        l1d._version += 1
                                         l1d_writes += 1
                                 fq_data[head] = ()  # release; the block is done
                             head += 1
@@ -646,9 +608,6 @@ class StagedSimulator:
                 else:
                     ftq_empty += span
             cycle = next_cycle
-            cycles_budget -= 1
-            if cycles_budget <= 0:
-                break
 
             if head >= _COMPACT_THRESHOLD and not waiting and blocked_idx is None:
                 del fq_line[:head]
@@ -657,15 +616,6 @@ class StagedSimulator:
                 del fq_penalty[:head]
                 del fq_data[:head]
                 head = 0
-
-            if (
-                until_quiesce
-                and had_alloc
-                and not mshr_entries
-                and not waiting
-                and blocked_idx is None
-            ):
-                break
 
         # -- flush locals back into the shared state
         self.cycle = cycle
@@ -700,7 +650,7 @@ class StagedSimulator:
 
     # -- the monolithic active-prefetcher loop -------------------------------
 
-    def _run_active(self, limit: int, max_cycles: Optional[int] = None) -> None:
+    def _run_active(self, limit: int) -> None:
         """Batch-run cycles for an *active* prefetcher with no observers.
 
         Same contract as :meth:`_run_passive` plus the hook traffic an
@@ -749,7 +699,6 @@ class StagedSimulator:
         l1d_sets = l1d._sets
         l1d_nsets = l1d.sets
         l1d_ways = l1d.ways
-        l1d_members = l1d._members
         l1i_counts = self._l1i_counts
         l1d_counts = self._l1d_counts
         l2 = self.memory.l2
@@ -757,11 +706,9 @@ class StagedSimulator:
         l2_sets = l2._sets
         l2_nsets = l2.sets
         l2_ways = l2.ways
-        l2_members = l2._members
         llc_sets = llc._sets
         llc_nsets = llc.sets
         llc_ways = llc.ways
-        llc_members = llc._members
         waiting = self._waiting
         fq_line = self.fq_line
         fq_remaining = self.fq_remaining
@@ -795,7 +742,6 @@ class StagedSimulator:
         stall_until = self._pred_stall_until
         blocked_idx = self._pred_blocked_idx
         retired_total = self._retired
-        cycles_budget = sys.maxsize if max_cycles is None else max_cycles
 
         demand_accesses = 0
         demand_hits = 0
@@ -1040,34 +986,16 @@ class StagedSimulator:
                                                 llc_set[data_line] = True
                                             else:
                                                 if len(llc_set) >= llc_ways:
-                                                    v = next(iter(llc_set))
-                                                    del llc_set[v]
-                                                    if llc_members is not None:
-                                                        llc_members.discard(v)
+                                                    del llc_set[next(iter(llc_set))]
                                                 llc_set[data_line] = True
-                                                if llc_members is not None:
-                                                    llc_members.add(data_line)
-                                                llc._version += 1
                                                 llc_writes += 1
                                             if len(l2_set) >= l2_ways:
-                                                v = next(iter(l2_set))
-                                                del l2_set[v]
-                                                if l2_members is not None:
-                                                    l2_members.discard(v)
+                                                del l2_set[next(iter(l2_set))]
                                             l2_set[data_line] = True
-                                            if l2_members is not None:
-                                                l2_members.add(data_line)
-                                            l2._version += 1
                                             l2_writes += 1
                                         if len(data_set) >= l1d_ways:
-                                            victim_addr = next(iter(data_set))
-                                            del data_set[victim_addr]
-                                            if l1d_members is not None:
-                                                l1d_members.discard(victim_addr)
+                                            del data_set[next(iter(data_set))]
                                         data_set[data_line] = True
-                                        if l1d_members is not None:
-                                            l1d_members.add(data_line)
-                                        l1d._version += 1
                                         l1d_writes += 1
                                 fq_data[head] = ()  # release; the block is done
                             head += 1
@@ -1104,9 +1032,6 @@ class StagedSimulator:
                 else:
                     ftq_empty += span
             cycle = next_cycle
-            cycles_budget -= 1
-            if cycles_budget <= 0:
-                break
 
             if head >= _COMPACT_THRESHOLD and not waiting and blocked_idx is None:
                 del fq_line[:head]

@@ -63,21 +63,6 @@ class FastMetaCache:
         self.replacement = replacement
         self._lru = replacement == "lru"
         self._sets: List[Dict[int, FastLine]] = [dict() for _ in range(sets)]
-        # Flat membership mirror for the numpy backend's vectorized
-        # residency checks; None until a consumer asks for it.
-        self._members: Optional[set] = None
-        # Bumped on every membership change (insert of a new line,
-        # eviction, invalidate) so mirror-derived arrays can be cached.
-        self._version = 0
-
-    def enable_member_mirror(self) -> set:
-        """Maintain (and return) a flat set of resident line addresses."""
-        if self._members is None:
-            members = set()
-            for cache_set in self._sets:
-                members.update(cache_set)
-            self._members = members
-        return self._members
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> Optional[FastLine]:
         cache_set = self._sets[line_addr % self.sets]
@@ -108,20 +93,11 @@ class FastMetaCache:
             return None
         victim: Optional[FastLine] = None
         if len(cache_set) >= self.ways:
-            victim_addr = next(iter(cache_set))
-            victim = cache_set.pop(victim_addr)
-            if self._members is not None:
-                self._members.discard(victim_addr)
+            victim = cache_set.pop(next(iter(cache_set)))
         cache_set[line_addr] = FastLine(line_addr)
-        if self._members is not None:
-            self._members.add(line_addr)
-        self._version += 1
         return victim
 
     def invalidate(self, line_addr: int) -> Optional[FastLine]:
-        if self._members is not None:
-            self._members.discard(line_addr)
-        self._version += 1
         return self._sets[line_addr % self.sets].pop(line_addr, None)
 
     def resident_lines(self) -> List[int]:
@@ -152,16 +128,6 @@ class FastCache:
         self.ways = ways
         self.replacement = replacement
         self._sets: List[Dict[int, bool]] = [dict() for _ in range(sets)]
-        self._members: Optional[set] = None
-        self._version = 0
-
-    def enable_member_mirror(self) -> set:
-        if self._members is None:
-            members = set()
-            for cache_set in self._sets:
-                members.update(cache_set)
-            self._members = members
-        return self._members
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> Optional[bool]:
         cache_set = self._sets[line_addr % self.sets]
@@ -182,20 +148,11 @@ class FastCache:
             cache_set[line_addr] = True
             return None
         if len(cache_set) >= self.ways:
-            victim_addr = next(iter(cache_set))
-            del cache_set[victim_addr]
-            if self._members is not None:
-                self._members.discard(victim_addr)
+            del cache_set[next(iter(cache_set))]
         cache_set[line_addr] = True
-        if self._members is not None:
-            self._members.add(line_addr)
-        self._version += 1
         return None
 
     def invalidate(self, line_addr: int) -> None:
-        if self._members is not None:
-            self._members.discard(line_addr)
-        self._version += 1
         self._sets[line_addr % self.sets].pop(line_addr, None)
 
     def resident_lines(self) -> List[int]:

@@ -13,7 +13,6 @@ from repro.analysis.experiments import run_suite
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.config import SimConfig
 from repro.sim.simulator import simulate
-from repro.sim.stages import vector
 from repro.workloads.generators import ALL_CATEGORIES, WorkloadSpec, make_workload
 from repro.workloads.microservice import (
     MICROSERVICE_PARAMS,
@@ -27,7 +26,7 @@ from repro.workloads.microservice import (
 )
 from repro.workloads.synthetic import generate_trace
 
-FAST_BACKENDS = ("staged",) + (("numpy",) if vector.NUMPY_AVAILABLE else ())
+FAST_BACKENDS = ("staged",)
 
 
 def _spec(tenants, n=60_000, seed=4, name="ms"):
