@@ -20,10 +20,11 @@ rest are served from the on-disk cache.  Worker faults are retried
 and persistent failures are quarantined and reported instead of killing
 the evaluation.
 
-With ``--trace PATH`` the whole evaluation is span-traced: every suite,
-cache lookup, executor attempt, retry backoff, and worker-side pipeline
-stage lands in one merged Chrome trace-event JSON (load it at
-https://ui.perfetto.dev).  ``--progress`` renders a live status line
+With ``--trace PATH`` every suite, cache lookup, executor attempt, retry
+backoff, and worker-side pipeline stage lands in one Chrome trace-event
+JSON (load it at https://ui.perfetto.dev), rendered from the campaign's
+telemetry events; with ``--events`` too, the same trace can be rendered
+from the ledger later.  ``--progress`` renders a live status line
 from worker heartbeats (equivalent to ``REPRO_PROGRESS=1``).
 
 With ``--events PATH`` every figure driver appends its telemetry to one
@@ -98,7 +99,7 @@ def main() -> None:
                         help="per-task timeout in seconds "
                              "(default: REPRO_TASK_TIMEOUT or none)")
     parser.add_argument("--trace", type=str, default=None, metavar="PATH",
-                        help="write a merged Chrome trace-event JSON of the "
+                        help="write a Chrome trace-event JSON of the "
                              "whole evaluation to PATH (Perfetto-loadable)")
     parser.add_argument("--events", type=str, default=None, metavar="PATH",
                         help="append every telemetry event to this JSONL "
@@ -124,25 +125,20 @@ def main() -> None:
     if args.progress:
         os.environ["REPRO_PROGRESS"] = "1"
 
-    # A process-wide span recorder makes every run_suite call below —
-    # including the ones buried inside figure drivers — record into one
-    # merged timeline (see repro.analysis.experiments).
-    recorder = None
-    if args.trace:
-        from repro.obs.spans import SpanRecorder, set_span_recorder
-
-        recorder = SpanRecorder(role="evaluation")
-        set_span_recorder(recorder)
-
-    # One event bus for the whole campaign: every run_suite call below
-    # reuses the installed bus, so all figure drivers append to a single
-    # ledger and feed a single set of live gauges.
+    # One event bus for the whole campaign: every run_suite call below —
+    # including the ones buried inside figure drivers — reuses the
+    # installed bus, so all of them append to a single ledger, feed a
+    # single set of live gauges, and land in one execution trace
+    # (rendered from the bus's events at the end).
     bus = None
     metrics_server = None
-    if args.events or args.metrics_port is not None:
+    traced = []
+    if args.events or args.metrics_port is not None or args.trace:
         from repro.obs.events import open_bus, set_event_bus
 
         bus = open_bus(args.events)
+        if args.trace:
+            bus.subscribe(traced.append)
         if args.metrics_port is not None:
             from repro.obs.exporthttp import (MetricsHTTPServer,
                                               bus_metrics_source)
@@ -256,18 +252,6 @@ def main() -> None:
     sections.append(summary)
     print(summary, flush=True)
 
-    if recorder is not None:
-        from repro.obs.chrometrace import write_chrome_trace
-
-        names = {
-            pid: ("evaluation" if pid == recorder.pid else "worker")
-            + f" (pid {pid})"
-            for pid in {s.pid for s in recorder.spans}
-        }
-        write_chrome_trace(recorder.spans, args.trace, process_names=names)
-        print(f"execution trace written to {args.trace} "
-              f"(load at https://ui.perfetto.dev)", file=sys.stderr)
-
     if bus is not None:
         from repro.obs.events import set_event_bus
 
@@ -279,6 +263,12 @@ def main() -> None:
             print(f"run ledger written to {args.events} "
                   f"(python -m repro events {args.events} --summary)",
                   file=sys.stderr)
+        if args.trace:
+            from repro.obs.chrometrace import write_chrome_trace
+
+            write_chrome_trace(traced, args.trace)
+            print(f"execution trace written to {args.trace} "
+                  f"(load at https://ui.perfetto.dev)", file=sys.stderr)
 
     if args.out:
         with open(args.out, "w") as fh:

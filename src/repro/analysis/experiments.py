@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -268,8 +267,8 @@ def run_single(
         )
     if checker is not None:
         # Publish the sanitizer report onto the telemetry bus, if one is
-        # installed — discovered via sys.modules (never imported), the
-        # same zero-cost pattern as _discover_span_recorder.  In a worker
+        # installed — discovered via sys.modules (never imported), so a
+        # run without telemetry never loads the module.  In a worker
         # this finds the WorkerEventRelay and the report crosses the
         # progress queue; in-process it finds the parent bus directly.
         events_mod = sys.modules.get("repro.obs.events")
@@ -336,22 +335,6 @@ def run_prefetcher_on_suite(
     }
 
 
-def _discover_span_recorder() -> Optional[Any]:
-    """The process-wide span recorder, *without* importing the span layer.
-
-    The zero-cost contract requires an untraced process to never load
-    ``repro.obs.spans``; drivers that want tracing either pass
-    ``trace_path`` (explicit opt-in, imports are fine) or install a
-    recorder via ``repro.obs.spans.set_span_recorder`` first — in which
-    case the module is already in ``sys.modules`` and this lookup finds
-    it for free.
-    """
-    spans_mod = sys.modules.get("repro.obs.spans")
-    if spans_mod is None:
-        return None
-    return spans_mod.get_span_recorder()
-
-
 def _progress_stream(progress: Union[bool, Any, None]) -> Optional[Any]:
     """Resolve the ``progress`` argument to a stream (or None for off).
 
@@ -396,10 +379,15 @@ def run_suite(
     interrupted evaluation can resume; a non-None checkpoint routes even
     ``jobs=1`` through the fault-tolerant runner (in-process).
 
-    ``trace_path`` writes a merged Chrome trace-event JSON (Perfetto /
+    ``trace_path`` writes a Chrome trace-event JSON (Perfetto /
     ``chrome://tracing``) of the whole evaluation — suite, cache lookups,
     executor attempts (error-tagged when they failed), retry backoffs and
-    worker-side pipeline stages across every worker process.
+    worker-side pipeline stages across every worker process.  It is
+    rendered (:mod:`repro.obs.chrometrace`) from the telemetry events
+    this call publishes, so it needs a bus: the ``events_path`` one, an
+    installed one, or — when neither exists — a bus without a ledger
+    that lives for this call.  The same renderer applied to the ledger
+    reproduces the trace offline.
     ``progress`` (or ``REPRO_PROGRESS=1``) renders a throttled live
     status line from worker heartbeats and flags silent workers before
     the task timeout fires (see ``evaluation.faults.stale_tasks``).
@@ -425,23 +413,11 @@ def run_suite(
     n_jobs = resolve_jobs(jobs)
     active_checkpoint = _resolve_checkpoint(checkpoint)
 
-    recorder: Optional[Any] = None
-    collector: Optional[Any] = None
-    if trace_path is not None:
-        from repro.obs.spans import SpanRecorder
-
-        recorder = SpanRecorder(role="suite")
-    else:
-        recorder = _discover_span_recorder()
-    if recorder is not None:
-        from repro.obs.spans import SuiteSpanCollector
-
-        collector = SuiteSpanCollector(recorder)
-
     # Telemetry bus: an explicit events_path creates (and owns) one; a bus
     # installed via set_event_bus (CLI session) is reused; REPRO_EVENTS is
-    # the env fallback.  Discovery goes through sys.modules so a run with
-    # no events configured never imports repro.obs.events.
+    # the env fallback; a trace alone gets a ledger-less bus of its own.
+    # Discovery goes through sys.modules so a run with no events or trace
+    # configured never imports repro.obs.events.
     events_bus: Optional[Any] = None
     owns_bus = False
     if events_path is None:
@@ -450,11 +426,15 @@ def run_suite(
             events_bus = events_mod.get_event_bus()
         if events_bus is None:
             events_path = os.environ.get("REPRO_EVENTS", "").strip() or None
-    if events_bus is None and events_path is not None:
+    if events_bus is None and (events_path is not None or trace_path is not None):
         from repro.obs.events import open_bus
 
         events_bus = open_bus(events_path)
         owns_bus = True
+    traced: Optional[List[Any]] = None
+    if trace_path is not None:
+        traced = []
+        events_bus.subscribe(traced.append)
 
     monitor: Optional[Any] = None
     stream = _progress_stream(progress)
@@ -481,16 +461,7 @@ def run_suite(
         n_jobs > 1
         or active_checkpoint is not None
         or retry_policy is not None
-        or collector is not None
         or monitor is not None
-    )
-    suite_span = (
-        recorder.span(
-            "suite", cat="suite",
-            n_configs=len(names), n_workloads=len(specs), jobs=n_jobs,
-        )
-        if recorder is not None
-        else nullcontext()
     )
     if events_bus is not None:
         events_bus.emit(
@@ -503,7 +474,7 @@ def run_suite(
             },
         )
     try:
-        with stage("run_suite"), suite_span:
+        with stage("run_suite"):
             if use_engine:
                 from repro.analysis.parallel import run_tasks_parallel
 
@@ -516,7 +487,6 @@ def run_suite(
                     cache=_resolve_cache(cache),
                     checkpoint=active_checkpoint,
                     policy=retry_policy,
-                    span_collector=collector,
                     monitor=monitor,
                     events_bus=events_bus,
                 )
@@ -572,17 +542,14 @@ def run_suite(
                     },
                 )
             finally:
+                if traced is not None:
+                    events_bus.unsubscribe(traced.append)
                 if owns_bus:
                     events_bus.close()
-    if collector is not None:
-        collector.finish()
-    if trace_path is not None and recorder is not None:
+    if trace_path is not None:
         from repro.obs.chrometrace import write_chrome_trace
 
-        write_chrome_trace(
-            recorder.spans, trace_path,
-            process_names=collector.process_names() if collector else None,
-        )
+        write_chrome_trace(traced, trace_path)
     return evaluation
 
 

@@ -346,11 +346,11 @@ class AttemptObserver:
     """Duck-typed protocol for :func:`map_resilient`'s ``observer``.
 
     The runner reports what it *observes*: attempt windows (submission
-    to result collection in the pooled path — the worker's own span has
-    the true duration), outcomes including timeouts and pool breaks,
-    and retry backoff sleeps.  ``repro.obs.spans.SuiteSpanCollector``
-    implements this to build the merged execution trace; a no-op default
-    keeps every hook site a single ``is None`` check.
+    to result collection in the pooled path), outcomes including
+    timeouts and pool breaks, and retry backoff sleeps.
+    ``repro.obs.events.EventObserver`` implements this to publish the
+    executor's verdicts onto the telemetry bus; a no-op default keeps
+    every hook site a single ``is None`` check.
     """
 
     def attempt_started(self, label: str, attempt: int) -> None: ...
@@ -447,9 +447,9 @@ def map_resilient(
     ``None`` entries and are listed in the report's ``quarantined``.
 
     ``observer`` (see :class:`AttemptObserver`) receives every attempt
-    window, outcome, and backoff sleep — the span-tracing layer hooks in
-    here so even attempts that died in a worker appear, error-tagged, in
-    the merged trace.
+    window, outcome, and backoff sleep — the telemetry bus hooks in here
+    so even attempts that died in a worker appear, error-tagged, in the
+    ledger and the trace rendered from it.
     """
     active = resolve_policy(policy)
     report = FaultReport()
@@ -641,27 +641,27 @@ def execute_task_attempt(
     task: RunTask,
     attempt: int,
     in_process: bool = False,
-    record_spans: bool = False,
     progress: Optional[Any] = None,
     heartbeat_interval: Optional[float] = None,
     events: bool = False,
 ) -> SimResult:
-    """Worker entry point: fault injection + optional spans/heartbeats.
+    """Worker entry point: fault injection + optional heartbeats/events.
 
-    ``record_spans``, ``progress`` (a queue for
-    :mod:`repro.obs.heartbeat` events) and ``events`` are bound by the
-    parent through ``functools.partial``; all default off, and the
-    observability modules are only imported when the corresponding
-    feature is on, so an untraced worker runs the exact
-    pre-observability path.  ``events`` installs a
+    ``progress`` (a queue for :mod:`repro.obs.heartbeat` events) and
+    ``events`` are bound by the parent through ``functools.partial``;
+    both default off, and the observability modules are only imported
+    when the corresponding feature is on, so an untraced worker runs the
+    exact pre-observability path.  ``events`` installs a
     :class:`~repro.obs.events.WorkerEventRelay` as this worker's process
-    bus for the attempt, so worker-side publishers (the sanitizer path)
-    reach the parent's ledger over the same progress queue.
+    bus and stage profiler for the attempt: worker-side publishers (the
+    sanitizer path) reach the parent's bus over the same progress queue,
+    and the pipeline stage timings ride the ``finished`` event.
     """
     label = task_label(task)
     pulse = None
-    relay_installed = False
+    relay = None
     previous_bus: Any = None
+    previous_profiler: Any = None
     if progress is not None:
         from repro.obs.heartbeat import (
             DEFAULT_HEARTBEAT_INTERVAL,
@@ -676,34 +676,28 @@ def execute_task_attempt(
         pulse.start()
         if events:
             from repro.obs.events import WorkerEventRelay, set_event_bus
+            from repro.obs.profiler import get_stage_profiler, set_stage_profiler
 
-            previous_bus = set_event_bus(
-                WorkerEventRelay(progress, label, attempt)
+            relay = WorkerEventRelay(
+                progress, label, attempt, chain=get_stage_profiler()
             )
-            relay_installed = True
+            previous_bus = set_event_bus(relay)
+            previous_profiler = set_stage_profiler(relay)
     try:
-        if record_spans:
-            from repro.obs.spans import worker_span_scope
-
-            with worker_span_scope() as recorder:
-                with recorder.span(
-                    "attempt", cat="worker", label=label, attempt=attempt
-                ):
-                    result = _attempt_body(task, label, attempt, in_process)
-                result.spans = recorder.batch()
-        else:
-            result = _attempt_body(task, label, attempt, in_process)
+        result = _attempt_body(task, label, attempt, in_process)
     except BaseException:
         if progress is not None:
             emit_event(progress, "failed", label, attempt=attempt)
         raise
     finally:
-        if relay_installed:
+        if relay is not None:
             set_event_bus(previous_bus)
+            set_stage_profiler(previous_profiler)
         if pulse is not None:
             pulse.stop()
     if progress is not None:
-        emit_event(progress, "finished", label, attempt=attempt)
+        extra = {"stages": relay.stages} if relay is not None else {}
+        emit_event(progress, "finished", label, attempt=attempt, **extra)
     return result
 
 
@@ -724,7 +718,6 @@ def run_tasks_parallel(
     cache: Optional[RunCache] = None,
     checkpoint: Optional[CheckpointManifest] = None,
     policy: Optional[RetryPolicy] = None,
-    span_collector: Optional[Any] = None,
     monitor: Optional[Any] = None,
     events_bus: Optional[Any] = None,
 ) -> SuiteOutcome:
@@ -740,12 +733,13 @@ def run_tasks_parallel(
     that fail every attempt are quarantined (absent from ``runs``, listed
     in the report) rather than fatal.
 
-    ``span_collector`` (a ``repro.obs.spans.SuiteSpanCollector``) turns on
-    distributed tracing: workers record span batches that are merged,
-    clock-normalized, after collection.  ``monitor`` (a
-    ``repro.obs.heartbeat.HeartbeatMonitor``) turns on worker progress
-    events + the live status line; its stale-task flags fold into the
-    returned report's advisory ``heartbeat_stale`` / ``stale_tasks``.
+    ``monitor`` (a ``repro.obs.heartbeat.HeartbeatMonitor``) turns on
+    worker progress events + the live status line; its stale-task flags
+    fold into the returned report's advisory ``heartbeat_stale`` /
+    ``stale_tasks``.  ``events_bus`` (a ``repro.obs.events.EventBus``)
+    receives every telemetry event of the evaluation — the worker
+    lifecycle via the monitor, executor verdicts via an
+    :class:`~repro.obs.events.EventObserver`, and cache traffic.
 
     When the cache has a shared disk store
     (:class:`~repro.analysis.store.ShardedRunStore`), identical in-flight
@@ -792,13 +786,7 @@ def run_tasks_parallel(
                 )
                 label_keys[f"{name}/{spec.name}"] = key
             if cache is not None and key is not None:
-                lookup_started = time.time()
                 hit = cache.get(key, label=f"{name}/{spec.name}")
-                if span_collector is not None:
-                    span_collector.cache_lookup(
-                        f"{name}/{spec.name}", hit is not None,
-                        lookup_started, time.time(),
-                    )
                 if hit is not None:
                     results[(name, spec.name)] = hit
                     if monitor is not None:
@@ -872,13 +860,8 @@ def run_tasks_parallel(
                     progress_queue = queue_module.Queue()
                 monitor.attach_queue(progress_queue)
                 monitor.start()
-            observer: Optional[Any] = span_collector
             if events_bus is not None:
-                from repro.obs.events import (
-                    EventObserver,
-                    compose_observers,
-                    progress_event_sink,
-                )
+                from repro.obs.events import EventObserver, progress_event_sink
 
                 if monitor is not None:
                     monitor.sink = progress_event_sink(events_bus, label_keys)
@@ -887,11 +870,9 @@ def run_tasks_parallel(
                     flight_dir=events_bus.flight_dir,
                     label_keys=label_keys,
                 )
-                observer = compose_observers(span_collector, events_observer)
-            if span_collector is not None or progress_queue is not None:
+            if progress_queue is not None:
                 fn = functools.partial(
                     execute_task_attempt,
-                    record_spans=span_collector is not None,
                     progress=progress_queue,
                     heartbeat_interval=heartbeat_interval,
                     events=events_bus is not None,
@@ -904,7 +885,7 @@ def run_tasks_parallel(
                     jobs=jobs,
                     policy=policy,
                     validate=result_valid,
-                    observer=observer,
+                    observer=events_observer,
                 )
                 report = outcome.report
                 for (name, spec, key), result, n_attempts in zip(
@@ -915,9 +896,6 @@ def run_tasks_parallel(
                         if monitor is not None:
                             monitor.note_quarantined(label)
                         continue  # quarantined — reported, not fatal
-                    if span_collector is not None and result.spans is not None:
-                        span_collector.add_batch(result.spans, label)
-                        result.spans = None  # never cache or return batches
                     result.stats.attempts = max(1, n_attempts)
                     results[(name, spec.name)] = result
                     if cache is not None and key is not None:

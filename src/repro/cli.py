@@ -165,15 +165,17 @@ def _run_one(trace, config_name: str, warmup: int, units=None, checker=None):
 
 @contextmanager
 def _telemetry(args: argparse.Namespace, command: str, n_tasks: int = 1):
-    """CLI telemetry scope: run ledger + optional live metrics endpoint.
+    """CLI telemetry scope: run ledger, live metrics endpoint, trace.
 
     Yields the installed :class:`~repro.obs.events.EventBus`, or None
-    when neither ``--events`` / ``REPRO_EVENTS`` nor ``--metrics-port``
-    opted in — in which case nothing under ``repro.obs.events`` is
-    imported (the zero-cost contract).  The bus is installed as the
-    process bus for the scope so in-process publishers (sanitizer,
-    run cache) reach the same ledger, and suite_started/suite_finished
-    bracket the command.
+    when none of ``--events`` / ``REPRO_EVENTS``, ``--metrics-port`` or
+    ``--trace`` opted in — in which case nothing under
+    ``repro.obs.events`` is imported (the zero-cost contract).  The bus
+    is installed as the process bus for the scope so in-process
+    publishers (sanitizer, run cache) reach the same ledger, and
+    suite_started/suite_finished bracket the command.  With ``--trace``
+    (a bus without a ledger unless one was asked for) the scope's
+    events are rendered as a Chrome trace on exit.
     """
     import os
 
@@ -181,12 +183,16 @@ def _telemetry(args: argparse.Namespace, command: str, n_tasks: int = 1):
         os.environ.get("REPRO_EVENTS", "").strip() or None
     )
     port = getattr(args, "metrics_port", None)
-    if not events_path and port is None:
+    trace_path = getattr(args, "trace_out", None)
+    if not events_path and port is None and not trace_path:
         yield None
         return
     from repro.obs.events import open_bus, set_event_bus
 
     bus = open_bus(events_path)
+    traced: list = []
+    if trace_path:
+        bus.subscribe(traced.append)
     server = None
     if port is not None:
         from repro.obs.exporthttp import MetricsHTTPServer, bus_metrics_source
@@ -215,6 +221,12 @@ def _telemetry(args: argparse.Namespace, command: str, n_tasks: int = 1):
         if server is not None:
             server.stop()
         bus.close()
+        if trace_path:
+            from repro.obs.chrometrace import write_chrome_trace
+
+            write_chrome_trace(traced, trace_path)
+            print(f"wrote execution trace {trace_path} "
+                  f"(load at https://ui.perfetto.dev)")
 
 
 @contextmanager
@@ -355,20 +367,18 @@ def _worker_trace(path: str):
     return load_external_trace(path)
 
 
-def _sweep_worker(task, attempt=0, in_process=False, record_spans=False):
-    """Run one configuration of a sweep (executed in a worker process)."""
-    trace_path, config_name, warmup = task
-    if record_spans:
-        from repro.obs.spans import worker_span_scope
+def _sweep_worker(task, attempt=0, in_process=False):
+    """Run one configuration of a sweep (executed in a worker process).
 
-        with worker_span_scope() as recorder:
-            with recorder.span(
-                "attempt", cat="worker", label=config_name, attempt=attempt
-            ):
-                trace = _worker_trace(trace_path)
-                result = _run_one(trace, config_name, warmup).detached()
-            result.spans = recorder.batch()
-            return result
+    Honours ``REPRO_FAULT_INJECT``'s crash/hang/exit modes, keyed on the
+    configuration name, like the suite engine's worker entry point.
+    """
+    from repro.analysis.parallel import FaultInjector
+
+    trace_path, config_name, warmup = task
+    injector = FaultInjector.from_env()
+    if injector is not None:
+        injector.maybe_fault(config_name, attempt, in_process)
     trace = _worker_trace(trace_path)
     return _run_one(trace, config_name, warmup).detached()
 
@@ -401,32 +411,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     jobs = resolve_jobs(args.jobs)
     tasks = [(args.trace, name, args.warmup) for name in names]
     with _telemetry(args, "sweep", n_tasks=len(names)) as bus:
-        recorder = collector = None
-        worker = _sweep_worker
-        if args.trace_out:
-            from functools import partial
-
-            from repro.obs.spans import SpanRecorder, SuiteSpanCollector
-
-            recorder = SpanRecorder(role="sweep")
-            collector = SuiteSpanCollector(recorder)
-            worker = partial(_sweep_worker, record_spans=True)
         events_observer = None
-        observer = collector
         if bus is not None:
-            from repro.obs.events import EventObserver, compose_observers
+            from repro.obs.events import EventObserver
 
             events_observer = EventObserver(
                 bus, flight_dir=bus.flight_dir, standalone=True
             )
-            observer = compose_observers(collector, events_observer)
         outcome = map_resilient(
-            worker,
+            _sweep_worker,
             tasks,
             labels=names,
             jobs=jobs if len(names) > 1 else 1,
             policy=_cli_policy(args),
-            observer=observer,
+            observer=events_observer,
         )
         if events_observer is not None:
             for failure in outcome.report.quarantined:
@@ -441,9 +439,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for name, result in zip(names, outcome.results):
             if result is None:
                 continue  # quarantined; reported below
-            if collector is not None and result.spans is not None:
-                collector.add_batch(result.spans, name)
-                result.spans = None
             stats = result.stats
             total_wall += stats.wall_seconds
             if baseline is None:
@@ -467,16 +462,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for failure in outcome.report.quarantined:
             print(f"FAILED {failure.label} after {failure.attempts} "
                   f"attempt(s): {failure.error}", file=sys.stderr)
-        if collector is not None and recorder is not None:
-            from repro.obs.chrometrace import write_chrome_trace
-
-            collector.finish()
-            write_chrome_trace(
-                recorder.spans, args.trace_out,
-                process_names=collector.process_names(),
-            )
-            print(f"wrote execution trace {args.trace_out} "
-                  f"(load at https://ui.perfetto.dev)")
         return 0 if rows else 1
 
 
@@ -1039,9 +1024,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="trace_out",
         default=None,
         metavar="PATH",
-        help="write a merged Chrome trace-event JSON of the sweep's "
-             "execution (attempts, retries, worker spans) to PATH — "
-             "load it at https://ui.perfetto.dev",
+        help="write a Chrome trace-event JSON of the sweep's execution "
+             "(attempts, retries, backoffs), rendered from its telemetry "
+             "events, to PATH — load it at https://ui.perfetto.dev",
     )
     _add_telemetry_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)

@@ -33,11 +33,14 @@ and linked from the run's
 :class:`~repro.analysis.parallel.FaultReport` — a post-mortem of what
 the fleet was doing when the worker died.
 
-Zero-cost contract (same as :mod:`repro.obs.spans`): nothing imports
-this module unless events are explicitly enabled
-(``run_suite(..., events_path=)``, ``REPRO_EVENTS``, ``--events`` /
-``--metrics-port``); an untraced run never loads it (subprocess-pinned
-in ``tests/test_events.py``) and is bit-identical.
+The Chrome/Perfetto trace is rendered from these same events
+(:mod:`repro.obs.chrometrace`), live or from a ledger.
+
+Zero-cost contract: nothing imports this module unless events or a
+trace are explicitly requested (``run_suite(..., events_path=)`` or
+``trace_path=``, ``REPRO_EVENTS``, ``--events`` / ``--metrics-port`` /
+``--trace``); an untraced run never loads it (subprocess-pinned in
+``tests/test_events.py``) and is bit-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import sys
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -68,7 +72,6 @@ __all__ = [
     "LedgerRead",
     "StatusAggregator",
     "WorkerEventRelay",
-    "compose_observers",
     "event_matches",
     "events_path_from_env",
     "follow_events",
@@ -617,6 +620,14 @@ class StatusAggregator:
             self.total += int(event.payload.get("n_tasks", 0) or 0)
             if self._started_ts is None and event.ts:
                 self._started_ts = event.ts
+            # A label's terminal event counts once per suite: a later
+            # suite re-running (or re-serving) the same pair adds to
+            # ``total`` again, so it must be able to add to ``done`` too.
+            for label in [
+                label for label, state in self._state.items()
+                if state["status"] in ("done", "cached", "quarantined")
+            ]:
+                del self._state[label]
             return
         if kind == "suite_finished":
             self.suites_finished += 1
@@ -736,6 +747,11 @@ class EventBus:
     def subscribe(self, fn: Callable[[TelemetryEvent], None]) -> None:
         self._subscribers.append(fn)
 
+    def unsubscribe(self, fn: Callable[[TelemetryEvent], None]) -> None:
+        """Remove a subscriber added with :meth:`subscribe` (no-op if absent)."""
+        if fn in self._subscribers:
+            self._subscribers.remove(fn)
+
     def emit(
         self,
         type: str,
@@ -830,12 +846,39 @@ class WorkerEventRelay:
     bus" exactly like parent-side code does.  Each emit crosses the queue
     as one opaque ``("bus", ...)`` progress event carrying the worker's
     own pid/ts stamps; the parent bus assigns ``seq`` on arrival.
+
+    The relay also sits in the stage-profiler slot for the attempt
+    (:func:`repro.obs.profiler.set_stage_profiler`): each pipeline
+    ``stage()`` block is appended to :attr:`stages` as
+    ``[name, start, end]`` (epoch seconds) and forwarded to ``chain``,
+    the profiler installed before it.  The attempt's ``finished``
+    progress event carries the list as ``payload["stages"]``.
     """
 
-    def __init__(self, queue: Any, label: str, attempt: Optional[int] = None):
+    def __init__(
+        self,
+        queue: Any,
+        label: str,
+        attempt: Optional[int] = None,
+        chain: Optional[Any] = None,
+    ):
         self.queue = queue
         self.label = label
         self.attempt = attempt
+        self.chain = chain
+        self.stages: List[List[Any]] = []
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        chained = (
+            self.chain.stage(name) if self.chain is not None else nullcontext()
+        )
+        started = time.time()
+        try:
+            with chained:
+                yield
+        finally:
+            self.stages.append([name, started, time.time()])
 
     def emit(
         self,
@@ -1021,36 +1064,3 @@ class EventObserver:
             label=label,
             payload={"path": path, "reason": reason},
         )
-
-
-class _MultiObserver:
-    """Fan one AttemptObserver stream out to several observers."""
-
-    def __init__(self, observers: Sequence[Any]) -> None:
-        self.observers = list(observers)
-
-    def attempt_started(self, label: str, attempt: int) -> None:
-        for obs in self.observers:
-            obs.attempt_started(label, attempt)
-
-    def attempt_finished(
-        self, label: str, attempt: int, ok: bool, error: Optional[str] = None
-    ) -> None:
-        for obs in self.observers:
-            obs.attempt_finished(label, attempt, ok, error)
-
-    def backoff(
-        self, attempt: int, started: float, ended: float, pending: int
-    ) -> None:
-        for obs in self.observers:
-            obs.backoff(attempt, started, ended, pending)
-
-
-def compose_observers(*observers: Optional[Any]) -> Optional[Any]:
-    """Combine observers, dropping Nones; None when nothing remains."""
-    active = [obs for obs in observers if obs is not None]
-    if not active:
-        return None
-    if len(active) == 1:
-        return active[0]
-    return _MultiObserver(active)

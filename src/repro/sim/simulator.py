@@ -66,11 +66,6 @@ class SimResult:
     this process; results that crossed a process boundary or came out of
     the run cache carry ``None`` (all figure-level consumers read only the
     stats).
-
-    ``spans`` is an opaque slot for a worker's span batch (see
-    :mod:`repro.obs.spans`) riding back to the parent alongside the
-    stats — duck-typed so this module never imports the obs package;
-    always ``None`` unless the run was traced, and never cached.
     """
 
     trace_name: str
@@ -78,7 +73,6 @@ class SimResult:
     prefetcher_name: str
     stats: SimStats
     prefetcher: Optional[InstructionPrefetcher] = None
-    spans: Optional[Any] = None
 
     @property
     def ipc(self) -> float:

@@ -360,8 +360,43 @@ class TestStatusAggregator:
         )
         assert status.rows() == []
 
+    def test_multi_suite_ledger_counts_every_suite(self, tmp_path):
+        """Regression: a label's terminal event counts once per suite, so
+        two suites over the same pairs sharing one bus and one cache (the
+        second served entirely from cache) report 8/8 done — live on the
+        bus and when the ledger is replayed."""
+        path = str(tmp_path / "campaign.jsonl")
+        bus = open_bus(path)
+        cache = RunCache()
+        previous = set_event_bus(bus)
+        try:
+            for _ in range(2):
+                run_suite(
+                    [SPEC_A, SPEC_B], ["next_line"],
+                    warmup_instructions=WARMUP, jobs=1, cache=cache,
+                    checkpoint=None,
+                )
+        finally:
+            set_event_bus(previous)
+            bus.close()
+        expected = "status: 8/8 done, 0 running, 0 failed, 4 cached, ETA 0s"
+        assert bus.status.status_line() == expected
+        replay = StatusAggregator()
+        self._feed(replay, *read_events(path).events)
+        assert replay.status_line() == expected
+
 
 class TestEventBus:
+    def test_unsubscribe_stops_delivery(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        bus.emit("heartbeat")
+        bus.unsubscribe(seen.append)
+        bus.unsubscribe(seen.append)  # absent: no-op
+        bus.emit("heartbeat")
+        assert len(seen) == 1
+
     def test_subscriber_exceptions_are_swallowed(self, tmp_path):
         bus = open_bus(str(tmp_path / "ev.jsonl"))
         seen = []

@@ -241,10 +241,11 @@ class TestBitIdentity:
     def test_span_traced_suite_identical_to_process_never_importing_spans(
         self, tmp_path
     ):
-        """Span-layer extension of the acceptance check: a serial
-        ``run_suite`` in a process that never imports the span/heartbeat
-        modules produces the same per-pair signatures as a span-traced
-        parallel ``run_suite`` here."""
+        """Suite-level extension of the acceptance check: a serial
+        ``run_suite`` in a process that never imports the telemetry
+        modules produces the same per-pair signatures as a traced
+        parallel ``run_suite`` here (whose trace is rendered from the
+        event bus)."""
         script = tmp_path / "never_imports_spans.py"
         script.write_text(textwrap.dedent(
             """
@@ -261,11 +262,15 @@ class TestBitIdentity:
                 suite, ["entangling_4k"], warmup_instructions=10000,
                 jobs=1, cache=None, checkpoint=None,
             )
-            # The engine ran untraced: the span and heartbeat modules must
-            # never have been imported (repro.obs itself is fine — its
-            # eager members are the profiler/registry/tracer; the span
-            # layer is a lazy PEP 562 export).
-            for module in ("repro.obs.spans", "repro.obs.heartbeat"):
+            # The engine ran untraced: the event bus, trace renderer and
+            # heartbeat modules must never have been imported (repro.obs
+            # itself is fine — its eager members are the profiler/
+            # registry/tracer; the rest are lazy PEP 562 exports).
+            for module in (
+                "repro.obs.events",
+                "repro.obs.chrometrace",
+                "repro.obs.heartbeat",
+            ):
                 assert module not in sys.modules, (
                     module + " leaked into the untraced engine"
                 )

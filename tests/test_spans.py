@@ -1,36 +1,33 @@
-"""Tests for suite-level span tracing (repro.obs.spans + chrometrace).
+"""Tests for the event-rendered execution trace (repro.obs.chrometrace).
 
-Covers the span recorder and its process-wide slot, the worker-side
-stage bridge, cross-process batch pickling, clock-offset normalization,
-Chrome trace-event rendering, and the end-to-end contract: a traced
-parallel ``run_suite`` writes a valid merged trace containing spans from
-multiple worker pids, and a fault-injected run still produces a
-well-formed trace whose error-tagged spans match the ``FaultReport``.
+Covers Chrome trace-event rendering from telemetry events (span
+pairing, lanes, error tags, stages, backoffs, cache lookups, task
+summaries), the worker-side stage capture that feeds it, and the
+end-to-end contract: a traced parallel ``run_suite`` writes a valid
+trace containing stage spans from multiple worker pids, a fault-injected
+run's error-tagged attempts match the ``FaultReport``, and the trace
+rendered from the run ledger alone equals the one the run wrote —
+including under injected crashes and a broken pool.
 """
 
 import io
 import json
 import os
-import pickle
-import time
+import queue
+import subprocess
+import sys
 
 import pytest
 
 from repro.analysis.experiments import run_suite
-from repro.analysis.parallel import FaultInjector, RetryPolicy
-from repro.obs.chrometrace import to_chrome_trace, write_chrome_trace
-from repro.obs.spans import (
-    Span,
-    SpanBatch,
-    SpanRecorder,
-    SpanStages,
-    SuiteSpanCollector,
-    get_span_recorder,
-    normalize_batch,
-    set_span_recorder,
-    span,
-    worker_span_scope,
+from repro.analysis.parallel import (
+    FaultInjector,
+    RetryPolicy,
+    RunTask,
+    execute_task_attempt,
 )
+from repro.obs.chrometrace import to_chrome_trace, write_chrome_trace
+from repro.obs.events import TelemetryEvent, WorkerEventRelay, read_events
 from repro.workloads.generators import WorkloadSpec
 
 SUITE = [
@@ -39,86 +36,160 @@ SUITE = [
     WorkloadSpec(name="span_fp", category="fp", seed=5, n_instructions=20_000),
 ]
 
-
-@pytest.fixture(autouse=True)
-def _clean_recorder_slot():
-    previous = set_span_recorder(None)
-    yield
-    set_span_recorder(previous)
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-class TestSpanRecorder:
-    def test_add_and_duration(self):
-        recorder = SpanRecorder(role="suite")
-        s = recorder.add("work", 10.0, 10.5, cat="executor", label="x")
-        assert len(recorder) == 1
-        assert s.duration == pytest.approx(0.5)
-        assert s.pid == os.getpid()
-        assert s.args == {"label": "x"}
-        assert s.status == "ok"
-
-    def test_span_context_manager_records_ok(self):
-        recorder = SpanRecorder()
-        with recorder.span("block", cat="stage", answer=42) as args:
-            args["found"] = True
-        (s,) = recorder.spans
-        assert s.name == "block"
-        assert s.cat == "stage"
-        assert s.status == "ok"
-        assert s.args == {"answer": 42, "found": True}
-        assert s.end >= s.start
-
-    def test_span_context_manager_marks_error_and_reraises(self):
-        recorder = SpanRecorder()
-        with pytest.raises(ValueError):
-            with recorder.span("doomed"):
-                raise ValueError("boom")
-        (s,) = recorder.spans
-        assert s.status == "error"
-        assert "ValueError: boom" in s.args["error"]
-
-    def test_batch_is_picklable_snapshot(self):
-        recorder = SpanRecorder(role="worker")
-        recorder.add("a", 1.0, 2.0)
-        batch = recorder.batch()
-        recorder.add("b", 2.0, 3.0)  # after the snapshot
-        clone = pickle.loads(pickle.dumps(batch))
-        assert isinstance(clone, SpanBatch)
-        assert clone.pid == os.getpid()
-        assert clone.role == "worker"
-        assert [s.name for s in clone.spans] == ["a"]
-
-    def test_shifted(self):
-        s = Span(name="x", start=5.0, end=6.0)
-        assert s.shifted(0.0) is s
-        moved = s.shifted(2.5)
-        assert (moved.start, moved.end) == (7.5, 8.5)
-        assert s.start == 5.0  # original untouched
+def _ev(type_, ts, pid=1, label="", attempt=None, seq=0, **payload):
+    config, _, workload = label.partition("/")
+    return TelemetryEvent(
+        type=type_, seq=seq, ts=ts, pid=pid, config=config,
+        workload=workload, attempt=attempt, payload=payload,
+    )
 
 
-class TestRecorderSlot:
-    def test_module_level_span_is_noop_without_recorder(self):
-        assert get_span_recorder() is None
-        with span("nothing", detail=1) as args:
-            args["ignored"] = True  # must not raise
+def _complete(trace, name=None):
+    return [
+        e for e in trace["traceEvents"]
+        if e["ph"] == "X" and (name is None or e["name"] == name)
+    ]
 
-    def test_module_level_span_records_when_installed(self):
-        recorder = SpanRecorder()
-        previous = set_span_recorder(recorder)
-        try:
-            with span("unit", cat="cache", hit=False):
-                pass
-        finally:
-            set_span_recorder(previous)
-        (s,) = recorder.spans
-        assert (s.name, s.cat, s.args["hit"]) == ("unit", "cache", False)
 
-    def test_set_returns_previous(self):
-        first = SpanRecorder()
-        second = SpanRecorder()
-        assert set_span_recorder(first) is None
-        assert set_span_recorder(second) is first
-        assert set_span_recorder(None) is second
+class TestChromeTrace:
+    def _events(self):
+        return [
+            _ev("suite_started", 100.0, n_tasks=1),
+            _ev("task_started", 100.2, pid=7, label="cfg/w", attempt=0),
+            _ev("task_failed", 100.3, pid=7, label="cfg/w", attempt=0),
+            _ev("attempt_failed", 100.4, label="cfg/w", attempt=0,
+                error="boom"),
+            _ev("backoff", 100.5, attempt=1, seconds=0.05, pending=1),
+            _ev("task_started", 100.5, pid=8, label="cfg/w", attempt=1),
+            _ev("task_finished", 100.8, pid=8, label="cfg/w", attempt=1,
+                stages=[["simulate", 100.6, 100.7]]),
+            _ev("suite_finished", 101.0, completed=1),
+        ]
+
+    def test_structure_and_timestamps(self):
+        trace = to_chrome_trace(self._events())
+        assert trace["displayTimeUnit"] == "ms"
+        meta = [e for e in trace["traceEvents"] if e["ph"] == "M"]
+        assert meta == [
+            {
+                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                "args": {"name": f"{role} (pid {pid})"},
+            }
+            for pid, role in ((1, "suite"), (8, "worker"))
+        ]
+        (suite,) = _complete(trace, "suite")
+        assert suite["ts"] == 0.0  # origin is the earliest span start
+        assert suite["dur"] == pytest.approx(1e6)
+        assert suite["args"]["n_tasks"] == 1
+        assert suite["args"]["completed"] == 1
+        attempts = _complete(trace, "attempt")
+        assert [e["ts"] for e in attempts] == pytest.approx([0.2e6, 0.5e6])
+        assert [e["dur"] for e in attempts] == pytest.approx([0.1e6, 0.3e6])
+        # Executor spans sit on the suite process, one lane per label.
+        assert {(e["pid"], e["tid"]) for e in attempts} == {(1, 2)}
+        (task,) = _complete(trace, "task")
+        assert (task["pid"], task["tid"]) == (1, 2)
+        assert task["args"]["attempts"] == 2
+        assert task["args"]["status"] == "ok"
+        assert task["dur"] == pytest.approx(0.6e6)
+        (stage,) = _complete(trace, "simulate")
+        assert (stage["cat"], stage["pid"], stage["tid"]) == ("stage", 8, 1)
+        assert stage["ts"] == pytest.approx(0.6e6)
+        (backoff,) = _complete(trace, "backoff")
+        assert backoff["ts"] == pytest.approx(0.45e6)
+        assert backoff["dur"] == pytest.approx(0.05e6)
+
+    def test_error_spans_are_marked(self):
+        trace = to_chrome_trace(self._events())
+        error = [e for e in trace["traceEvents"] if e.get("cname")]
+        assert len(error) == 1
+        assert error[0]["name"] == "attempt"
+        assert error[0]["cname"] == "terrible"
+        assert error[0]["args"]["status"] == "error"
+        assert error[0]["args"]["error"] == "boom"
+
+    def test_write_to_path_and_file_object(self, tmp_path):
+        path = tmp_path / "trace.json"
+        returned = write_chrome_trace(self._events(), str(path))
+        on_disk = json.loads(path.read_text())
+        assert on_disk == json.loads(json.dumps(returned))
+        buffer = io.StringIO()
+        write_chrome_trace(self._events(), buffer)
+        assert json.loads(buffer.getvalue())["traceEvents"]
+
+    def test_input_order_does_not_matter(self):
+        events = self._events()
+        for seq, event in enumerate(events, start=1):
+            event.seq = seq
+        assert to_chrome_trace(events[::-1]) == to_chrome_trace(events)
+
+    def test_empty_input(self):
+        assert to_chrome_trace([])["traceEvents"] == []
+
+    def test_unstarted_attempt_and_serial_fallback_reuse(self):
+        """A pool break fails attempts no worker started (zero-width
+        error span); serial fallback then reuses attempt 0."""
+        trace = to_chrome_trace([
+            _ev("suite_started", 10.0),
+            _ev("attempt_failed", 10.5, label="c/w", attempt=0,
+                error="process pool broke"),
+            _ev("task_started", 11.0, label="c/w", attempt=0),
+            _ev("task_finished", 12.0, label="c/w", attempt=0),
+            _ev("suite_finished", 13.0),
+        ])
+        attempts = _complete(trace, "attempt")
+        assert [e["args"]["status"] for e in attempts] == ["error", "ok"]
+        assert attempts[0]["dur"] == 0.0
+        assert attempts[1]["dur"] == pytest.approx(1e6)
+        (task,) = _complete(trace, "task")
+        assert task["args"]["attempts"] == 2
+
+    def test_verdict_closes_attempt_the_worker_never_closed(self):
+        trace = to_chrome_trace([
+            _ev("task_started", 1.0, pid=5, label="c/w", attempt=0),
+            _ev("attempt_failed", 3.0, label="c/w", attempt=0,
+                error="timed out after 2.0s (attempt 0)"),
+        ])
+        (attempt,) = _complete(trace, "attempt")
+        assert attempt["dur"] == pytest.approx(2e6)
+        assert attempt["args"]["error"].startswith("timed out")
+
+    def test_validation_reject_tags_a_finished_attempt(self):
+        trace = to_chrome_trace([
+            _ev("task_started", 1.0, pid=5, label="c/w", attempt=0),
+            _ev("task_finished", 2.0, pid=5, label="c/w", attempt=0),
+            _ev("attempt_failed", 2.5, label="c/w", attempt=0,
+                error="invalid result (failed validation)"),
+        ])
+        (attempt,) = _complete(trace, "attempt")
+        assert attempt["args"]["status"] == "error"
+        assert attempt["dur"] == pytest.approx(1e6)
+
+    def test_task_summaries_cached_and_quarantined(self):
+        trace = to_chrome_trace([
+            _ev("cache_hit", 1.0, label="c/hit"),
+            _ev("cache_miss", 1.1, label="c/bad"),
+            _ev("task_started", 1.2, label="c/bad", attempt=0),
+            _ev("attempt_failed", 1.3, label="c/bad", attempt=0,
+                error="RuntimeError: x"),
+            _ev("quarantined", 1.4, label="c/bad", attempt=1,
+                error="RuntimeError: x"),
+        ])
+        lookups = _complete(trace, "cache_lookup")
+        assert [(e["args"]["label"], e["args"]["hit"], e["dur"])
+                for e in lookups] == [("c/hit", True, 0.0),
+                                      ("c/bad", False, 0.0)]
+        tasks = {e["args"]["label"]: e for e in _complete(trace, "task")}
+        assert tasks["c/hit"]["args"]["cached"] is True
+        assert tasks["c/hit"]["args"]["attempts"] == 0
+        assert tasks["c/hit"]["args"]["status"] == "ok"
+        assert tasks["c/bad"]["args"]["status"] == "error"
+        assert tasks["c/bad"]["args"]["error"] == "RuntimeError: x"
+        assert tasks["c/bad"].get("cname") == "terrible"
+        assert tasks["c/hit"]["tid"] != tasks["c/bad"]["tid"]
 
 
 class _FakeProfiler:
@@ -136,188 +207,42 @@ class _FakeProfiler:
         return _cm()
 
 
-class TestSpanStages:
-    def test_stage_blocks_become_spans(self):
-        recorder = SpanRecorder()
-        bridge = SpanStages(recorder)
-        with bridge.stage("simulate"):
-            pass
-        (s,) = recorder.spans
-        assert (s.name, s.cat) == ("simulate", "stage")
-
-    def test_chain_forwards_to_existing_profiler(self):
-        recorder = SpanRecorder()
+class TestWorkerStages:
+    def test_relay_records_stages_and_chains(self):
         chained = _FakeProfiler()
-        bridge = SpanStages(recorder, chain=chained)
-        with bridge.stage("fetch_units"):
+        relay = WorkerEventRelay(queue.Queue(), "c/w", 0, chain=chained)
+        with relay.stage("fetch_units"):
             pass
         assert chained.stages == ["fetch_units"]
-        assert [s.name for s in recorder.spans] == ["fetch_units"]
+        ((name, start, end),) = relay.stages
+        assert name == "fetch_units" and start <= end
 
-    def test_worker_span_scope_installs_and_restores_bridge(self):
-        from repro.obs.profiler import get_stage_profiler, set_stage_profiler, stage
+    def test_finished_event_carries_stages_and_slots_restore(self):
+        from repro.obs.events import get_event_bus
+        from repro.obs.profiler import get_stage_profiler, set_stage_profiler
 
-        previous_profiler = _FakeProfiler()
-        outer = set_stage_profiler(previous_profiler)
+        progress = queue.Queue()
+        outer = _FakeProfiler()
+        previous = set_stage_profiler(outer)
         try:
-            with worker_span_scope() as recorder:
-                with stage("simulate"):
-                    pass
-            assert get_stage_profiler() is previous_profiler
+            execute_task_attempt(
+                RunTask(SUITE[0], "no", None, None), 0, in_process=True,
+                progress=progress, events=True,
+            )
+            assert get_stage_profiler() is outer
         finally:
-            set_stage_profiler(outer)
-        assert [s.name for s in recorder.spans] == ["simulate"]
-        assert previous_profiler.stages == ["simulate"]  # chained through
-
-
-class TestNormalizeBatch:
-    def _batch(self, spans):
-        return SpanBatch(pid=123, role="worker", spans=spans, sent_at=100.0)
-
-    def test_empty(self):
-        assert normalize_batch(self._batch([]), 0.0, 1.0) == ([], 0.0)
-
-    def test_well_behaved_clock_zero_offset(self):
-        batch = self._batch([Span(name="a", start=10.0, end=11.0)])
-        spans, offset = normalize_batch(batch, 9.0, 12.0)
-        assert offset == 0.0
-        assert spans[0].start == 10.0
-
-    def test_starts_before_window_shifts_forward(self):
-        batch = self._batch([Span(name="a", start=5.0, end=6.0)])
-        spans, offset = normalize_batch(batch, 9.0, 12.0)
-        assert offset == pytest.approx(4.0)
-        assert (spans[0].start, spans[0].end) == (9.0, 10.0)
-
-    def test_ends_after_window_shifts_back(self):
-        batch = self._batch([Span(name="a", start=11.0, end=14.0)])
-        spans, offset = normalize_batch(batch, 9.0, 12.0)
-        assert offset == pytest.approx(-2.0)
-        assert (spans[0].start, spans[0].end) == (9.0, 12.0)
-
-    def test_start_anchor_wins_when_batch_longer_than_window(self):
-        # Shifting the end back would push the start before the window;
-        # the start anchors instead.
-        batch = self._batch([Span(name="a", start=9.5, end=14.0)])
-        spans, offset = normalize_batch(batch, 9.0, 12.0)
-        assert offset == pytest.approx(-0.5)
-        assert spans[0].start == pytest.approx(9.0)
-
-
-class TestChromeTrace:
-    def _spans(self):
-        return [
-            Span(name="suite", cat="suite", start=100.0, end=101.0, pid=1),
-            Span(
-                name="attempt", cat="executor", start=100.2, end=100.4,
-                pid=1, tid=2, status="error", args={"error": "boom"},
-            ),
+            set_stage_profiler(previous)
+        assert get_event_bus() is None
+        assert outer.stages == ["workload_build", "fetch_units", "simulate"]
+        drained = []
+        while not progress.empty():
+            drained.append(progress.get_nowait())
+        finished = [e for e in drained if e[0] == "finished"]
+        (kind, label, pid, _ts, payload), = finished
+        assert (label, pid) == ("no/span_int", os.getpid())
+        assert [s[0] for s in payload["stages"]] == [
+            "workload_build", "fetch_units", "simulate"
         ]
-
-    def test_structure_and_timestamps(self):
-        trace = to_chrome_trace(self._spans(), process_names={1: "suite (pid 1)"})
-        events = trace["traceEvents"]
-        assert trace["displayTimeUnit"] == "ms"
-        meta = [e for e in events if e["ph"] == "M"]
-        assert meta == [
-            {
-                "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-                "args": {"name": "suite (pid 1)"},
-            }
-        ]
-        complete = [e for e in events if e["ph"] == "X"]
-        assert complete[0]["ts"] == 0.0  # origin defaults to earliest start
-        assert complete[0]["dur"] == pytest.approx(1e6)
-        assert complete[1]["ts"] == pytest.approx(0.2e6)
-
-    def test_error_spans_are_marked(self):
-        trace = to_chrome_trace(self._spans())
-        error = [e for e in trace["traceEvents"] if e.get("cname")]
-        assert len(error) == 1
-        assert error[0]["cname"] == "terrible"
-        assert error[0]["args"]["status"] == "error"
-        assert error[0]["args"]["error"] == "boom"
-
-    def test_write_to_path_and_file_object(self, tmp_path):
-        path = tmp_path / "trace.json"
-        returned = write_chrome_trace(self._spans(), str(path))
-        on_disk = json.loads(path.read_text())
-        assert on_disk == json.loads(json.dumps(returned))
-        buffer = io.StringIO()
-        write_chrome_trace(self._spans(), buffer)
-        assert json.loads(buffer.getvalue())["traceEvents"]
-
-
-class TestSuiteSpanCollector:
-    def test_attempt_lifecycle_and_task_summary(self):
-        recorder = SpanRecorder()
-        collector = SuiteSpanCollector(recorder)
-        collector.attempt_started("no/w", 0)
-        collector.attempt_finished("no/w", 0, False, "RuntimeError: injected")
-        collector.attempt_started("no/w", 1)
-        collector.attempt_finished("no/w", 1, True)
-        collector.finish()
-        by_name = {}
-        for s in recorder.spans:
-            by_name.setdefault(s.name, []).append(s)
-        assert [s.status for s in by_name["attempt"]] == ["error", "ok"]
-        assert by_name["attempt"][0].args["error"] == "RuntimeError: injected"
-        (task,) = by_name["task"]
-        assert task.status == "ok"  # last attempt succeeded
-        assert task.args["attempts"] == 2
-        # Both attempts and the summary share the label's display lane.
-        assert {s.tid for s in recorder.spans} == {by_name["task"][0].tid}
-
-    def test_distinct_lanes_per_label(self):
-        collector = SuiteSpanCollector(SpanRecorder())
-        assert collector._lane("a") != collector._lane("b")
-        assert collector._lane("a") == collector._lane("a")
-
-    def test_failed_every_attempt_yields_error_task_span(self):
-        recorder = SpanRecorder()
-        collector = SuiteSpanCollector(recorder)
-        collector.attempt_started("cfg/w", 0)
-        collector.attempt_finished("cfg/w", 0, False, "timed out")
-        collector.finish()
-        task = [s for s in recorder.spans if s.name == "task"][0]
-        assert task.status == "error"
-
-    def test_add_batch_normalizes_against_attempt_window(self):
-        recorder = SpanRecorder()
-        collector = SuiteSpanCollector(recorder)
-        collector.attempt_started("cfg/w", 0)
-        time.sleep(0.01)
-        collector.attempt_finished("cfg/w", 0, True)
-        window_start, window_end = collector._windows["cfg/w"]
-        # A worker whose clock runs a year behind.
-        skew = -365 * 24 * 3600.0
-        batch = SpanBatch(
-            pid=777, role="worker",
-            spans=[Span(name="attempt", cat="worker",
-                        start=window_start + skew,
-                        end=window_start + skew + 0.005, pid=777)],
-            sent_at=window_end + skew,
-        )
-        collector.add_batch(batch, "cfg/w")
-        assert collector.clock_offsets[777] == pytest.approx(-skew)
-        merged = [s for s in recorder.spans if s.pid == 777]
-        assert merged[0].start >= window_start
-
-    def test_cache_lookup_and_process_names(self):
-        recorder = SpanRecorder(role="suite")
-        collector = SuiteSpanCollector(recorder)
-        collector.cache_lookup("cfg/w", True, 1.0, 1.001)
-        collector.add_batch(
-            SpanBatch(pid=999, role="worker", spans=[
-                Span(name="x", start=1.0, end=1.1, pid=999)
-            ], sent_at=1.1),
-            "cfg/w",
-        )
-        names = collector.process_names()
-        assert names[recorder.pid].startswith("suite")
-        assert names[999].startswith("worker")
-        lookups = [s for s in recorder.spans if s.name == "cache_lookup"]
-        assert lookups and lookups[0].args["hit"] is True
 
 
 def _load_trace(path):
@@ -329,8 +254,8 @@ def _load_trace(path):
 class TestRunSuiteTracing:
     def test_parallel_traced_run_writes_merged_trace(self, tmp_path):
         """The headline integration: jobs=2 + trace_path produces a valid
-        Chrome trace with suite/task/attempt spans and worker-side spans
-        from at least two worker pids."""
+        Chrome trace with suite/task/attempt spans and worker-side stage
+        spans from at least two worker pids."""
         trace_path = tmp_path / "suite_trace.json"
         evaluation = run_suite(
             SUITE, ["next_line"], jobs=2, cache=None, checkpoint=None,
@@ -341,8 +266,8 @@ class TestRunSuiteTracing:
         events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in events}
         assert {"suite", "task", "attempt"} <= names
-        # Worker-side spans (the picklable batches) made it back, were
-        # merged, and came from worker processes — not the parent.
+        # Worker-side stage timings rode the task_finished events back
+        # and render on the worker processes — not the parent.
         worker_events = [
             e for e in events if e["cat"] in ("worker", "stage")
         ]
@@ -446,22 +371,128 @@ class TestRunSuiteTracing:
         assert set(tasks) == {f.label for f in faults.quarantined}
         assert all(e["args"]["status"] == "error" for e in tasks.values())
 
-    def test_spans_never_reach_the_run_cache(self):
-        from repro.analysis.runcache import RunCache
-
-        cache = RunCache()
-        evaluation = run_suite(
-            SUITE[:1], ["next_line"], include_baseline=False, jobs=1,
-            cache=cache, checkpoint=None,
-            trace_path=os.devnull,
-        )
-        assert evaluation.is_complete()
-        for result in cache._mem.values():
-            assert result.spans is None
-        for per_workload in evaluation.runs.values():
-            for result in per_workload.values():
-                assert result.spans is None
-
     def test_fault_injector_fraction_one_selects_everything(self):
         injector = FaultInjector(mode="crash", fraction=1.0)
         assert injector.selects("anything/at_all")
+
+
+def _ledger_and_trace(tmp_path, **kwargs):
+    """run_suite with both a ledger and a trace; returns the evaluation,
+    the written trace, and the trace rendered from the ledger alone."""
+    ledger = str(tmp_path / "ledger.jsonl")
+    trace_path = tmp_path / "trace.json"
+    evaluation = run_suite(
+        SUITE[:2], ["next_line"], cache=None, checkpoint=None,
+        events_path=ledger, trace_path=str(trace_path), **kwargs,
+    )
+    read = read_events(ledger)
+    assert read.ok
+    return evaluation, _load_trace(trace_path), to_chrome_trace(read.events)
+
+
+def _executor_attempts(trace):
+    return [e for e in _complete(trace, "attempt") if e["cat"] == "executor"]
+
+
+class TestLedgerRendersSameTrace:
+    """ROADMAP item 5 (a): the ledger alone reproduces the Perfetto trace."""
+
+    def test_clean_parallel_run(self, tmp_path):
+        evaluation, written, rendered = _ledger_and_trace(tmp_path, jobs=2)
+        assert evaluation.is_complete()
+        assert rendered == written
+        assert len(_complete(written, "task")) == 4
+        assert len(_executor_attempts(written)) == evaluation.faults.attempts
+        stage_pids = {e["pid"] for e in _complete(written)
+                      if e["cat"] == "stage"}
+        assert stage_pids and os.getpid() not in stage_pids
+
+    def test_injected_crashes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0:first")
+        evaluation, written, rendered = _ledger_and_trace(
+            tmp_path, jobs=2,
+            retry_policy=RetryPolicy(retries=2, backoff_base=0.01),
+        )
+        assert evaluation.is_complete()
+        assert rendered == written
+        errors = [e for e in _executor_attempts(written)
+                  if e["args"]["status"] == "error"]
+        assert len(errors) == evaluation.faults.task_errors == 4
+        assert all("injected crash" in e["args"]["error"] for e in errors)
+
+    def test_pool_break_and_serial_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "exit:1.0:first")
+        evaluation, written, rendered = _ledger_and_trace(
+            tmp_path, jobs=2,
+            retry_policy=RetryPolicy(retries=2, backoff_base=0.01),
+        )
+        faults = evaluation.faults
+        assert evaluation.is_complete()
+        assert faults.pool_breaks == 1 and faults.serial_fallback
+        assert rendered == written
+        attempts = _executor_attempts(written)
+        # Every executed attempt is one paired span (serial fallback
+        # reuses attempt numbers), and every pooled one was failed by
+        # the pool break.
+        assert len(attempts) == faults.attempts
+        broken = [e for e in attempts if e["args"]["status"] == "error"]
+        assert len(broken) == 4
+        assert all(e["args"]["error"].startswith("process pool broke")
+                   for e in broken)
+        assert all(e["dur"] >= 0 for e in attempts)
+        tasks = _complete(written, "task")
+        assert [e["args"]["attempts"] for e in tasks] == [2, 2, 2, 2]
+
+
+class TestSweepTrace:
+    @pytest.fixture(scope="class")
+    def trace_file(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("sweep") / "t.trc")
+        gen = subprocess.run(
+            [sys.executable, "-m", "repro", "gen", path, "--category", "srv",
+             "--seed", "4", "--instructions", "20000"],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert gen.returncode == 0, gen.stderr
+        return path
+
+    CONFIGS = ["no", "next_line", "entangling_4k"]
+
+    def _sweep(self, trace_file, out, env_extra=None):
+        env = dict(os.environ, PYTHONPATH=SRC, REPRO_TASK_BACKOFF="0.01")
+        env.update(env_extra or {})
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", trace_file,
+             "--prefetchers", ",".join(self.CONFIGS), "--warmup", "5000",
+             "--jobs", "2", "--trace", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote execution trace" in proc.stdout
+        return _load_trace(out)
+
+    def test_one_ok_task_per_config(self, trace_file, tmp_path):
+        trace = self._sweep(trace_file, tmp_path / "sweep.json")
+        tasks = _complete(trace, "task")
+        assert sorted(e["args"]["label"] for e in tasks) == sorted(self.CONFIGS)
+        assert all(e["args"]["status"] == "ok" for e in tasks)
+        assert len(_complete(trace, "suite")) == 1
+
+    def test_injected_crash_is_one_error_attempt_per_config(
+        self, trace_file, tmp_path
+    ):
+        trace = self._sweep(
+            trace_file, tmp_path / "sweep_crash.json",
+            {"REPRO_FAULT_INJECT": "crash:1.0:first"},
+        )
+        errors = [e for e in _executor_attempts(trace)
+                  if e["args"]["status"] == "error"]
+        assert sorted(e["args"]["label"] for e in errors) == sorted(self.CONFIGS)
+        assert all("injected crash" in e["args"]["error"] for e in errors)
+        # The sweep's attempts live on per-config lanes of the sweep
+        # process itself.
+        assert {e["pid"] for e in _executor_attempts(trace)} == {
+            e["pid"] for e in _complete(trace, "suite")
+        }
+
