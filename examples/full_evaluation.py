@@ -25,7 +25,8 @@ backoff, and worker-side pipeline stage lands in one Chrome trace-event
 JSON (load it at https://ui.perfetto.dev), rendered from the campaign's
 telemetry events; with ``--events`` too, the same trace can be rendered
 from the ledger later.  ``--progress`` renders a live status line
-from worker heartbeats (equivalent to ``REPRO_PROGRESS=1``).
+read from the telemetry event bus (equivalent to ``REPRO_PROGRESS=1``);
+with ``--events`` it counts the whole campaign, like ``repro top``.
 
 With ``--events PATH`` every figure driver appends its telemetry to one
 JSONL run ledger (equivalent to ``REPRO_EVENTS=PATH``) — inspect it with
@@ -109,8 +110,9 @@ def main() -> None:
                         help="serve live engine gauges as Prometheus text "
                              "on http://127.0.0.1:PORT/metrics")
     parser.add_argument("--progress", action="store_true",
-                        help="render a live progress line from worker "
-                             "heartbeats (equivalent to REPRO_PROGRESS=1)")
+                        help="render a live status line from the telemetry "
+                             "event bus, the counts 'repro top' shows for "
+                             "the ledger (equivalent to REPRO_PROGRESS=1)")
     parser.add_argument("--out", type=str, default=None,
                         help="also write the report to this file")
     args = parser.parse_args()

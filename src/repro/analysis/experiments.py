@@ -389,8 +389,14 @@ def run_suite(
     that lives for this call.  The same renderer applied to the ledger
     reproduces the trace offline.
     ``progress`` (or ``REPRO_PROGRESS=1``) renders a throttled live
-    status line from worker heartbeats and flags silent workers before
-    the task timeout fires (see ``evaluation.faults.stale_tasks``).
+    status line such as ``status: 14/24 done, 4 running, 0 failed,
+    6 cached, ETA 41s``.  It is read from the bus's
+    :class:`~repro.obs.events.StatusAggregator`, so it equals ``repro
+    top`` over the ledger.  Only the live line adds a ``stale`` suffix,
+    for workers whose heartbeats stopped before the task timeout fired
+    (see ``evaluation.faults.stale_tasks``).  Like a trace, it uses the
+    ``events_path`` bus, an installed one, or a ledger-less bus that
+    lives for this call.
 
     ``events_path`` (or ``REPRO_EVENTS``) appends every telemetry event
     — suite lifecycle, task starts/heartbeats/finishes, executor
@@ -415,9 +421,9 @@ def run_suite(
 
     # Telemetry bus: an explicit events_path creates (and owns) one; a bus
     # installed via set_event_bus (CLI session) is reused; REPRO_EVENTS is
-    # the env fallback; a trace alone gets a ledger-less bus of its own.
-    # Discovery goes through sys.modules so a run with no events or trace
-    # configured never imports repro.obs.events.
+    # the env fallback; a trace or progress line alone gets a ledger-less
+    # bus of its own.  Discovery goes through sys.modules so a run with
+    # no events, trace or progress never imports repro.obs.events.
     events_bus: Optional[Any] = None
     owns_bus = False
     if events_path is None:
@@ -426,7 +432,12 @@ def run_suite(
             events_bus = events_mod.get_event_bus()
         if events_bus is None:
             events_path = os.environ.get("REPRO_EVENTS", "").strip() or None
-    if events_bus is None and (events_path is not None or trace_path is not None):
+    stream = _progress_stream(progress)
+    if events_bus is None and (
+        events_path is not None
+        or trace_path is not None
+        or stream is not None
+    ):
         from repro.obs.events import open_bus
 
         events_bus = open_bus(events_path)
@@ -436,32 +447,12 @@ def run_suite(
         traced = []
         events_bus.subscribe(traced.append)
 
-    monitor: Optional[Any] = None
-    stream = _progress_stream(progress)
-    if stream is not None or events_bus is not None:
-        # Events ride the heartbeat queue, so a bus forces the monitor
-        # (stream may stay None — then nothing is rendered, only sunk).
-        from repro.analysis.parallel import resolve_policy
-        from repro.obs.heartbeat import (
-            HeartbeatMonitor,
-            heartbeat_interval_from_env,
-            stale_after_from_env,
-        )
-
-        interval = heartbeat_interval_from_env()
-        monitor = HeartbeatMonitor(
-            total=len(names) * len(specs),
-            stream=stream,
-            stale_after=stale_after_from_env(
-                interval, resolve_policy(retry_policy).timeout
-            ),
-        )
-
+    # Worker events ride the engine's queue, so a bus forces the engine.
     use_engine = (
         n_jobs > 1
         or active_checkpoint is not None
         or retry_policy is not None
-        or monitor is not None
+        or events_bus is not None
     )
     if events_bus is not None:
         events_bus.emit(
@@ -487,8 +478,8 @@ def run_suite(
                     cache=_resolve_cache(cache),
                     checkpoint=active_checkpoint,
                     policy=retry_policy,
-                    monitor=monitor,
                     events_bus=events_bus,
+                    progress=stream,
                 )
                 evaluation.runs = outcome.runs
                 evaluation.faults = outcome.report

@@ -178,10 +178,11 @@ class FaultReport:
     pool_breaks: int = 0       # BrokenProcessPool events
     serial_fallback: bool = False
     quarantined: List[TaskFailure] = field(default_factory=list)
-    # Advisory heartbeat telemetry (see repro.obs.heartbeat): tasks whose
-    # worker went silent before the task timeout fired.  Not part of
-    # ``clean`` — the retry/timeout machinery decides the task's fate;
-    # these record that the early-warning tripped.
+    # Advisory heartbeat telemetry (see StatusAggregator.check_stale in
+    # repro.obs.events): tasks whose worker went silent before the task
+    # timeout fired.  Not part of ``clean`` — the retry/timeout
+    # machinery decides the task's fate; these record that the
+    # early-warning tripped.
     heartbeat_stale: int = 0
     stale_tasks: List[str] = field(default_factory=list)
     # Crash post-mortems (see repro.obs.events.FlightRecorder): label ->
@@ -642,62 +643,37 @@ def execute_task_attempt(
     attempt: int,
     in_process: bool = False,
     progress: Optional[Any] = None,
-    heartbeat_interval: Optional[float] = None,
-    events: bool = False,
 ) -> SimResult:
-    """Worker entry point: fault injection + optional heartbeats/events.
+    """Worker entry point: fault injection + optional telemetry.
 
-    ``progress`` (a queue for :mod:`repro.obs.heartbeat` events) and
-    ``events`` are bound by the parent through ``functools.partial``;
-    both default off, and the observability modules are only imported
-    when the corresponding feature is on, so an untraced worker runs the
-    exact pre-observability path.  ``events`` installs a
-    :class:`~repro.obs.events.WorkerEventRelay` as this worker's process
-    bus and stage profiler for the attempt: worker-side publishers (the
-    sanitizer path) reach the parent's bus over the same progress queue,
-    and the pipeline stage timings ride the ``finished`` event.
+    ``progress`` is the parent's event queue, bound through
+    ``functools.partial`` when the evaluation has a telemetry bus.  With
+    it, a :class:`~repro.obs.events.WorkerEventRelay` is this worker's
+    process bus and stage profiler for the attempt: it publishes the
+    attempt's ``task_started``, heartbeats and ``task_finished`` (which
+    carries the pipeline stage timings) or ``task_failed``, and forwards
+    worker-side publishers (the sanitizer path) over the same queue.
+    Without it, ``repro.obs.events`` is never imported and the worker
+    runs the exact untelemetered path.
     """
     label = task_label(task)
-    pulse = None
-    relay = None
-    previous_bus: Any = None
-    previous_profiler: Any = None
-    if progress is not None:
-        from repro.obs.heartbeat import (
-            DEFAULT_HEARTBEAT_INTERVAL,
-            HeartbeatPulse,
-            emit_event,
-        )
+    if progress is None:
+        return _attempt_body(task, label, attempt, in_process)
+    from repro.obs.events import WorkerEventRelay, set_event_bus
+    from repro.obs.profiler import get_stage_profiler, set_stage_profiler
 
-        emit_event(progress, "started", label, attempt=attempt)
-        pulse = HeartbeatPulse(
-            progress, label, heartbeat_interval or DEFAULT_HEARTBEAT_INTERVAL
-        )
-        pulse.start()
-        if events:
-            from repro.obs.events import WorkerEventRelay, set_event_bus
-            from repro.obs.profiler import get_stage_profiler, set_stage_profiler
-
-            relay = WorkerEventRelay(
-                progress, label, attempt, chain=get_stage_profiler()
-            )
-            previous_bus = set_event_bus(relay)
-            previous_profiler = set_stage_profiler(relay)
+    relay = WorkerEventRelay(progress, label, attempt, chain=get_stage_profiler())
+    previous_bus = set_event_bus(relay)
+    previous_profiler = set_stage_profiler(relay)
+    relay.start()
+    ok = False
     try:
         result = _attempt_body(task, label, attempt, in_process)
-    except BaseException:
-        if progress is not None:
-            emit_event(progress, "failed", label, attempt=attempt)
-        raise
+        ok = True
     finally:
-        if relay is not None:
-            set_event_bus(previous_bus)
-            set_stage_profiler(previous_profiler)
-        if pulse is not None:
-            pulse.stop()
-    if progress is not None:
-        extra = {"stages": relay.stages} if relay is not None else {}
-        emit_event(progress, "finished", label, attempt=attempt, **extra)
+        set_event_bus(previous_bus)
+        set_stage_profiler(previous_profiler)
+        relay.finish(ok)
     return result
 
 
@@ -718,8 +694,8 @@ def run_tasks_parallel(
     cache: Optional[RunCache] = None,
     checkpoint: Optional[CheckpointManifest] = None,
     policy: Optional[RetryPolicy] = None,
-    monitor: Optional[Any] = None,
     events_bus: Optional[Any] = None,
+    progress: Optional[Any] = None,
 ) -> SuiteOutcome:
     """Evaluate ``config_names`` x ``specs`` with ``jobs`` worker processes.
 
@@ -733,13 +709,15 @@ def run_tasks_parallel(
     that fail every attempt are quarantined (absent from ``runs``, listed
     in the report) rather than fatal.
 
-    ``monitor`` (a ``repro.obs.heartbeat.HeartbeatMonitor``) turns on
-    worker progress events + the live status line; its stale-task flags
-    fold into the returned report's advisory ``heartbeat_stale`` /
-    ``stale_tasks``.  ``events_bus`` (a ``repro.obs.events.EventBus``)
-    receives every telemetry event of the evaluation — the worker
-    lifecycle via the monitor, executor verdicts via an
-    :class:`~repro.obs.events.EventObserver`, and cache traffic.
+    ``events_bus`` (a ``repro.obs.events.EventBus``) receives every
+    telemetry event of the evaluation — the worker lifecycle and
+    heartbeats over the worker queue (pumped by a
+    :class:`~repro.obs.events.ProgressDrain`), executor verdicts via an
+    :class:`~repro.obs.events.EventObserver`, and cache traffic.  The
+    drain flags silent workers, whose labels fold into the returned
+    report's advisory ``heartbeat_stale`` / ``stale_tasks``; with a
+    ``progress`` stream it also renders the bus's live status line
+    there, from the first cache probe to the last followed key.
 
     When the cache has a shared disk store
     (:class:`~repro.analysis.store.ShardedRunStore`), identical in-flight
@@ -768,10 +746,45 @@ def run_tasks_parallel(
     held_leases: List[Any] = []
     keeper: Optional[LeaseKeeper] = None
     report = FaultReport()
+    label_keys: Dict[str, str] = {}  # task label -> run-key provenance
+    fn: Callable[..., Any] = execute_task_attempt
+    manager = None
+    drain: Optional[Any] = None
+    events_observer: Optional[Any] = None
     try:
+        if events_bus is not None:
+            # Workers send their events over one queue, pumped onto the bus
+            # (and rendered as the progress line) until the last followed
+            # key resolves.
+            from repro.obs.events import (
+                EventObserver,
+                ProgressDrain,
+                stale_threshold,
+            )
+
+            if jobs > 1:
+                # Plain mp.Queue objects cannot cross a
+                # ProcessPoolExecutor.submit boundary; manager proxies can.
+                manager = multiprocessing.Manager()
+                event_queue: Any = manager.Queue()
+            else:
+                event_queue = queue_module.Queue()
+            fn = functools.partial(execute_task_attempt, progress=event_queue)
+            events_observer = EventObserver(
+                events_bus,
+                flight_dir=events_bus.flight_dir,
+                label_keys=label_keys,
+            )
+            drain = ProgressDrain(
+                events_bus,
+                event_queue,
+                stale_threshold(resolve_policy(policy).timeout),
+                stream=progress,
+                label_keys=label_keys,
+            )
+            drain.start()
         results: Dict[Tuple[str, str], SimResult] = {}
         pending: List[Tuple[str, WorkloadSpec, Optional[str]]] = []
-        label_keys: Dict[str, str] = {}  # task label -> run-key provenance
         for name, spec in ordered:
             key: Optional[str] = None
             if (
@@ -789,8 +802,6 @@ def run_tasks_parallel(
                 hit = cache.get(key, label=f"{name}/{spec.name}")
                 if hit is not None:
                     results[(name, spec.name)] = hit
-                    if monitor is not None:
-                        monitor.note_cache_hit(f"{name}/{spec.name}")
                     if checkpoint is not None:
                         checkpoint.note_hit(key)
                         checkpoint.mark_done(key, name, spec.name)
@@ -822,8 +833,6 @@ def run_tasks_parallel(
                 if hit is not None:
                     store.release(lease)
                     results[(name, spec.name)] = hit
-                    if monitor is not None:
-                        monitor.note_cache_hit(label)
                     if checkpoint is not None:
                         checkpoint.note_hit(key)
                         checkpoint.mark_done(key, name, spec.name)
@@ -841,113 +850,39 @@ def run_tasks_parallel(
                 for name, spec, _key in pending
             ]
             labels = [task_label(task) for task in tasks]
-            fn: Callable[..., Any] = execute_task_attempt
-            manager = None
-            progress_queue: Optional[Any] = None
-            heartbeat_interval: Optional[float] = None
-            events_observer: Optional[Any] = None
-            if monitor is not None:
-                from repro.obs.heartbeat import heartbeat_interval_from_env
-
-                heartbeat_interval = heartbeat_interval_from_env()
-                if jobs > 1:
-                    # Plain mp.Queue objects cannot cross a
-                    # ProcessPoolExecutor.submit boundary; manager proxies
-                    # can.
-                    manager = multiprocessing.Manager()
-                    progress_queue = manager.Queue()
-                else:
-                    progress_queue = queue_module.Queue()
-                monitor.attach_queue(progress_queue)
-                monitor.start()
-            if events_bus is not None:
-                from repro.obs.events import EventObserver, progress_event_sink
-
-                if monitor is not None:
-                    monitor.sink = progress_event_sink(events_bus, label_keys)
-                events_observer = EventObserver(
-                    events_bus,
-                    flight_dir=events_bus.flight_dir,
-                    label_keys=label_keys,
-                )
-            if progress_queue is not None:
-                fn = functools.partial(
-                    execute_task_attempt,
-                    progress=progress_queue,
-                    heartbeat_interval=heartbeat_interval,
-                    events=events_bus is not None,
-                )
-            try:
-                outcome = map_resilient(
-                    fn,
-                    tasks,
-                    labels,
-                    jobs=jobs,
-                    policy=policy,
-                    validate=result_valid,
-                    observer=events_observer,
-                )
-                report = outcome.report
-                for (name, spec, key), result, n_attempts in zip(
-                    pending, outcome.results, outcome.attempts
-                ):
-                    label = f"{name}/{spec.name}"
-                    if result is None:
-                        if monitor is not None:
-                            monitor.note_quarantined(label)
-                        continue  # quarantined — reported, not fatal
-                    result.stats.attempts = max(1, n_attempts)
-                    results[(name, spec.name)] = result
-                    if cache is not None and key is not None:
-                        cache.put(key, result, label=label)
-                    if checkpoint is not None and key is not None:
-                        checkpoint.mark_done(key, name, spec.name)
-                if events_observer is not None:
-                    # Final verdicts + crash post-mortems: one quarantined
-                    # event per task that failed every attempt, and the
-                    # flight-recorder artifacts linked from the report.
-                    for failure in report.quarantined:
-                        events_observer.quarantined(
-                            failure.label, failure.attempts, failure.error
-                        )
-                    report.flight_recordings.update(
-                        events_observer.flight_paths
+            outcome = map_resilient(
+                fn,
+                tasks,
+                labels,
+                jobs=jobs,
+                policy=policy,
+                validate=result_valid,
+                observer=events_observer,
+            )
+            report = outcome.report
+            for (name, spec, key), result, n_attempts in zip(
+                pending, outcome.results, outcome.attempts
+            ):
+                label = f"{name}/{spec.name}"
+                if result is None:
+                    continue  # quarantined — reported, not fatal
+                result.stats.attempts = max(1, n_attempts)
+                results[(name, spec.name)] = result
+                if cache is not None and key is not None:
+                    cache.put(key, result, label=label)
+                if checkpoint is not None and key is not None:
+                    checkpoint.mark_done(key, name, spec.name)
+            if events_observer is not None:
+                # Final verdicts + crash post-mortems: one quarantined
+                # event per task that failed every attempt, and the
+                # flight-recorder artifacts linked from the report.
+                for failure in report.quarantined:
+                    events_observer.quarantined(
+                        failure.label, failure.attempts, failure.error
                     )
-            finally:
-                if monitor is not None:
-                    # Guarded: close() must survive a KeyboardInterrupt
-                    # that already killed the Manager process (the queue
-                    # proxy raises on every drain attempt).
-                    try:
-                        monitor.close()
-                    except Exception:  # noqa: BLE001
-                        pass
-                    report.heartbeat_stale += len(monitor.stale_tasks)
-                    report.stale_tasks.extend(monitor.stale_tasks)
-                if manager is not None:
-                    if sys.exc_info()[0] is not None:
-                        # Abnormal exit (KeyboardInterrupt mid-suite):
-                        # orphaned pool workers may still be blocked on
-                        # call items that embed this Manager's queue
-                        # proxy, and unpickling one after the Manager
-                        # dies prints a FileNotFoundError traceback from
-                        # the worker bootstrap.  Terminate them first;
-                        # their results are lost either way.
-                        manager_process = getattr(manager, "_process", None)
-                        for child in multiprocessing.active_children():
-                            if child is manager_process:
-                                continue
-                            try:
-                                child.terminate()
-                            except Exception:  # noqa: BLE001
-                                pass
-                    # Shut the Manager down *now*, cleanly: leaving it to
-                    # the multiprocessing atexit machinery prints join
-                    # tracebacks when the parent is interrupted.
-                    try:
-                        manager.shutdown()
-                    except Exception:  # noqa: BLE001
-                        pass
+                report.flight_recordings.update(
+                    events_observer.flight_paths
+                )
 
         # -- resolve followed keys: poll the owner, steal if it dies -----
         for name, spec, key in followed:
@@ -992,6 +927,33 @@ def run_tasks_parallel(
                 if checkpoint is not None:
                     checkpoint.mark_done(key, name, spec.name)
     finally:
+        if drain is not None:
+            drain.close()
+            report.heartbeat_stale += len(drain.stale_tasks)
+            report.stale_tasks.extend(drain.stale_tasks)
+        if manager is not None:
+            if sys.exc_info()[0] is not None:
+                # Abnormal exit (KeyboardInterrupt mid-suite): orphaned
+                # pool workers may still be blocked on call items that
+                # embed this Manager's queue proxy, and unpickling one
+                # after the Manager dies prints a FileNotFoundError
+                # traceback from the worker bootstrap.  Terminate them
+                # first; their results are lost either way.
+                manager_process = getattr(manager, "_process", None)
+                for child in multiprocessing.active_children():
+                    if child is manager_process:
+                        continue
+                    try:
+                        child.terminate()
+                    except Exception:  # noqa: BLE001
+                        pass
+            # Shut the Manager down *now*, cleanly: leaving it to the
+            # multiprocessing atexit machinery prints join tracebacks
+            # when the parent is interrupted.
+            try:
+                manager.shutdown()
+            except Exception:  # noqa: BLE001
+                pass
         if keeper is not None:
             keeper.stop()
         if store is not None:

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, profiling, heartbeats, events.
+"""Observability: tracing, metrics, profiling, events.
 
 Independent facilities, all strictly opt-in:
 
@@ -13,13 +13,13 @@ Independent facilities, all strictly opt-in:
 * :mod:`repro.obs.profiler` — wall-clock phase profiling for the
   simulator's four phases (fills / predict / issue / retire) and the
   analysis pipeline stages.
-* :mod:`repro.obs.heartbeat` — worker progress heartbeats and the
-  parent-side live status line + stale-task detection.
 * :mod:`repro.obs.events` / :mod:`repro.obs.exporthttp` — the unified
   telemetry event bus (one versioned schema over heartbeat, fault,
-  cache, stage-timing and sanitizer signals), the append-only JSONL run
-  ledger, the crash flight recorder, and the stdlib HTTP metrics
-  endpoint serving live engine gauges as Prometheus text.
+  cache, stage-timing and sanitizer signals; workers send these same
+  events over the engine's queue), the append-only JSONL run ledger,
+  the crash flight recorder, the live progress line with stale-worker
+  flags (a view of the bus's status aggregator), and the stdlib HTTP
+  metrics endpoint serving live engine gauges as Prometheus text.
 * :mod:`repro.obs.chrometrace` — the evaluation engine's execution
   trace (suite → task → attempt → backoff / cache lookup / pipeline
   stages) as Chrome trace-event JSON loadable in Perfetto, rendered
@@ -29,7 +29,7 @@ Overhead contract: a simulation constructed without a tracer or profiler
 executes the exact pre-observability code paths — every hook site is a
 single attribute-is-None check — and its ``SimStats.signature()`` is
 bit-identical to a process that never imported this package.  The
-event, trace and heartbeat submodules are *not* imported here (they
+event and trace submodules are *not* imported here (they
 resolve lazily via ``__getattr__``): the analysis layer imports
 ``repro.obs.profiler`` on every run, and an untraced process must never
 load the telemetry machinery (``tests/test_obs.py`` pins this with a
@@ -55,7 +55,6 @@ __all__ = [
     "EventBus",
     "EventLedger",
     "FlightRecorder",
-    "HeartbeatMonitor",
     "Metric",
     "MetricsHTTPServer",
     "MetricsRegistry",
@@ -75,10 +74,9 @@ __all__ = [
 ]
 
 #: Lazily resolved exports (PEP 562): importing repro.obs must not load
-#: the event/trace/heartbeat machinery — the zero-cost contract's
+#: the event/trace machinery — the zero-cost contract's
 #: subprocess test asserts they stay out of untraced processes.
 _LAZY = {
-    "HeartbeatMonitor": ("repro.obs.heartbeat", "HeartbeatMonitor"),
     "write_chrome_trace": ("repro.obs.chrometrace", "write_chrome_trace"),
     "EventBus": ("repro.obs.events", "EventBus"),
     "EventLedger": ("repro.obs.events", "EventLedger"),

@@ -12,12 +12,12 @@ scraped mid-flight (:mod:`repro.obs.exporthttp`).
 
 Event routing is exactly-once by construction:
 
-* worker-side lifecycle (``started``/``heartbeat``/``finished``/
-  ``failed``) rides the existing heartbeat progress queue and is
-  translated by the parent monitor's ``sink`` into ``task_*`` events;
-* richer worker-side events (e.g. sanitizer reports) go through a
-  :class:`WorkerEventRelay` installed as the worker's process bus — they
-  cross the same queue as opaque ``bus`` progress events, so the parent
+* everything a worker reports — its attempt lifecycle
+  (``task_started``/``heartbeat``/``task_finished``/``task_failed``)
+  and richer events such as sanitizer reports — is published through
+  the :class:`WorkerEventRelay` installed as the worker's process bus,
+  and crosses the worker→parent queue as one plain event dict; the
+  parent's :class:`ProgressDrain` re-emits each onto the bus, which
   assigns one monotonic ``seq`` per event at publish time;
 * parent-side executor verdicts (``attempt_failed``, ``backoff``,
   ``quarantined``) come from the :class:`EventObserver` hooked into
@@ -25,6 +25,11 @@ Event routing is exactly-once by construction:
 * cache traffic (``cache_hit``/``cache_miss``/``cache_store``) comes
   from the :class:`~repro.analysis.runcache.RunCache`'s duck-typed
   ``publisher`` hook — a single ``is None`` check, no imports.
+
+The bus's :class:`StatusAggregator` is the one state machine counting
+a run: the live progress line (rendered by the drain), ``repro top``
+and the metrics endpoint all read it, and replaying the ledger through
+a fresh one reproduces the same line.
 
 The **flight recorder** keeps a bounded ring of the most recent events;
 when an attempt crashes, times out, or a task is quarantined, the ring
@@ -36,10 +41,11 @@ the fleet was doing when the worker died.
 The Chrome/Perfetto trace is rendered from these same events
 (:mod:`repro.obs.chrometrace`), live or from a ledger.
 
-Zero-cost contract: nothing imports this module unless events or a
-trace are explicitly requested (``run_suite(..., events_path=)`` or
-``trace_path=``, ``REPRO_EVENTS``, ``--events`` / ``--metrics-port`` /
-``--trace``); an untraced run never loads it (subprocess-pinned in
+Zero-cost contract: nothing imports this module unless events, a trace
+or live progress are explicitly requested (``run_suite(...,
+events_path=)``, ``trace_path=`` or ``progress=``, ``REPRO_EVENTS``,
+``REPRO_PROGRESS``, ``--events`` / ``--metrics-port`` / ``--trace`` /
+``--progress``); an untraced run never loads it (subprocess-pinned in
 ``tests/test_events.py``) and is bit-identical.
 """
 
@@ -69,7 +75,9 @@ __all__ = [
     "EventLedger",
     "EventObserver",
     "FlightRecorder",
+    "HEARTBEAT_INTERVAL",
     "LedgerRead",
+    "ProgressDrain",
     "StatusAggregator",
     "WorkerEventRelay",
     "event_matches",
@@ -77,9 +85,10 @@ __all__ = [
     "follow_events",
     "get_event_bus",
     "open_bus",
-    "progress_event_sink",
     "read_events",
     "set_event_bus",
+    "stale_threshold",
+    "stream_supports_rewrite",
     "summarize_events",
 ]
 
@@ -116,6 +125,9 @@ DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 
 #: Flight-recorder ring capacity (``REPRO_FLIGHT_EVENTS``).
 DEFAULT_FLIGHT_EVENTS = 64
+
+#: Seconds between a running worker's heartbeats.
+HEARTBEAT_INTERVAL = 1.0
 
 
 def _env_positive_int(name: str, default: int) -> int:
@@ -587,11 +599,15 @@ _LIFECYCLE_KINDS = frozenset((
 class StatusAggregator:
     """Engine status derived purely from the event stream.
 
-    One implementation serves both the live path (subscribed to a bus,
-    feeding the metrics endpoint's gauges) and the offline path
-    (``repro top`` replaying a ledger): feed events in order via
-    :meth:`handle` and read ``running``/``done``/``failed``/``cached``/
-    :meth:`eta_seconds` at any point.
+    One implementation serves both the live path (the bus's own
+    aggregator, read by the progress line and the metrics endpoint) and
+    the offline path (``repro top`` replaying a ledger): feed events in
+    order via :meth:`handle` and read ``running``/``done``/``failed``/
+    ``cached``/:meth:`eta_seconds` at any point.
+
+    Only the live path knows the wall clock, so only it calls
+    :meth:`check_stale`; its flags add a ``stale`` suffix to the status
+    line that a ledger replay does not have.
     """
 
     def __init__(self) -> None:
@@ -602,6 +618,8 @@ class StatusAggregator:
         self.counts: Dict[str, int] = {}
         self.suites_started = 0
         self.suites_finished = 0
+        #: running labels whose worker went silent, in flag order (per suite)
+        self.stale_tasks: List[str] = []
         self._state: Dict[str, Dict[str, Any]] = {}
         self._started_ts: Optional[float] = None
         self._last_ts: Optional[float] = None
@@ -620,6 +638,7 @@ class StatusAggregator:
             self.total += int(event.payload.get("n_tasks", 0) or 0)
             if self._started_ts is None and event.ts:
                 self._started_ts = event.ts
+            self.stale_tasks = []
             # A label's terminal event counts once per suite: a later
             # suite re-running (or re-serving) the same pair adds to
             # ``total`` again, so it must be able to add to ``done`` too.
@@ -669,6 +688,23 @@ class StatusAggregator:
                 state["status"] = "cached"
                 self.done += 1
 
+    def check_stale(self, now: float, stale_after: float) -> List[str]:
+        """Flag running labels last seen more than ``stale_after`` ago.
+
+        A worker that stopped beating (killed, wedged interpreter, dead
+        pulse thread) is flagged before the executor's task timeout
+        fires.  Each label is flagged once; returns the newly flagged.
+        """
+        flagged = [
+            label
+            for label, state in self._state.items()
+            if state["status"] == "running"
+            and label not in self.stale_tasks
+            and now - state["last_seen"] > stale_after
+        ]
+        self.stale_tasks.extend(flagged)
+        return flagged
+
     @property
     def running(self) -> int:
         return sum(
@@ -691,11 +727,16 @@ class StatusAggregator:
     def status_line(self) -> str:
         eta = self.eta_seconds()
         eta_text = f"{eta:.0f}s" if eta is not None else "?"
-        return (
+        line = (
             f"status: {self.done}/{self.total} done, "
             f"{self.running} running, {self.failed} failed, "
             f"{self.cached} cached, ETA {eta_text}"
         )
+        if self.stale_tasks:
+            shown = ", ".join(self.stale_tasks[:3])
+            more = ", ..." if len(self.stale_tasks) > 3 else ""
+            line += f", {len(self.stale_tasks)} stale ({shown}{more})"
+        return line
 
     def rows(self) -> List[List[Any]]:
         """Per-task table rows for ``repro top``: label/status/attempt/age."""
@@ -833,26 +874,62 @@ def set_event_bus(bus: Optional[Any]) -> Optional[Any]:
 
 
 # ---------------------------------------------------------------------------
-# engine plumbing: worker relay, monitor sink, attempt observer
+# engine plumbing: worker relay, progress drain, attempt observer
 # ---------------------------------------------------------------------------
 
 
+def stale_threshold(timeout: Optional[float]) -> float:
+    """When a silent running task counts as stale.
+
+    Half the task timeout (so the flag raises *before* the executor's
+    timeout fires, which is the point), floored at two heartbeats; four
+    heartbeats when no timeout is configured.
+    """
+    if timeout is not None and timeout > 0:
+        return max(2.0 * HEARTBEAT_INTERVAL, 0.5 * timeout)
+    return 4.0 * HEARTBEAT_INTERVAL
+
+
+def stream_supports_rewrite(stream: Any) -> bool:
+    """Whether the status line may rewrite itself in place (``\\r``).
+
+    Only an interactive terminal gets carriage-return rewriting; piped
+    output, CI logs, ``NO_COLOR`` (https://no-color.org — users asking
+    for dumb output), and ``TERM=dumb`` all get plain newline-delimited
+    lines so the log stays greppable.
+    """
+    if os.environ.get("NO_COLOR"):
+        return False
+    if os.environ.get("TERM", "").strip().lower() == "dumb":
+        return False
+    isatty = getattr(stream, "isatty", None)
+    try:
+        return bool(isatty and isatty())
+    except Exception:  # noqa: BLE001 — exotic stream objects
+        return False
+
+
 class WorkerEventRelay:
-    """Worker-side stand-in for the bus: forwards over the progress queue.
+    """Worker-side stand-in for the bus: forwards events over the queue.
 
     Installed (via :func:`set_event_bus`) around each task attempt by
-    ``execute_task_attempt`` when events are on, so worker-side
-    publishers — the sanitizer path in ``run_single`` — discover "the
-    bus" exactly like parent-side code does.  Each emit crosses the queue
-    as one opaque ``("bus", ...)`` progress event carrying the worker's
-    own pid/ts stamps; the parent bus assigns ``seq`` on arrival.
+    ``execute_task_attempt`` whenever the parent passed it a queue.  The
+    relay reports the attempt itself — ``task_started`` from
+    :meth:`start`, a ``heartbeat`` every :data:`HEARTBEAT_INTERVAL`
+    seconds from a daemon pulse thread, then ``task_finished`` or
+    ``task_failed`` from :meth:`finish` — and worker-side publishers
+    (the sanitizer path in ``run_single``) discover "the bus" exactly
+    like parent-side code does.  Each emit crosses the queue as one
+    plain event dict (the keyword arguments of :meth:`EventBus.emit`)
+    carrying the worker's own pid/ts stamps; the parent's
+    :class:`ProgressDrain` re-emits it and the bus assigns ``seq``.
 
     The relay also sits in the stage-profiler slot for the attempt
     (:func:`repro.obs.profiler.set_stage_profiler`): each pipeline
     ``stage()`` block is appended to :attr:`stages` as
     ``[name, start, end]`` (epoch seconds) and forwarded to ``chain``,
-    the profiler installed before it.  The attempt's ``finished``
-    progress event carries the list as ``payload["stages"]``.
+    the profiler installed before it.  ``task_finished`` carries the
+    list as ``payload["stages"]``.
     """
 
     def __init__(
@@ -867,6 +944,34 @@ class WorkerEventRelay:
         self.attempt = attempt
         self.chain = chain
         self.stages: List[List[Any]] = []
+        self._done = threading.Event()
+        self._pulse: Optional[threading.Thread] = None
+
+    def start(self) -> None:
+        """Publish ``task_started`` and begin beating."""
+        self.emit("task_started")
+        self._pulse = threading.Thread(
+            target=self._beat, daemon=True, name=f"heartbeat-{self.label}"
+        )
+        self._pulse.start()
+
+    def _beat(self) -> None:
+        # The pulse proves the *process* is alive: a wedged worker whose
+        # interpreter still schedules threads keeps beating, but an
+        # OOM-killed or os._exit-ed one goes silent — exactly the case
+        # the parent flags as stale before its task timeout expires.
+        while not self._done.wait(HEARTBEAT_INTERVAL):
+            self.emit("heartbeat")
+
+    def finish(self, ok: bool) -> None:
+        """Stop beating; publish ``task_finished`` or ``task_failed``."""
+        self._done.set()
+        if self._pulse is not None:
+            self._pulse.join(timeout=2.0)
+        if ok:
+            self.emit("task_finished", payload={"stages": self.stages})
+        else:
+            self.emit("task_failed")
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -880,87 +985,151 @@ class WorkerEventRelay:
         finally:
             self.stages.append([name, started, time.time()])
 
-    def emit(
-        self,
-        type: str,
-        *,
-        label: str = "",
-        config: str = "",
-        workload: str = "",
-        run: str = "",
-        attempt: Optional[int] = None,
-        cycle: Optional[int] = None,
-        ts: Optional[float] = None,
-        pid: Optional[int] = None,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        data = {
-            "type": str(type),
-            "label": label or self.label,
-            "config": config,
-            "workload": workload,
-            "run": run,
-            "attempt": self.attempt if attempt is None else attempt,
-            "cycle": cycle,
-            "ts": float(ts) if ts is not None else time.time(),
-            "pid": int(pid) if pid is not None else os.getpid(),
-            "payload": dict(payload) if payload else {},
+    def emit(self, type: str, **fields: Any) -> None:
+        """Queue the keyword arguments of :meth:`EventBus.emit`."""
+        record = {
+            "label": self.label,
+            "attempt": self.attempt,
+            "ts": time.time(),
+            "pid": os.getpid(),
         }
+        record.update((k, v) for k, v in fields.items() if v is not None)
+        record["type"] = str(type)
         try:
-            self.queue.put(("bus", self.label, data["pid"], data["ts"], {"event": data}))
+            self.queue.put(record)
         except Exception:  # noqa: BLE001 — telemetry never kills a worker
             pass
 
 
-#: heartbeat progress-event kind -> canonical event type
-_KIND_TO_TYPE = {
-    "started": "task_started",
-    "heartbeat": "heartbeat",
-    "finished": "task_finished",
-    "failed": "task_failed",
-}
+class ProgressDrain:
+    """Parent side of the worker queue, and the live progress line.
 
-
-def progress_event_sink(
-    bus: EventBus, label_keys: Optional[Dict[str, str]] = None
-) -> Callable[[Any], None]:
-    """A ``HeartbeatMonitor.sink`` translating progress events to the bus.
-
-    The monitor invokes the sink once per *queue-drained* event — the
-    parent-side ``note_cache_hit``/``note_quarantined`` shortcuts bypass
-    it, which is what keeps cache and quarantine events exactly-once
-    (they are published by the cache's ``publisher`` hook and the
-    :class:`EventObserver` respectively).
+    Each :meth:`pump` re-emits every queued event dict onto ``bus``
+    (filling ``run`` from ``label_keys``), flags running tasks whose
+    heartbeats stopped (:meth:`StatusAggregator.check_stale`), and
+    renders the bus's ``status.status_line()`` to ``stream``: throttled,
+    only when it changed, and rewritten in place (``\\r``) on an
+    interactive terminal.  Drive it with :meth:`start`/:meth:`close` (a
+    daemon thread pumps every :attr:`POLL` seconds) or by calling
+    :meth:`pump` manually (tests pass a fake ``clock``).
     """
-    keys = label_keys or {}
 
-    def sink(progress_event: Any) -> None:
-        try:
-            kind, label, pid, when, payload = progress_event
-        except (TypeError, ValueError):
-            return
-        if kind == "bus":
-            data = dict(payload.get("event") or {})
-            type_ = data.pop("type", "") or "worker_event"
-            if not data.get("run"):
-                data["run"] = keys.get(data.get("label") or label, "")
-            bus.emit(type_, **data)
-            return
-        type_ = _KIND_TO_TYPE.get(kind)
-        if type_ is None:
-            return
-        extra = {k: v for k, v in payload.items() if k != "attempt"}
-        bus.emit(
-            type_,
-            label=label,
-            run=keys.get(label, ""),
-            attempt=payload.get("attempt"),
-            ts=when,
-            pid=pid,
-            payload=extra,
+    POLL = 0.2
+
+    def __init__(
+        self,
+        bus: EventBus,
+        queue: Any,
+        stale_after: float,
+        stream: Optional[Any] = None,
+        label_keys: Optional[Dict[str, str]] = None,
+        throttle: float = 0.5,
+        clock: Callable[[], float] = time.time,
+    ) -> None:
+        if bus.status is None:
+            bus.status = StatusAggregator()
+        self.bus = bus
+        self.stream = stream
+        self.label_keys = label_keys if label_keys is not None else {}
+        self.stale_after = stale_after
+        self.throttle = throttle
+        self.clock = clock
+        self.queue = queue
+        #: labels this drain flagged stale (fold into the FaultReport)
+        self.stale_tasks: List[str] = []
+        self._last_render = 0.0
+        self._last_line = ""
+        self._rewrite: Optional[bool] = None  # decided at first render
+        self._line_width = 0
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> None:
+        """Begin pumping from a daemon thread."""
+        self._thread = threading.Thread(
+            target=self._loop, daemon=True, name="progress-drain"
         )
+        self._thread.start()
 
-    return sink
+    def _loop(self) -> None:
+        while not self._stop.wait(self.POLL):
+            self.pump()
+
+    def pump(self) -> None:
+        """Drain pending events, refresh staleness, maybe render."""
+        self._update()
+        self._render()
+
+    def close(self) -> None:
+        """Stop the thread, drain what's left, render a final line.
+
+        Safe on any termination path — ``KeyboardInterrupt`` mid-suite, a
+        Manager whose process already died, a closed stream: every step
+        is guarded, the final line is *always* attempted (even when
+        throttling suppressed every intermediate render), and a
+        rewriting status line is terminated with a newline so the shell
+        prompt does not land mid-line.
+        """
+        self._stop.set()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join(timeout=2.0)
+        self._update()
+        self._render(force=True)
+        if self._rewrite and self.stream is not None:
+            try:
+                self.stream.write("\n")
+                self.stream.flush()
+            except Exception:  # noqa: BLE001 — closed stream
+                pass
+
+    def _update(self) -> None:
+        self._drain()
+        with self.bus._lock:
+            flagged = self.bus.status.check_stale(
+                self.clock(), self.stale_after
+            )
+        self.stale_tasks.extend(flagged)
+
+    def _drain(self) -> None:
+        while True:
+            try:
+                record = self.queue.get_nowait()
+            except Exception:  # noqa: BLE001 — Empty, dead Manager proxy, ...
+                return
+            try:
+                if not record.get("run"):
+                    record["run"] = self.label_keys.get(record.get("label"), "")
+                self.bus.emit(**record)
+            except Exception:  # noqa: BLE001 — telemetry is advisory
+                logger.debug("dropped malformed worker event", exc_info=True)
+
+    def _render(self, force: bool = False) -> None:
+        if self.stream is None:
+            return
+        now = self.clock()
+        if not force and now - self._last_render < self.throttle:
+            return
+        with self.bus._lock:
+            line = self.bus.status.status_line()
+        if not force and line == self._last_line:
+            return
+        if self._rewrite is None:
+            self._rewrite = stream_supports_rewrite(self.stream)
+        self._last_render = now
+        self._last_line = line
+        try:
+            if self._rewrite:
+                # Rewrite in place, blank-padding any residue of a longer
+                # previous line; close() appends the terminating newline.
+                padding = " " * max(0, self._line_width - len(line))
+                self.stream.write("\r" + line + padding)
+                self.stream.flush()
+                self._line_width = len(line)
+            else:
+                print(line, file=self.stream, flush=True)
+        except Exception:  # noqa: BLE001 — closed stream must not kill a run
+            pass
 
 
 class EventObserver:

@@ -262,14 +262,13 @@ class TestBitIdentity:
                 suite, ["entangling_4k"], warmup_instructions=10000,
                 jobs=1, cache=None, checkpoint=None,
             )
-            # The engine ran untraced: the event bus, trace renderer and
-            # heartbeat modules must never have been imported (repro.obs
+            # The engine ran untraced: the event bus and trace renderer
+            # modules must never have been imported (repro.obs
             # itself is fine — its eager members are the profiler/
             # registry/tracer; the rest are lazy PEP 562 exports).
             for module in (
                 "repro.obs.events",
                 "repro.obs.chrometrace",
-                "repro.obs.heartbeat",
             ):
                 assert module not in sys.modules, (
                     module + " leaked into the untraced engine"

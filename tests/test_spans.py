@@ -227,7 +227,7 @@ class TestWorkerStages:
         try:
             execute_task_attempt(
                 RunTask(SUITE[0], "no", None, None), 0, in_process=True,
-                progress=progress, events=True,
+                progress=progress,
             )
             assert get_stage_profiler() is outer
         finally:
@@ -237,10 +237,14 @@ class TestWorkerStages:
         drained = []
         while not progress.empty():
             drained.append(progress.get_nowait())
-        finished = [e for e in drained if e[0] == "finished"]
-        (kind, label, pid, _ts, payload), = finished
-        assert (label, pid) == ("no/span_int", os.getpid())
-        assert [s[0] for s in payload["stages"]] == [
+        assert [e["type"] for e in drained if e["type"] != "heartbeat"] == [
+            "task_started", "task_finished"
+        ]
+        finished = drained[-1]
+        assert (finished["label"], finished["pid"]) == (
+            "no/span_int", os.getpid()
+        )
+        assert [s[0] for s in finished["payload"]["stages"]] == [
             "workload_build", "fetch_units", "simulate"
         ]
 
