@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Un
 from repro.analysis.checkpoint import CheckpointManifest, get_checkpoint
 from repro.analysis.runcache import RunCache, get_run_cache, run_key
 from repro.check import sanitizer_from_env
+from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
 from repro.obs.profiler import stage
 
 logger = logging.getLogger(__name__)
@@ -96,14 +97,42 @@ def _resolve_checkpoint(checkpoint: CheckpointArg) -> Optional[CheckpointManifes
     return checkpoint
 
 
+#: A trace source: a generated workload, or a trace-file path.
+TraceSource = Union[WorkloadSpec, str]
+
+
 @lru_cache(maxsize=256)
 def _cached_workload(spec: WorkloadSpec) -> Trace:
     return make_workload(spec)
 
 
+@lru_cache(maxsize=4)
+def _cached_trace_file(path: str) -> Trace:
+    """Per-process load of a trace file (``repro sweep`` / guarded ``run``)."""
+    from repro.workloads.importers import load_external_trace
+
+    return load_external_trace(path)
+
+
+def _load_source(source: TraceSource) -> Trace:
+    if isinstance(source, WorkloadSpec):
+        return _cached_workload(source)
+    return _cached_trace_file(source)
+
+
 @lru_cache(maxsize=256)
-def _cached_units(spec: WorkloadSpec, line_size: int) -> Tuple[FetchUnit, ...]:
-    return tuple(build_fetch_units(_cached_workload(spec), line_size))
+def _cached_units(source: TraceSource, line_size: int) -> Tuple[FetchUnit, ...]:
+    return tuple(build_fetch_units(_load_source(source), line_size))
+
+
+def installed_event_bus() -> Optional[Any]:
+    """The installed process telemetry bus, or None.
+
+    Discovered through ``sys.modules`` (never imported), so a run without
+    telemetry never loads :mod:`repro.obs.events`.
+    """
+    events_mod = sys.modules.get("repro.obs.events")
+    return events_mod.get_event_bus() if events_mod is not None else None
 
 
 def resolve_config(name: str, base: SimConfig) -> Tuple[InstructionPrefetcher, SimConfig]:
@@ -228,12 +257,19 @@ def resolve_warmup(spec: WorkloadSpec, warmup_instructions: Optional[int]) -> in
 
 
 def run_single(
-    spec: WorkloadSpec,
+    spec: TraceSource,
     config_name: str,
     base_config: Optional[SimConfig] = None,
     warmup_instructions: Optional[int] = None,
+    configs: Optional[Tuple[EntanglingConfig, SimConfig]] = None,
 ) -> SimResult:
     """Simulate one (configuration, workload) pair with a fresh prefetcher.
+
+    ``spec`` may also be a trace-file path, loaded once per process; its
+    ``warmup_instructions`` must then be given.  ``configs`` is an
+    already-resolved ``(EntanglingConfig, SimConfig)`` pair (a tune
+    genome, see :func:`repro.analysis.tune.genome_configs`) used instead
+    of resolving ``config_name``.
 
     The three pipeline stages (trace construction, fetch-unit
     preprocessing, simulation) report to the installed stage profiler —
@@ -245,10 +281,15 @@ def run_single(
     to the simulation; unset, the sanitizer module is never even imported
     and the run is bit-identical.
     """
-    base = base_config or SimConfig()
-    prefetcher, sim_config = resolve_config(config_name, base)
+    if configs is not None:
+        prefetcher: InstructionPrefetcher = EntanglingPrefetcher(configs[0])
+        sim_config = configs[1]
+    else:
+        prefetcher, sim_config = resolve_config(
+            config_name, base_config or SimConfig()
+        )
     with stage("workload_build"):
-        trace = _cached_workload(spec)
+        trace = _load_source(spec)
     with stage("fetch_units"):
         units = _cached_units(spec, sim_config.line_size)
     with stage("simulate"):
@@ -263,22 +304,20 @@ def run_single(
         )
     if checker is not None and checker.violations:
         logger.warning(
-            "%s/%s: %s", config_name, spec.name, checker.report().summary_line()
+            "%s/%s: %s", config_name, trace.name, checker.report().summary_line()
         )
     if checker is not None:
         # Publish the sanitizer report onto the telemetry bus, if one is
-        # installed — discovered via sys.modules (never imported), so a
-        # run without telemetry never loads the module.  In a worker
-        # this finds the WorkerEventRelay and the report crosses the
-        # progress queue; in-process it finds the parent bus directly.
-        events_mod = sys.modules.get("repro.obs.events")
-        bus = events_mod.get_event_bus() if events_mod is not None else None
+        # installed.  In a worker this finds the WorkerEventRelay and the
+        # report crosses the progress queue; in-process it finds the
+        # parent bus directly.
+        bus = installed_event_bus()
         if bus is not None:
             report = checker.report()
             bus.emit(
                 "sanitizer",
                 config=config_name,
-                workload=spec.name,
+                workload=trace.name,
                 cycle=result.stats.cycles,
                 payload=report.to_payload(),
             )
@@ -427,9 +466,7 @@ def run_suite(
     events_bus: Optional[Any] = None
     owns_bus = False
     if events_path is None:
-        events_mod = sys.modules.get("repro.obs.events")
-        if events_mod is not None:
-            events_bus = events_mod.get_event_bus()
+        events_bus = installed_event_bus()
         if events_bus is None:
             events_path = os.environ.get("REPRO_EVENTS", "").strip() or None
     stream = _progress_stream(progress)
@@ -467,13 +504,15 @@ def run_suite(
     try:
         with stage("run_suite"):
             if use_engine:
-                from repro.analysis.parallel import run_tasks_parallel
+                from repro.analysis.parallel import RunTask, run_tasks_parallel
 
+                tasks = [
+                    RunTask(spec, name, base_config, warmup_instructions)
+                    for name in names
+                    for spec in specs
+                ]
                 outcome = run_tasks_parallel(
-                    specs,
-                    names,
-                    base_config=base_config,
-                    warmup_instructions=warmup_instructions,
+                    tasks,
                     jobs=n_jobs,
                     cache=_resolve_cache(cache),
                     checkpoint=active_checkpoint,
@@ -481,7 +520,12 @@ def run_suite(
                     events_bus=events_bus,
                     progress=stream,
                 )
-                evaluation.runs = outcome.runs
+                evaluation.runs = {name: {} for name in names}
+                for task, result in zip(tasks, outcome.results):
+                    if result is not None:  # else quarantined, reported
+                        evaluation.runs[task.config_name][task.source.name] = (
+                            result
+                        )
                 evaluation.faults = outcome.report
             else:
                 for name in names:

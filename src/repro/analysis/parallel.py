@@ -1,13 +1,16 @@
-"""Fault-tolerant process-pool fan-out of suite evaluations.
+"""The one scheduler: fault-tolerant process-pool fan-out of simulations.
 
 Per-(configuration, workload) simulations are embarrassingly parallel:
 traces are regenerated deterministically from hashable
 :class:`~repro.workloads.generators.WorkloadSpec`\\ s, every worker gets a
-fresh prefetcher, and the simulator touches no shared mutable state.  The
-runner here fans one task per (config, workload) pair out to a
-``ProcessPoolExecutor`` and reassembles the results in exactly the order
-the serial path produces, so ``run_suite(..., jobs=N)`` is bit-identical
-to ``jobs=1`` for every architectural counter.
+fresh prefetcher, and the simulator touches no shared mutable state.
+:func:`run_tasks_parallel` fans a sequence of :class:`RunTask`\\ s out to
+a ``ProcessPoolExecutor`` and returns the results in task order, so
+``jobs=N`` is bit-identical to ``jobs=1`` for every architectural
+counter.  It is the only scheduler: ``run_suite`` builds its
+(config, workload) product, ``repro tune`` sends genome batches, and
+``repro sweep`` and guarded ``repro run`` send trace-file tasks, and
+every simulation runs in :func:`execute_task_attempt`.
 
 At the paper's full evaluation scale (959 traces x ~15 configurations) a
 single crashed or hung worker must not kill hours of simulation, so the
@@ -58,6 +61,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.analysis.checkpoint import CheckpointManifest
@@ -72,6 +76,7 @@ from repro.analysis.store import (
     await_result,
     coalesce_enabled,
 )
+from repro.core.entangling import EntanglingConfig
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult
 from repro.workloads.generators import WorkloadSpec
@@ -594,16 +599,50 @@ def map_resilient(
 
 
 class RunTask(NamedTuple):
-    """One picklable unit of work: simulate ``spec`` under ``config_name``."""
+    """One picklable unit of work: one resolved configuration on one trace.
 
-    spec: WorkloadSpec
+    ``source`` is a :class:`WorkloadSpec` — regenerated per process, and
+    run-keyed so the store can serve, claim and checkpoint it — or a
+    trace-file path (``repro sweep`` and guarded ``repro run``), which is
+    loaded per process and never cached, claimed or checkpointed.  The
+    configuration is the registry name ``config_name`` resolved against
+    ``base_config``, or, when ``configs`` is set, an already-resolved
+    ``(EntanglingConfig, SimConfig)`` pair named ``config_name`` (a tune
+    genome, see :func:`repro.analysis.tune.genome_configs`).  A path
+    task must give ``warmup_instructions``; for a spec, None means
+    ``WARMUP_FRACTION`` of its trace.
+    """
+
+    source: Union[WorkloadSpec, str]
     config_name: str
-    base_config: Optional[SimConfig]
-    warmup_instructions: Optional[int]
+    base_config: Optional[SimConfig] = None
+    warmup_instructions: Optional[int] = None
+    configs: Optional[Tuple[EntanglingConfig, SimConfig]] = None
 
 
 def task_label(task: RunTask) -> str:
-    return f"{task.config_name}/{task.spec.name}"
+    """``config/workload`` for a spec task, the bare config name for a path."""
+    if isinstance(task.source, WorkloadSpec):
+        return f"{task.config_name}/{task.source.name}"
+    return task.config_name
+
+
+def task_key(task: RunTask) -> Optional[str]:
+    """The task's run key (see :func:`~repro.analysis.runcache.run_key`),
+    or None for a trace-file task."""
+    spec = task.source
+    if not isinstance(spec, WorkloadSpec):
+        return None
+    if task.configs is not None:
+        sim_config = task.configs[1]
+    else:
+        sim_config = resolve_config(
+            task.config_name, task.base_config or SimConfig()
+        )[1]
+    return run_key(
+        spec, task.config_name, sim_config,
+        resolve_warmup(spec, task.warmup_instructions),
+    )
 
 
 def result_valid(result: Any) -> bool:
@@ -618,20 +657,16 @@ def result_valid(result: Any) -> bool:
     )
 
 
-def execute_task(task: RunTask) -> SimResult:
-    """Worker entry point: run one task and return a detached result."""
-    return run_single(
-        task.spec, task.config_name, task.base_config, task.warmup_instructions
-    ).detached()
-
-
 def _attempt_body(
     task: RunTask, label: str, attempt: int, in_process: bool
 ) -> SimResult:
     injector = FaultInjector.from_env()
     if injector is not None:
         injector.maybe_fault(label, attempt, in_process)
-    result = execute_task(task)
+    result = run_single(
+        task.source, task.config_name, task.base_config,
+        task.warmup_instructions, configs=task.configs,
+    ).detached()
     if injector is not None and injector.corrupts(label, attempt):
         result.stats.instructions = -1
         result.stats.cycles = -1
@@ -644,7 +679,13 @@ def execute_task_attempt(
     in_process: bool = False,
     progress: Optional[Any] = None,
 ) -> SimResult:
-    """Worker entry point: fault injection + optional telemetry.
+    """The worker entry point: one attempt of one task, detached result.
+
+    Every simulation the scheduler runs — a suite pair, a tune genome, a
+    sweep configuration, a guarded ``repro run``, a lease-stolen
+    follower — goes through here, so fault injection
+    (:class:`FaultInjector`, keyed on :func:`task_label`) and telemetry
+    reach all of them.
 
     ``progress`` is the parent's event queue, bound through
     ``functools.partial`` when the evaluation has a telemetry bus.  With
@@ -680,16 +721,13 @@ def execute_task_attempt(
 class SuiteOutcome(NamedTuple):
     """Result of :func:`run_tasks_parallel`."""
 
-    #: config name -> workload name -> result (quarantined pairs absent)
-    runs: Dict[str, Dict[str, SimResult]]
+    #: one entry per task, in task order; None where it was quarantined
+    results: List[Optional[SimResult]]
     report: FaultReport
 
 
 def run_tasks_parallel(
-    specs: Sequence[WorkloadSpec],
-    config_names: Sequence[str],
-    base_config: Optional[SimConfig] = None,
-    warmup_instructions: Optional[int] = None,
+    tasks: Sequence[RunTask],
     jobs: int = 2,
     cache: Optional[RunCache] = None,
     checkpoint: Optional[CheckpointManifest] = None,
@@ -697,16 +735,18 @@ def run_tasks_parallel(
     events_bus: Optional[Any] = None,
     progress: Optional[Any] = None,
 ) -> SuiteOutcome:
-    """Evaluate ``config_names`` x ``specs`` with ``jobs`` worker processes.
+    """Evaluate ``tasks`` with ``jobs`` worker processes: the one scheduler.
 
-    Returns the ``runs`` mapping of an
-    :class:`~repro.analysis.experiments.EvaluationResult` — config name ->
-    workload name -> result — populated in the same deterministic order as
-    the serial path, plus the executor's :class:`FaultReport`.  Pairs
-    already in ``cache`` are served locally; only misses are dispatched,
-    and their results are stored back.  Completed pairs are recorded in
-    ``checkpoint`` (if given) so an interrupted sweep can be resumed; pairs
-    that fail every attempt are quarantined (absent from ``runs``, listed
+    ``run_suite`` (its config x workload product), ``repro tune`` (genome
+    batches), ``repro sweep`` and guarded ``repro run`` (trace-file tasks,
+    ``cache=None``) all come through here, and every simulation runs in
+    :func:`execute_task_attempt`.  Returns one result per task, in task
+    order, plus the executor's :class:`FaultReport`; ``jobs=N`` is
+    bit-identical to ``jobs=1``.  Run-keyed tasks already in ``cache``
+    are served locally; only misses are dispatched, and their results
+    are stored back.  Completed run-keyed tasks are recorded in
+    ``checkpoint`` (if given) so an interrupted evaluation can be
+    resumed; tasks that fail every attempt are quarantined (None, listed
     in the report) rather than fatal.
 
     ``events_bus`` (a ``repro.obs.events.EventBus``) receives every
@@ -725,13 +765,13 @@ def run_tasks_parallel(
     before dispatch, keys another live evaluator already owns are
     followed (polled until published — counted as coalesced hits, never
     re-simulated), and a follower steals the lease and simulates locally
-    only when the owner provably died.  ``REPRO_COALESCE=0`` disables
-    this.
+    — through the same worker entry point, so it reports like any other
+    task — only when the owner provably died.  ``REPRO_COALESCE=0``
+    disables this.
     """
-    base = base_config or SimConfig()
-    ordered: List[Tuple[str, WorkloadSpec]] = [
-        (name, spec) for name in config_names for spec in specs
-    ]
+    labels = [task_label(task) for task in tasks]
+    keys: List[Optional[str]] = [None] * len(tasks)
+    results: List[Optional[SimResult]] = [None] * len(tasks)
 
     # Attach the cache's telemetry publisher for the duration of this
     # evaluation (restored on exit: the cache may be process-global).
@@ -742,7 +782,7 @@ def run_tasks_parallel(
         cache.publisher = events_bus
         publisher_attached = True
     store: Optional[Any] = None
-    followed: List[Tuple[str, WorkloadSpec, str]] = []
+    followed: List[int] = []
     held_leases: List[Any] = []
     keeper: Optional[LeaseKeeper] = None
     report = FaultReport()
@@ -751,6 +791,38 @@ def run_tasks_parallel(
     manager = None
     drain: Optional[Any] = None
     events_observer: Optional[Any] = None
+
+    def finish(idx: int, result: SimResult, hit: bool = False) -> None:
+        results[idx] = result
+        key = keys[idx]
+        if checkpoint is not None and key is not None:
+            if hit:
+                checkpoint.note_hit(key)
+            checkpoint.mark_done(
+                key, tasks[idx].config_name, tasks[idx].source.name
+            )
+
+    def dispatch(indices: List[int], n_jobs: int) -> None:
+        outcome = map_resilient(
+            fn,
+            [tasks[idx] for idx in indices],
+            [labels[idx] for idx in indices],
+            jobs=n_jobs,
+            policy=policy,
+            validate=result_valid,
+            observer=events_observer,
+        )
+        report.merge(outcome.report)
+        for idx, result, n_attempts in zip(
+            indices, outcome.results, outcome.attempts
+        ):
+            if result is None:
+                continue  # quarantined — reported, not fatal
+            result.stats.attempts = max(1, n_attempts)
+            if cache is not None and keys[idx] is not None:
+                cache.put(keys[idx], result, label=labels[idx])
+            finish(idx, result)
+
     try:
         if events_bus is not None:
             # Workers send their events over one queue, pumped onto the bus
@@ -783,117 +855,67 @@ def run_tasks_parallel(
                 label_keys=label_keys,
             )
             drain.start()
-        results: Dict[Tuple[str, str], SimResult] = {}
-        pending: List[Tuple[str, WorkloadSpec, Optional[str]]] = []
-        for name, spec in ordered:
-            key: Optional[str] = None
-            if (
-                cache is not None
-                or checkpoint is not None
-                or events_bus is not None
-            ):
-                _prefetcher, sim_config = resolve_config(name, base)
-                key = run_key(
-                    spec, name, sim_config,
-                    resolve_warmup(spec, warmup_instructions),
-                )
-                label_keys[f"{name}/{spec.name}"] = key
+        pending: List[int] = []
+        keyed = (
+            cache is not None
+            or checkpoint is not None
+            or events_bus is not None
+        )
+        for idx, task in enumerate(tasks):
+            key = task_key(task) if keyed else None
+            keys[idx] = key
+            if key is not None:
+                label_keys[labels[idx]] = key
             if cache is not None and key is not None:
-                hit = cache.get(key, label=f"{name}/{spec.name}")
+                hit = cache.get(key, label=labels[idx])
                 if hit is not None:
-                    results[(name, spec.name)] = hit
-                    if checkpoint is not None:
-                        checkpoint.note_hit(key)
-                        checkpoint.mark_done(key, name, spec.name)
+                    finish(idx, hit, hit=True)
                     continue
-            pending.append((name, spec, key))
+            pending.append(idx)
 
         # -- stampede coalescing: claim run keys before dispatching ------
         # When the cache has a shared disk store, concurrent evaluators
-        # (other run_suite/tune/sweep processes sharing one cache dir)
-        # coalesce identical in-flight keys: whoever wins the O_EXCL
-        # lease simulates; everyone else follows — polls the store for
-        # the published entry, stealing the lease only if its owner dies.
+        # (other run_suite/tune processes sharing one cache dir) coalesce
+        # identical in-flight keys: whoever wins the O_EXCL lease
+        # simulates; everyone else follows — polls the store for the
+        # published entry, stealing the lease only if its owner dies.
         store = getattr(cache, "store", None) if cache is not None else None
         if store is not None and pending and coalesce_enabled():
-            owned: List[Tuple[str, WorkloadSpec, Optional[str]]] = []
-            for name, spec, key in pending:
+            owned: List[int] = []
+            for idx in pending:
+                key = keys[idx]
                 if key is None:
-                    owned.append((name, spec, key))
+                    owned.append(idx)
                     continue
-                label = f"{name}/{spec.name}"
                 lease = store.claim(key)
                 if lease is None:
-                    followed.append((name, spec, key))
+                    followed.append(idx)
                     continue
                 # Claim won — but the previous owner may have published
                 # between our cache miss and this claim; one quiet
                 # re-probe closes that race without a duplicate run.
-                hit = cache.wait_probe(key, label=label)
+                hit = cache.wait_probe(key, label=labels[idx])
                 if hit is not None:
                     store.release(lease)
-                    results[(name, spec.name)] = hit
-                    if checkpoint is not None:
-                        checkpoint.note_hit(key)
-                        checkpoint.mark_done(key, name, spec.name)
+                    finish(idx, hit, hit=True)
                     continue
                 held_leases.append(lease)
-                owned.append((name, spec, key))
+                owned.append(idx)
             pending = owned
             if held_leases:
                 keeper = LeaseKeeper(store, held_leases)
                 keeper.start()
 
         if pending:
-            tasks = [
-                RunTask(spec, name, base_config, warmup_instructions)
-                for name, spec, _key in pending
-            ]
-            labels = [task_label(task) for task in tasks]
-            outcome = map_resilient(
-                fn,
-                tasks,
-                labels,
-                jobs=jobs,
-                policy=policy,
-                validate=result_valid,
-                observer=events_observer,
-            )
-            report = outcome.report
-            for (name, spec, key), result, n_attempts in zip(
-                pending, outcome.results, outcome.attempts
-            ):
-                label = f"{name}/{spec.name}"
-                if result is None:
-                    continue  # quarantined — reported, not fatal
-                result.stats.attempts = max(1, n_attempts)
-                results[(name, spec.name)] = result
-                if cache is not None and key is not None:
-                    cache.put(key, result, label=label)
-                if checkpoint is not None and key is not None:
-                    checkpoint.mark_done(key, name, spec.name)
-            if events_observer is not None:
-                # Final verdicts + crash post-mortems: one quarantined
-                # event per task that failed every attempt, and the
-                # flight-recorder artifacts linked from the report.
-                for failure in report.quarantined:
-                    events_observer.quarantined(
-                        failure.label, failure.attempts, failure.error
-                    )
-                report.flight_recordings.update(
-                    events_observer.flight_paths
-                )
+            dispatch(pending, jobs)
 
         # -- resolve followed keys: poll the owner, steal if it dies -----
-        for name, spec, key in followed:
-            label = f"{name}/{spec.name}"
-            result: Optional[SimResult] = None
-            while result is None:
-                hit = await_result(
-                    cache, store, key, label, bus=events_bus
-                )
+        for idx in followed:
+            key, label = keys[idx], labels[idx]
+            while True:
+                hit = await_result(cache, store, key, label, bus=events_bus)
                 if hit is not None:
-                    result = hit
+                    finish(idx, hit)
                     break
                 # Owner gone without publishing (died, or its store
                 # degraded): take over the claim and simulate locally.
@@ -903,29 +925,24 @@ def run_tasks_parallel(
                 hit = cache.wait_probe(key, label=label)
                 if hit is not None:  # published in the steal window
                     store.release(lease)
-                    result = hit
+                    finish(idx, hit)
                     break
                 cache.lease_steals += 1
-                report.attempts += 1
                 try:
-                    sim = execute_task(
-                        RunTask(spec, name, base_config, warmup_instructions)
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    report.task_errors += 1
-                    report.quarantined.append(
-                        TaskFailure(label, 1, f"{type(exc).__name__}: {exc}")
-                    )
+                    dispatch([idx], 1)
+                finally:
                     store.release(lease)
-                    break
-                sim.stats.attempts = 1
-                cache.put(key, sim, label=label)
-                store.release(lease)
-                result = sim
-            if result is not None:
-                results[(name, spec.name)] = result
-                if checkpoint is not None:
-                    checkpoint.mark_done(key, name, spec.name)
+                break
+
+        if events_observer is not None:
+            # Final verdicts + crash post-mortems: one quarantined event
+            # per task that failed every attempt, and the flight-recorder
+            # artifacts linked from the report.
+            for failure in report.quarantined:
+                events_observer.quarantined(
+                    failure.label, failure.attempts, failure.error
+                )
+            report.flight_recordings.update(events_observer.flight_paths)
     finally:
         if drain is not None:
             drain.close()
@@ -963,12 +980,4 @@ def run_tasks_parallel(
                 report.store_degraded = True
         if publisher_attached:
             cache.publisher = previous_publisher
-
-    runs: Dict[str, Dict[str, SimResult]] = {}
-    for name in config_names:
-        runs[name] = {
-            spec.name: results[(name, spec.name)]
-            for spec in specs
-            if (name, spec.name) in results
-        }
-    return SuiteOutcome(runs, report)
+    return SuiteOutcome(results, report)

@@ -18,14 +18,18 @@ cross product), ``random`` (seeded uniform sampling), and ``genetic``
 (NSGA-II-style nondominated sorting + crowding selection with uniform
 crossover and per-gene mutation).
 
-Every simulation goes through the run cache keyed by a synthetic config
-name ``tuned:<hash>`` derived from the genome (``run_key`` covers only
-the config *name* and the :class:`SimConfig`, so the entangling half of
-the genome must be folded into the name).  Duplicate genomes — common in
-genetic populations — and the shared ``no`` baseline are therefore free,
-and with a disk-backed cache plus a
-:class:`~repro.analysis.checkpoint.CheckpointManifest` a killed search
-resumes without re-simulating any finished genome: the search is
+Every simulation goes through the suite scheduler
+(:func:`~repro.analysis.parallel.run_tasks_parallel`) as a
+:class:`~repro.analysis.parallel.RunTask` carrying the genome's resolved
+configs under a synthetic config name ``tuned:<hash>`` (``run_key``
+covers only the config *name* and the :class:`SimConfig`, so the
+entangling half of the genome must be folded into the name).  The tuner
+has no scheduler of its own: the run cache, cross-process lease
+coalescing, retries, quarantine, fault injection and telemetry are the
+suite's.  Duplicate genomes — common in genetic populations — and the
+shared ``no`` baseline are therefore free, and with a disk-backed cache
+plus a :class:`~repro.analysis.checkpoint.CheckpointManifest` a killed
+search resumes without re-simulating any finished genome: the search is
 deterministic in its seed, so re-walking the genome sequence turns every
 checkpointed run into a disk hit (asserted via the cache/manifest
 counters).
@@ -37,29 +41,26 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkpoint import CheckpointManifest
-from repro.analysis.experiments import (
-    _cached_units,
-    _cached_workload,
-    resolve_config,
-    resolve_warmup,
-    run_cached,
-)
+from repro.analysis.experiments import installed_event_bus
 from repro.analysis.metrics import robust_geometric_mean
+from repro.analysis.parallel import (
+    RunTask,
+    execute_task_attempt,
+    run_tasks_parallel,
+)
 from repro.analysis.pareto import pareto_front_indices
-from repro.analysis.runcache import RunCache, _canonical_json, run_key
-from repro.analysis.store import LeaseKeeper, await_result, coalesce_enabled
+from repro.analysis.runcache import RunCache, _canonical_json
 from repro.check.errors import ConfigError
 from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
 from repro.energy.model import EnergyModel
 from repro.sim.config import SimConfig
-from repro.sim.simulator import SimResult, simulate
+from repro.sim.simulator import SimResult
 from repro.workloads.generators import WorkloadSpec
 
 logger = logging.getLogger(__name__)
@@ -321,20 +322,9 @@ def _render_value(value: object) -> str:
     return str(value)
 
 
-def _genome_worker(task, attempt=0, in_process=False):
-    """Simulate one (workload, genome) pair — runs in a worker process."""
-    spec, genome, base_sim = task
-    ent_config, sim_config = genome_configs(genome, base_sim)
-    trace = _cached_workload(spec)
-    units = _cached_units(spec, sim_config.line_size)
-    result = simulate(
-        trace,
-        EntanglingPrefetcher(ent_config),
-        config=sim_config,
-        units=units,
-        warmup_instructions=resolve_warmup(spec, None),
-    )
-    return result.detached()
+#: Kept only because ``bench/tracing.py`` patches this name; every tune
+#: pair runs through :func:`~repro.analysis.parallel.execute_task_attempt`.
+_genome_worker = execute_task_attempt
 
 
 class Tuner:
@@ -384,6 +374,8 @@ class Tuner:
         self.invalid = 0
         self._degradation_warned = False
         self._energy_model = EnergyModel()
+        #: workload name -> ``no`` baseline result (train and test)
+        self._baselines: Optional[Dict[str, SimResult]] = None
         #: genome name -> GenomeResult, in first-evaluation order
         self._results: Dict[str, GenomeResult] = {}
 
@@ -397,9 +389,12 @@ class Tuner:
         self._search()
         evaluated = list(self._results.values())
         front = self._extract_front(evaluated)
+        tested = self._run_pairs(
+            {result.name: result.genome for result in front}, self.test
+        )
         for result in front:
             result.test_speedup = self._suite_speedup(
-                result.genome, self.test
+                result.name, tested[result.name], self.test
             )[0]
         outcome = TuneResult(
             strategy=self.strategy,
@@ -472,183 +467,107 @@ class Tuner:
             if name not in self._results
         }
         if fresh:
-            self._run_missing(fresh)
+            runs = self._run_pairs(fresh, self.train)
             for name, genome in fresh.items():
-                self._results[name] = self._score(name, genome)
+                self._results[name] = self._score(name, genome, runs[name])
         return [
             self._results[entry[0]] if entry is not None else None
             for entry in prepared
         ]
 
-    def _tuned_key(self, spec: WorkloadSpec, name: str, genome) -> str:
-        _ent, sim_config = genome_configs(genome, self.base_config, self.space)
-        return run_key(spec, name, sim_config, resolve_warmup(spec, None))
+    def _run_pairs(
+        self, genomes: Dict[str, Dict[str, object]], specs: Sequence[WorkloadSpec]
+    ) -> Dict[str, Dict[str, SimResult]]:
+        """Evaluate every (genome, workload) pair in one scheduler batch.
 
-    def _run_missing(self, fresh: Dict[str, Dict[str, object]]) -> None:
-        """Simulate every (training workload, genome) pair not yet cached."""
-        # Baselines first: shared across all genomes, usually cached.
-        for spec in self.train:
-            self._baseline_result(spec)
-        tasks: List[Tuple[WorkloadSpec, Dict[str, object], SimConfig]] = []
-        keys: List[str] = []
-        labels: List[str] = []
-        for name, genome in fresh.items():
-            for spec in self.train:
-                key = self._tuned_key(spec, name, genome)
-                if self.cache.get(key) is not None:
-                    continue  # _suite_speedup will read (and count) the hit
-                tasks.append((spec, genome, self.base_config))
-                keys.append(key)
-                labels.append(f"{name}/{spec.name}")
-        if not tasks:
+        Returns genome name -> workload name -> result; a pair the
+        scheduler quarantined is absent.
+        """
+        if not genomes:
+            return {}
+        self._resolve_baselines()
+        tasks = [
+            RunTask(
+                spec, name,
+                configs=genome_configs(genome, self.base_config, self.space),
+            )
+            for name, genome in genomes.items()
+            for spec in specs
+        ]
+        runs: Dict[str, Dict[str, SimResult]] = {name: {} for name in genomes}
+        for task, result in zip(tasks, self._schedule(tasks, self.jobs)):
+            if result is not None:
+                runs[task.config_name][task.source.name] = result
+        return runs
+
+    def _resolve_baselines(self) -> None:
+        """Simulate the ``no`` baseline of every train and test workload,
+        once and in this process: pool workers forked later inherit the
+        generated traces instead of regenerating them."""
+        if self._baselines is not None:
             return
+        specs = list({spec.name: spec for spec in self.train + self.test}.values())
+        tasks = [RunTask(spec, "no", self.base_config) for spec in specs]
+        self._baselines = {
+            task.source.name: result
+            for task, result in zip(tasks, self._schedule(tasks, jobs=1))
+            if result is not None
+        }
 
-        # Stampede coalescing across concurrent tuners sharing one cache
-        # dir: claim each missing key; keys another live process already
-        # owns are *followed* (poll-or-steal) instead of re-simulated.
-        # Same protocol as run_tasks_parallel — see repro.analysis.store.
-        store = getattr(self.cache, "store", None)
-        followed: List[Tuple[Tuple[WorkloadSpec, Dict[str, object], SimConfig],
-                             str, str]] = []
-        held: List[object] = []
-        keeper = None
-        if store is not None and coalesce_enabled():
-            owned_tasks, owned_keys, owned_labels = [], [], []
-            for task, key, label in zip(tasks, keys, labels):
-                lease = store.claim(key)
-                if lease is None:
-                    followed.append((task, key, label))
-                    continue
-                hit = self.cache.wait_probe(key, label=label)
-                if hit is not None:  # published since our get() miss
-                    store.release(lease)
-                    if self.checkpoint is not None:
-                        self.checkpoint.mark_done(
-                            key, genome_name(task[1]), task[0].name
-                        )
-                    continue
-                held.append(lease)
-                owned_tasks.append(task)
-                owned_keys.append(key)
-                owned_labels.append(label)
-            tasks, keys, labels = owned_tasks, owned_keys, owned_labels
-            if held:
-                keeper = LeaseKeeper(store, held)
-                keeper.start()
-
-        try:
-            if self.jobs > 1 and tasks:
-                from repro.analysis.parallel import map_resilient
-
-                outcome = map_resilient(
-                    _genome_worker, tasks, labels=labels, jobs=self.jobs
-                )
-                results = outcome.results
-            else:
-                results = []
-                for task, label in zip(tasks, labels):
-                    try:
-                        results.append(_genome_worker(task))
-                    except Exception as exc:  # noqa: BLE001 — degrade per pair
-                        logger.warning("tune pair %s failed: %s", label, exc)
-                        results.append(None)
-            for (spec, genome, _base), key, result in zip(tasks, keys, results):
-                if result is None:
-                    continue  # quarantined; the genome's score degrades
-                self.cache.put(key, result)
-                if self.checkpoint is not None:
-                    self.checkpoint.mark_done(
-                        key, genome_name(genome), spec.name
-                    )
-            for task, key, label in followed:
-                spec, genome, _base = task
-                result = None
-                while result is None:
-                    hit = await_result(self.cache, store, key, label)
-                    if hit is not None:
-                        result = hit
-                        break
-                    lease = store.steal(key)
-                    if lease is None:
-                        continue  # lost the steal race; keep following
-                    hit = self.cache.wait_probe(key, label=label)
-                    if hit is not None:
-                        store.release(lease)
-                        result = hit
-                        break
-                    self.cache.lease_steals += 1
-                    try:
-                        result = _genome_worker(task)
-                    except Exception as exc:  # noqa: BLE001
-                        logger.warning("tune pair %s failed: %s", label, exc)
-                        store.release(lease)
-                        break
-                    self.cache.put(key, result)
-                    store.release(lease)
-                if result is not None and self.checkpoint is not None:
-                    self.checkpoint.mark_done(key, genome_name(genome), spec.name)
-        finally:
-            if keeper is not None:
-                keeper.stop()
-            if store is not None:
-                for lease in held:
-                    store.release(lease)
-                if store.read_only and not self._degradation_warned:
-                    self._degradation_warned = True
-                    logger.warning(
-                        "shared run store degraded to read-only; tuning "
-                        "continues uncached"
-                    )
-
-    def _baseline_result(self, spec: WorkloadSpec) -> Optional[SimResult]:
-        _prefetcher, sim_config = resolve_config("no", self.base_config)
-        key = run_key(spec, "no", sim_config, resolve_warmup(spec, None))
-        try:
-            result = run_cached(spec, "no", self.base_config, cache=self.cache)
-        except ValueError as exc:
-            logger.warning("baseline %s failed: %s", spec.name, exc)
-            return None
-        if self.checkpoint is not None:
-            if result.stats.from_cache:
-                self.checkpoint.note_hit(key)
-            self.checkpoint.mark_done(key, "no", spec.name)
-        return result
+    def _schedule(
+        self, tasks: List[RunTask], jobs: int
+    ) -> List[Optional[SimResult]]:
+        """One :func:`run_tasks_parallel` call, bracketed as a suite on
+        the installed telemetry bus so a ledger replay counts its pairs."""
+        bus = installed_event_bus()
+        if bus is not None:
+            bus.emit(
+                "suite_started",
+                payload={"n_tasks": len(tasks), "jobs": jobs},
+            )
+        outcome = run_tasks_parallel(
+            tasks,
+            jobs=jobs,
+            cache=self.cache,
+            checkpoint=self.checkpoint,
+            events_bus=bus,
+        )
+        if bus is not None:
+            bus.emit(
+                "suite_finished",
+                payload={
+                    "completed": sum(r is not None for r in outcome.results),
+                    "quarantined": len(outcome.report.quarantined),
+                },
+            )
+        if outcome.report.store_degraded and not self._degradation_warned:
+            self._degradation_warned = True
+            logger.warning(
+                "shared run store degraded to read-only; tuning continues "
+                "uncached"
+            )
+        return outcome.results
 
     def _suite_speedup(
-        self, genome: Dict[str, object], specs: Sequence[WorkloadSpec]
+        self,
+        name: str,
+        runs: Dict[str, SimResult],
+        specs: Sequence[WorkloadSpec],
     ) -> Tuple[float, float, int]:
-        """(geomean speedup, geomean normalized energy, failures).
-
-        Missing pairs simulate on demand (this is how front points get
-        their held-out score); everything flows through the cache.
-        """
-        name = genome_name(genome)
+        """(geomean speedup, geomean normalized energy, failures) of one
+        genome's ``runs`` (workload name -> result) over ``specs``."""
         ratios: List[float] = []
         energies: List[float] = []
         failures = 0
         for spec in specs:
-            base = self._baseline_result(spec)
-            if base is None or base.stats.ipc <= 0.0:
-                failures += 1
-                continue
-            key = self._tuned_key(spec, name, genome)
-            tuned = self.cache.get(key)
-            if tuned is None:
-                try:
-                    fresh = _genome_worker((spec, genome, self.base_config))
-                except Exception as exc:  # noqa: BLE001
-                    logger.warning(
-                        "tune pair %s/%s failed: %s", name, spec.name, exc
-                    )
-                    failures += 1
-                    continue
-                self.cache.put(key, fresh)
-                if self.checkpoint is not None:
-                    self.checkpoint.mark_done(key, name, spec.name)
-                tuned = fresh
-            elif self.checkpoint is not None:
-                self.checkpoint.note_hit(key)
-            if tuned.stats.ipc <= 0.0:
+            base = self._baselines.get(spec.name)
+            tuned = runs.get(spec.name)
+            if (
+                base is None
+                or base.stats.ipc <= 0.0
+                or tuned is None
+                or tuned.stats.ipc <= 0.0
+            ):
                 failures += 1
                 continue
             ratios.append(tuned.stats.ipc / base.stats.ipc)
@@ -671,8 +590,10 @@ class Tuner:
         )
         return speedup, energy, failures
 
-    def _score(self, name: str, genome: Dict[str, object]) -> GenomeResult:
-        speedup, energy, failures = self._suite_speedup(genome, self.train)
+    def _score(
+        self, name: str, genome: Dict[str, object], runs: Dict[str, SimResult]
+    ) -> GenomeResult:
+        speedup, energy, failures = self._suite_speedup(name, runs, self.train)
         ent_config, _sim = genome_configs(genome, self.base_config, self.space)
         storage = EntanglingPrefetcher(ent_config).storage_bits()
         return GenomeResult(

@@ -57,7 +57,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import List, Optional
 
 from repro.prefetchers.registry import available_prefetchers
@@ -151,12 +150,9 @@ def _cmd_import(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(trace, config_name: str, warmup: int, units=None, checker=None):
+def _run_one(trace, config_name: str, warmup: int, checker=None):
     prefetcher, sim_config = resolve_config(config_name, SimConfig())
-    if units is None:
-        units = build_fetch_units(trace, sim_config.line_size)
-    if checker is None:
-        checker = sanitizer_from_env()
+    units = build_fetch_units(trace, sim_config.line_size)
     return simulate(
         trace, prefetcher, config=sim_config, units=units,
         warmup_instructions=warmup, checker=checker,
@@ -277,34 +273,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.task_timeout is not None or args.retries is not None:
             # Guarded execution: run the simulation in a worker process
             # so a hang can be timed out and a crash retried.
-            from repro.analysis.parallel import map_resilient
-
-            observer = None
-            if bus is not None:
-                from repro.obs.events import EventObserver
-
-                observer = EventObserver(
-                    bus, flight_dir=bus.flight_dir, standalone=True
-                )
-            outcome = map_resilient(
-                _sweep_worker,
-                [(args.trace, args.prefetcher, args.warmup)],
-                labels=[args.prefetcher],
+            (result,) = _run_trace_tasks(
+                args, [args.prefetcher], bus,
                 jobs=2,  # pooled (1 task -> 1 worker); enables timeout
-                policy=_cli_policy(args),
-                observer=observer,
             )
-            result = outcome.results[0]
             if result is None:
-                failure = outcome.report.quarantined[0]
-                if observer is not None:
-                    observer.quarantined(
-                        failure.label, failure.attempts, failure.error
-                    )
-                    for path in observer.flight_paths.values():
-                        print(f"flight recording: {path}", file=sys.stderr)
-                print(f"FAILED {failure.label} after {failure.attempts} "
-                      f"attempt(s): {failure.error}", file=sys.stderr)
                 return 1
         else:
             try:
@@ -361,84 +334,58 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 0
 
 
-@lru_cache(maxsize=4)
-def _worker_trace(path: str):
-    """Per-process trace load for the parallel sweep workers."""
-    return load_external_trace(path)
-
-
-def _sweep_worker(task, attempt=0, in_process=False):
-    """Run one configuration of a sweep (executed in a worker process).
-
-    Honours ``REPRO_FAULT_INJECT``'s crash/hang/exit modes, keyed on the
-    configuration name, like the suite engine's worker entry point.
-    """
-    from repro.analysis.parallel import FaultInjector
-
-    trace_path, config_name, warmup = task
-    injector = FaultInjector.from_env()
-    if injector is not None:
-        injector.maybe_fault(config_name, attempt, in_process)
-    trace = _worker_trace(trace_path)
-    return _run_one(trace, config_name, warmup).detached()
-
-
 def _cli_policy(args: argparse.Namespace):
     """Retry policy from ``--retries`` / ``--task-timeout`` (env fallback)."""
+    from dataclasses import replace
+
     from repro.analysis.parallel import RetryPolicy
 
     policy = RetryPolicy.from_env()
     if getattr(args, "retries", None) is not None:
-        policy = RetryPolicy(
-            retries=max(0, args.retries),
-            timeout=policy.timeout,
-            backoff_base=policy.backoff_base,
-        )
+        policy = replace(policy, retries=max(0, args.retries))
     if getattr(args, "task_timeout", None) is not None:
         timeout = args.task_timeout if args.task_timeout > 0 else None
-        policy = RetryPolicy(
-            retries=policy.retries,
-            timeout=timeout,
-            backoff_base=policy.backoff_base,
-        )
+        policy = replace(policy, timeout=timeout)
     return policy
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import map_resilient
+def _run_trace_tasks(args: argparse.Namespace, names: List[str], bus, jobs: int):
+    """Run ``names`` on ``args.trace`` through the suite scheduler.
 
+    Returns one result per name, None where the configuration was
+    quarantined; quarantines (and flight recordings, when ``bus`` is
+    set) are reported on stderr.  Trace-file tasks are never cached.
+    """
+    from repro.analysis.parallel import RunTask, run_tasks_parallel
+
+    outcome = run_tasks_parallel(
+        [RunTask(args.trace, name, None, args.warmup) for name in names],
+        jobs=jobs,
+        cache=None,
+        policy=_cli_policy(args),
+        events_bus=bus,
+    )
+    for path in outcome.report.flight_recordings.values():
+        print(f"flight recording: {path}", file=sys.stderr)
+    for failure in outcome.report.quarantined:
+        print(f"FAILED {failure.label} after {failure.attempts} "
+              f"attempt(s): {failure.error}", file=sys.stderr)
+    return outcome.results
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     names = [n.strip() for n in args.prefetchers.split(",") if n.strip()]
     jobs = resolve_jobs(args.jobs)
-    tasks = [(args.trace, name, args.warmup) for name in names]
     with _telemetry(args, "sweep", n_tasks=len(names)) as bus:
-        events_observer = None
-        if bus is not None:
-            from repro.obs.events import EventObserver
-
-            events_observer = EventObserver(
-                bus, flight_dir=bus.flight_dir, standalone=True
-            )
-        outcome = map_resilient(
-            _sweep_worker,
-            tasks,
-            labels=names,
-            jobs=jobs if len(names) > 1 else 1,
-            policy=_cli_policy(args),
-            observer=events_observer,
+        results = _run_trace_tasks(
+            args, names, bus, jobs=jobs if len(names) > 1 else 1
         )
-        if events_observer is not None:
-            for failure in outcome.report.quarantined:
-                events_observer.quarantined(
-                    failure.label, failure.attempts, failure.error
-                )
-            for path in events_observer.flight_paths.values():
-                print(f"flight recording: {path}", file=sys.stderr)
         baseline = None
         rows = []
         total_wall = 0.0
-        for name, result in zip(names, outcome.results):
+        for name, result in zip(names, results):
             if result is None:
-                continue  # quarantined; reported below
+                continue  # quarantined; reported above
             stats = result.stats
             total_wall += stats.wall_seconds
             if baseline is None:
@@ -459,9 +406,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ))
         print(f"({len(rows)}/{len(names)} configs, {total_wall:.1f}s of "
               f"simulation, jobs={jobs})")
-        for failure in outcome.report.quarantined:
-            print(f"FAILED {failure.label} after {failure.attempts} "
-                  f"attempt(s): {failure.error}", file=sys.stderr)
         return 0 if rows else 1
 
 
@@ -546,13 +490,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"tune: {exc}", file=sys.stderr)
         return 2
-    with _telemetry(args, "tune", n_tasks=0) as bus:
-        if bus is not None:
-            # The tuner drives map_resilient directly (not run_suite), so
-            # wire the cache's telemetry hook here; genome evaluations
-            # then surface as cache_miss/cache_store and resumed ones as
-            # cache_hit in the ledger.
-            cache.publisher = bus
+    with _telemetry(args, "tune", n_tasks=0):
+        # Each scheduler batch of the search brackets itself as a suite
+        # on the installed bus.
         result = tuner.search()
     print(result.render())
     if result.invalid:

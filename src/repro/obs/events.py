@@ -1139,10 +1139,8 @@ class EventObserver:
     breaks, validation rejects (``attempt_failed``), retry backoffs, and
     quarantines — and triggers the flight-recorder dump for each, so a
     crash artifact exists even when the worker died without a word.
-
-    ``standalone=True`` additionally publishes ``task_started`` /
-    ``task_finished`` from the parent-side attempt window — for callers
-    (the guarded CLI paths) whose workers carry no progress queue.
+    The attempt's own ``task_started``/``task_finished`` come from the
+    worker (``WorkerEventRelay``), never from here.
     """
 
     def __init__(
@@ -1150,37 +1148,22 @@ class EventObserver:
         bus: EventBus,
         flight_dir: Optional[str] = None,
         label_keys: Optional[Dict[str, str]] = None,
-        standalone: bool = False,
     ) -> None:
         self.bus = bus
         self.flight_dir = flight_dir
         self.label_keys = label_keys or {}
-        self.standalone = standalone
         #: label -> flight-recording artifact path (folds into FaultReport)
         self.flight_paths: Dict[str, str] = {}
 
     # -- AttemptObserver protocol ------------------------------------------
 
     def attempt_started(self, label: str, attempt: int) -> None:
-        if self.standalone:
-            self.bus.emit(
-                "task_started",
-                label=label,
-                run=self.label_keys.get(label, ""),
-                attempt=attempt,
-            )
+        pass
 
     def attempt_finished(
         self, label: str, attempt: int, ok: bool, error: Optional[str] = None
     ) -> None:
         if ok:
-            if self.standalone:
-                self.bus.emit(
-                    "task_finished",
-                    label=label,
-                    run=self.label_keys.get(label, ""),
-                    attempt=attempt,
-                )
             return
         reason = error or "attempt failed"
         self.bus.emit(

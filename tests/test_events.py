@@ -783,3 +783,37 @@ class TestCLITelemetry:
         data = json.load(open(artifact))
         assert data["kind"] == "flight_recording"
         assert "flight recording" in sweep.stderr
+
+    def test_guarded_run_retries_in_a_worker(self, tmp_path):
+        """``repro run --retries/--task-timeout`` goes through the suite
+        scheduler: an injected crash is retried, the output equals the
+        unguarded run's, and the worker reports its own attempt."""
+        trace = str(tmp_path / "t.trc")
+        gen = _repro(["gen", "--category", "srv", "--seed", "4",
+                      "--instructions", "30000", trace])
+        assert gen.returncode == 0, gen.stderr
+        base = ["run", trace, "--prefetcher", "next_line", "--warmup", "10000"]
+        plain = _repro(base)
+        assert plain.returncode == 0, plain.stderr
+        path = str(tmp_path / "ev.jsonl")
+        guarded = _repro(
+            base + ["--retries", "1", "--task-timeout", "60",
+                    "--events", path],
+            env_extra={"REPRO_FAULT_INJECT": "crash:1.0:first",
+                       "REPRO_TASK_BACKOFF": "0.01"},
+        )
+        assert guarded.returncode == 0, guarded.stderr
+
+        def ipc_line(out):
+            return [line for line in out.splitlines()
+                    if line.startswith("IPC:")]
+
+        assert ipc_line(guarded.stdout) == ipc_line(plain.stdout) != []
+        ledger = read_events(path).events
+        failed = [e for e in ledger if e.type == "attempt_failed"]
+        assert len(failed) == 1
+        assert "injected crash" in failed[0].payload["error"]
+        (suite,) = [e for e in ledger if e.type == "suite_started"]
+        (finished,) = [e for e in ledger if e.type == "task_finished"]
+        assert finished.label == "next_line"
+        assert finished.pid != suite.pid  # relayed by the worker process

@@ -12,6 +12,7 @@ into the ``FaultReport`` as advisory telemetry.
 """
 
 import io
+import json
 import os
 import queue
 import signal
@@ -542,3 +543,23 @@ class TestCoalescedFollowers:
         assert final.startswith("status: 2/2 done, 0 running, 0 failed, "
                                 "2 cached")
         assert final == _replayed_line(ledger)
+
+    def test_stolen_follower_counts_as_done(self, tmp_path):
+        """A pair whose lease owner died is stolen and simulated through
+        the worker entry point, so the follower reports the task."""
+        cache = RunCache(disk_dir=str(tmp_path / "cache"))
+        sim_config = resolve_config("next_line", SimConfig())[1]
+        key = run_key(SPEC, "next_line", sim_config, resolve_warmup(SPEC, None))
+        # Planted after the cache opened (opening reaps dead-pid leases).
+        lease = cache.store.claim(key)
+        with open(lease.path, "w") as fh:
+            json.dump({"pid": 2 ** 22 + 1, "host": cache.store.host}, fh)
+        ledger = str(tmp_path / "ev.jsonl")
+        evaluation = run_suite(
+            [SPEC], ["next_line"], include_baseline=False, jobs=1,
+            cache=cache, checkpoint=None, events_path=ledger,
+        )
+        assert evaluation.is_complete()
+        assert cache.lease_steals == 1
+        assert _replayed_line(ledger).startswith("status: 1/1 done, "
+                                                 "0 running, 0 failed")

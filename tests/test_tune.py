@@ -6,11 +6,18 @@ every previously finished genome from the disk cache without
 re-simulating, and the emitted front is mutually nondominated.
 """
 
+import json
 import os
+import re
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.analysis.checkpoint import CheckpointManifest
+from repro.analysis.parallel import RunTask, execute_task_attempt, task_key
 from repro.analysis.pareto import dominates
 from repro.analysis.runcache import RunCache
 from repro.analysis.tune import (
@@ -25,6 +32,8 @@ from repro.analysis.tune import (
     split_suite,
 )
 from repro.check.errors import ConfigError
+from repro.obs.chrometrace import to_chrome_trace
+from repro.obs.events import StatusAggregator, read_events
 from repro.sim.config import SimConfig
 from repro.workloads.generators import WorkloadSpec
 
@@ -40,6 +49,8 @@ SMALL_SPACE = (
     TunableParam("history_size", "entangling", (8, 16)),
     TunableParam("prefetch_queue_size", "sim", (16, 32)),
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 class TestGenomeName:
@@ -340,3 +351,119 @@ class TestDefaultSpace:
             TunableParam("entries", "quantum", (1,))
         with pytest.raises(ValueError):
             TunableParam("entries", "entangling", ())
+
+
+class TestOneScheduler:
+    """Tune evaluates through the suite scheduler (``run_tasks_parallel``)."""
+
+    def _tuner(self, cache, jobs=1):
+        # Default train fraction: one train and one test workload, so
+        # both the training batches and the held-out batch are covered.
+        return GeneticTuner(
+            TINY, space=SMALL_SPACE, seed=7, cache=cache, jobs=jobs,
+            population=4, generations=2,
+        )
+
+    def test_front_identical_across_jobs_and_warm_store(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        serial = self._tuner(RunCache(), jobs=1).search()
+        pooled = self._tuner(RunCache(disk_dir=cache_dir), jobs=2).search()
+        warm = self._tuner(RunCache(disk_dir=cache_dir), jobs=2).search()
+        assert serial.front
+        assert pooled.to_dict() == serial.to_dict()
+        assert warm.to_dict() == serial.to_dict()
+        assert warm.cache_line.startswith("run cache: 0 unique simulations")
+
+    def test_concurrent_tuner_pair_is_followed_not_simulated(self, tmp_path):
+        """Two tuners share a cache dir; the first holds one pair's lease
+        and publishes it after ~1 s.  The second follows that pair."""
+        unique = self._tuner(RunCache())
+        expected = unique.search().to_dict()
+        cache_dir = str(tmp_path / "cache")
+        holder = self._tuner(RunCache(disk_dir=cache_dir))
+        genome = holder.random_genome()  # the follower's first genome too
+        task = RunTask(
+            holder.train[0], genome_name(genome),
+            configs=genome_configs(genome, SimConfig(), SMALL_SPACE),
+        )
+        key = task_key(task)
+        lease = holder.cache.store.claim(key)
+        assert lease is not None
+
+        def publish_later():
+            time.sleep(1.0)
+            holder.cache.put(key, execute_task_attempt(task, 0, in_process=True))
+            holder.cache.store.release(lease)
+
+        publisher = threading.Thread(target=publish_later)
+        publisher.start()
+        try:
+            follower = self._tuner(RunCache(disk_dir=cache_dir))
+            result = follower.search()
+        finally:
+            publisher.join(timeout=60.0)
+        assert not publisher.is_alive()
+        assert follower.cache.coalesced == 1
+        assert follower.cache.lease_steals == 0
+        assert holder.cache.stores == 1
+        assert holder.cache.stores + follower.cache.stores == unique.cache.stores
+        assert result.to_dict() == expected
+
+
+def _tune_cli(tmp_path, out, events=None, env_extra=None):
+    args = [
+        sys.executable, "-m", "repro", "tune", "--strategy", "genetic",
+        "--seed", "7", "--per-category", "1", "--instructions", "6000",
+        "--population", "4", "--generations", "2", "--jobs", "2",
+        "--out", str(tmp_path / out),
+    ]
+    if events:
+        args += ["--events", str(tmp_path / events)]
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_TASK_BACKOFF="0.01")
+    env.pop("REPRO_FAULT_INJECT", None)
+    env.update(env_extra or {})
+    proc = subprocess.run(
+        args, capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestTuneFaultInjection:
+    """Regression: tune workers honour ``REPRO_FAULT_INJECT``, and the
+    ``--events`` ledger counts every pair the search evaluated."""
+
+    def test_injected_crashes_retry_and_ledger_counts_pairs(self, tmp_path):
+        stdout = _tune_cli(
+            tmp_path, "crash", events="ledger.jsonl",
+            env_extra={"REPRO_FAULT_INJECT": "crash:1.0:first"},
+        )
+        _tune_cli(tmp_path, "clean")
+        simulated = int(
+            re.search(r"run cache: (\d+) unique simulations", stdout).group(1)
+        )
+        assert simulated > 0
+        events = read_events(str(tmp_path / "ledger.jsonl")).events
+        failed = [e for e in events if e.type == "attempt_failed"]
+        assert len(failed) == simulated
+        assert all("injected crash" in e.payload["error"] for e in failed)
+        assert len({e.label for e in failed}) == simulated
+        assert not [e for e in events if e.type == "quarantined"]
+
+        crash = json.load(open(tmp_path / "crash.json"))
+        clean = json.load(open(tmp_path / "clean.json"))
+        assert crash["front"] and crash == clean
+
+        status = StatusAggregator()
+        for event in events:
+            status.handle(event)
+        assert status.done == status.total == simulated + status.cached
+        assert status.failed == 0
+        line = status.status_line()
+        assert line.startswith(f"status: {status.total}/{status.total} done")
+
+        tasks = [
+            e for e in to_chrome_trace(events)["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "task"
+        ]
+        assert len(tasks) == simulated
