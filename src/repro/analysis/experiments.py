@@ -602,7 +602,7 @@ def default_suite(
 
     ``include_microservice`` appends the cloud-microservice suite
     (single-tenant services plus 2-4-tenant mixes) — off by default so
-    historical benchmark trajectories keep comparing like with like.
+    the figure benchmarks keep their CVP-only suite.
     """
     scale = positive_env_int("REPRO_SUITE_SCALE", 1)
     specs = cvp_suite(

@@ -71,11 +71,7 @@ from repro.analysis.experiments import (
     run_single,
 )
 from repro.analysis.runcache import RunCache, run_key
-from repro.analysis.store import (
-    LeaseKeeper,
-    await_result,
-    coalesce_enabled,
-)
+from repro.analysis.store import LeaseKeeper, await_result
 from repro.core.entangling import EntanglingConfig
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult
@@ -766,8 +762,7 @@ def run_tasks_parallel(
     followed (polled until published — counted as coalesced hits, never
     re-simulated), and a follower steals the lease and simulates locally
     — through the same worker entry point, so it reports like any other
-    task — only when the owner provably died.  ``REPRO_COALESCE=0``
-    disables this.
+    task — only when the owner provably died.
     """
     labels = [task_label(task) for task in tasks]
     keys: List[Optional[str]] = [None] * len(tasks)
@@ -880,7 +875,7 @@ def run_tasks_parallel(
         # simulates; everyone else follows — polls the store for the
         # published entry, stealing the lease only if its owner dies.
         store = getattr(cache, "store", None) if cache is not None else None
-        if store is not None and pending and coalesce_enabled():
+        if store is not None and pending:
             owned: List[int] = []
             for idx in pending:
                 key = keys[idx]

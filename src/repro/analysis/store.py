@@ -75,11 +75,11 @@ ACCEPTED_ENTRY_FORMATS = (2, 3, STORE_FORMAT)
 #: whose mtime is older than this counts as abandoned and may be stolen.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Default follower poll period (``REPRO_LEASE_POLL`` seconds).
+#: Default follower poll period, in seconds.
 DEFAULT_LEASE_POLL = 0.2
 
 #: Default cap on how long a follower waits on a live owner before
-#: giving up and simulating locally (``REPRO_LEASE_MAX_WAIT`` seconds).
+#: giving up and simulating locally, in seconds.
 DEFAULT_LEASE_MAX_WAIT = 600.0
 
 _ENTRY_NAME = re.compile(r"^[0-9a-f]{32}\.json$")
@@ -139,26 +139,8 @@ def _env_age(name: str) -> Optional[float]:
     return value if value > 0 else None
 
 
-def coalesce_enabled() -> bool:
-    """Whether in-flight run-key coalescing is on (``REPRO_COALESCE``)."""
-    return os.environ.get("REPRO_COALESCE", "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
 def lease_ttl_from_env() -> float:
     return _env_float("REPRO_LEASE_TTL", DEFAULT_LEASE_TTL)
-
-
-def lease_poll_from_env() -> float:
-    return _env_float("REPRO_LEASE_POLL", DEFAULT_LEASE_POLL)
-
-
-def lease_max_wait_from_env() -> float:
-    return _env_float("REPRO_LEASE_MAX_WAIT", DEFAULT_LEASE_MAX_WAIT)
 
 
 def _fsfault(op: str, path: str, scope: str) -> None:
@@ -899,8 +881,8 @@ def await_result(
     key: str,
     label: str,
     bus: Optional[Any] = None,
-    poll: Optional[float] = None,
-    max_wait: Optional[float] = None,
+    poll: float = DEFAULT_LEASE_POLL,
+    max_wait: float = DEFAULT_LEASE_MAX_WAIT,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Optional[Any]:
@@ -911,8 +893,6 @@ def await_result(
     free/stale or ``max_wait`` elapses (returns None: the caller should
     :meth:`ShardedRunStore.steal` and simulate locally).
     """
-    poll = poll if poll is not None else lease_poll_from_env()
-    max_wait = max_wait if max_wait is not None else lease_max_wait_from_env()
     state, info = store.lease_state(key)
     owner = info.get("pid") if isinstance(info, dict) else None
     cache.lease_waits += 1

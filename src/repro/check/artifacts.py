@@ -1,7 +1,7 @@
 """Crash-safe artifact IO: atomic write-replace and guarded loading.
 
-A torn artifact — a metrics export or the benchmark trajectory half
-written when the process died — is worse than a missing one: downstream
+A torn artifact — a metrics export or a trace file half written when
+the process died — is worse than a missing one: downstream
 tooling reads garbage and either stack-traces or gates CI on noise.
 Every writer in the repository that produces a consumable artifact goes
 through :func:`atomic_write_bytes`: the payload is staged in a unique

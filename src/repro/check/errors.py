@@ -18,8 +18,8 @@ The taxonomy:
   entangling variant violates a structural constraint.
 * :class:`InvariantViolation` — the runtime sanitizer caught the
   simulated hardware model outside its declared contract.
-* :class:`ArtifactError` — an on-disk artifact (trajectory, metrics
-  export) is torn or corrupt.
+* :class:`ArtifactError` — an on-disk artifact (metrics export, trace
+  file) is torn or corrupt.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ The subcommands mirror the typical workflow of a prefetching study::
     python -m repro sweep out.trc --prefetchers no,next_line,entangling_4k
     python -m repro tune --strategy genetic --seed 7 --out front
     python -m repro trace out.trc --prefetcher entangling_4k --export out
-    python -m repro bench-check BENCH_throughput.json
     python -m repro events events.jsonl --summary
     python -m repro top events.jsonl
     python -m repro metrics-serve events.jsonl --port 9095
@@ -27,9 +26,7 @@ design space and emits the Pareto front (see
 :mod:`repro.analysis.tune`);
 ``trace`` runs with the prefetch-lifecycle tracer attached (see
 :mod:`repro.obs`) and prints per-pair timeliness histograms plus the
-late/wrong breakdown; ``bench-check`` gates the newest throughput
-benchmark record against the trajectory (see
-:mod:`repro.analysis.regression`).  ``run``/``sweep``/``trace`` accept
+late/wrong breakdown.  ``run``/``sweep``/``trace`` accept
 any supported trace format directly (the bytes are sniffed — see
 :mod:`repro.workloads.importers`), so ``import`` is only needed when the
 converted trace will be reused many times.
@@ -407,36 +404,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"({len(rows)}/{len(names)} configs, {total_wall:.1f}s of "
               f"simulation, jobs={jobs})")
         return 0 if rows else 1
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    from repro.analysis.regression import (
-        check_trajectory,
-        load_trajectory,
-        parse_speedup_requirements,
-    )
-
-    try:
-        entries = load_trajectory(args.trajectory)
-        require_speedups = parse_speedup_requirements(
-            args.require_speedup or []
-        )
-    except ValueError as exc:
-        print(f"bench-check: {exc}", file=sys.stderr)
-        return 2
-    report = check_trajectory(
-        entries, window=args.window, threshold=args.threshold,
-        require_speedups=require_speedups,
-    )
-    acknowledged = []
-    if args.allow_cycle_drift and report.drifts:
-        acknowledged = report.drifts
-        report.findings = report.regressions
-    print(report.format())
-    if acknowledged:
-        print(f"  ({len(acknowledged)} drift finding(s) acknowledged "
-              f"via --allow-cycle-drift)")
-    return 0 if report.ok else 1
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -970,48 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_telemetry_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
-
-    bench = sub.add_parser(
-        "bench-check",
-        help="gate the newest BENCH_throughput.json record against the "
-             "trajectory (regression sentinel)",
-    )
-    bench.add_argument(
-        "trajectory",
-        nargs="?",
-        default="BENCH_throughput.json",
-        help="trajectory file written by benchmarks/test_perf_throughput.py "
-             "(default: ./BENCH_throughput.json)",
-    )
-    bench.add_argument(
-        "--window",
-        type=int,
-        default=10,
-        help="prior records the baseline median may draw from (default 10)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        help="fractional instrs_per_sec drop that fails the check "
-             "(default 0.30)",
-    )
-    bench.add_argument(
-        "--allow-cycle-drift",
-        action="store_true",
-        help="acknowledge cycle/instruction drift findings for this run "
-             "(use when a PR intentionally changed simulated behaviour)",
-    )
-    bench.add_argument(
-        "--require-speedup",
-        action="append",
-        metavar="BACKEND:FACTOR",
-        default=None,
-        help="fail unless the newest record's geomean speedup_vs_reference "
-             "for BACKEND reaches FACTOR (repeatable, e.g. "
-             "--require-speedup staged:1.8)",
-    )
-    bench.set_defaults(func=_cmd_bench_check)
 
     tune = sub.add_parser(
         "tune",

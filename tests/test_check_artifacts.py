@@ -1,5 +1,5 @@
 """Tests for crash-safe artifact IO (repro.check.artifacts) and its
-adoption by the exporters, the trajectory writer, and bench-check."""
+adoption by the exporters."""
 
 import csv
 import io
@@ -13,11 +13,6 @@ from repro.analysis.export import (
     export_metrics_csv,
     export_metrics_json,
     export_metrics_prometheus,
-)
-from repro.analysis.regression import (
-    check_trajectory,
-    load_trajectory,
-    save_trajectory,
 )
 from repro.check.artifacts import (
     atomic_write_bytes,
@@ -112,80 +107,3 @@ class TestExportersAreAtomic:
         assert "repro_test_gauge" in open(path).read()
         assert _no_tmp_leftovers(tmp_path)
 
-
-class TestTrajectoryIO:
-    def _entry(self, seq=1):
-        return {
-            "runs": [
-                {
-                    "config": "entangling_4k",
-                    "workload": "wl",
-                    "instrs_per_sec": 1000.0 * seq,
-                    "cycles": 500,
-                    "instructions": 400,
-                }
-            ],
-            "aggregate": {"instrs_per_sec": 1000.0 * seq},
-        }
-
-    def test_save_is_atomic_and_reloads(self, tmp_path):
-        path = str(tmp_path / "BENCH_throughput.json")
-        save_trajectory(path, [self._entry(1), self._entry(2)], retention=10)
-        assert _no_tmp_leftovers(tmp_path)
-        assert len(load_trajectory(path)) == 2
-
-    def test_strict_load_raises_on_torn_file(self, tmp_path):
-        path = str(tmp_path / "BENCH_throughput.json")
-        open(path, "w").write('{"schema_version": 2, "entries": [{')
-        with pytest.raises(ValueError, match="unreadable"):
-            load_trajectory(path)
-
-    def test_tolerant_load_starts_fresh_on_torn_file(self, tmp_path, caplog):
-        path = str(tmp_path / "BENCH_throughput.json")
-        open(path, "w").write("not json at all")
-        with caplog.at_level("WARNING"):
-            assert load_trajectory(path, tolerant=True) == []
-        assert any("unreadable" in r.message for r in caplog.records)
-
-    def test_tolerant_load_still_reads_good_files(self, tmp_path):
-        path = str(tmp_path / "BENCH_throughput.json")
-        save_trajectory(path, [self._entry()], retention=10)
-        assert len(load_trajectory(path, tolerant=True)) == 1
-
-
-class TestSentinelSkipsMalformedRecords:
-    def _entry(self, ips=1000.0, cycles=500):
-        return {
-            "runs": [
-                {
-                    "config": "c",
-                    "workload": "w",
-                    "instrs_per_sec": ips,
-                    "cycles": cycles,
-                    "instructions": 400,
-                }
-            ],
-        }
-
-    def test_malformed_newest_record_is_quarantined(self):
-        torn = self._entry()
-        torn["runs"][0]["instrs_per_sec"] = "garbage"
-        report = check_trajectory([self._entry(), self._entry(), torn])
-        assert report.malformed == ["c/w"]
-        assert report.checked == 0
-        assert "malformed" in report.format()
-
-    def test_malformed_history_record_is_excluded_from_baseline(self):
-        torn = self._entry()
-        torn["runs"][0]["cycles"] = "garbage"
-        report = check_trajectory([torn, self._entry(), self._entry()])
-        # The torn history entry is dropped; the remaining one still
-        # supplies a baseline and the clean pair compares fine.
-        assert report.checked == 1
-        assert report.ok
-
-    def test_clean_records_still_gate(self):
-        slow = self._entry(ips=100.0)
-        report = check_trajectory([self._entry(), self._entry(), slow])
-        assert not report.ok
-        assert report.regressions

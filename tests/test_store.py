@@ -28,7 +28,6 @@ from repro.analysis.store import (
     ShardedRunStore,
     STORE_FORMAT,
     await_result,
-    coalesce_enabled,
     entry_checksum,
     lease_ttl_from_env,
 )
@@ -515,13 +514,6 @@ class TestAwaitResult:
 
 
 class TestEnvKnobs:
-    def test_coalesce_enabled_default_and_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COALESCE", raising=False)
-        assert coalesce_enabled()
-        for off in ("0", "off", "false", "no"):
-            monkeypatch.setenv("REPRO_COALESCE", off)
-            assert not coalesce_enabled()
-
     def test_lease_ttl_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
         assert lease_ttl_from_env() == DEFAULT_LEASE_TTL
