@@ -12,7 +12,17 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.workloads.trace import BranchType, Trace
+from repro.workloads.trace import (
+    BRANCH_TYPES,
+    FLAG_LOAD,
+    FLAG_STORE,
+    FLAG_TAKEN,
+    TYPE_MASK,
+    BranchType,
+    Trace,
+)
+
+_MEMORY = FLAG_LOAD | FLAG_STORE
 
 
 class FetchUnit:
@@ -49,34 +59,37 @@ class FetchUnit:
 
 
 def build_fetch_units(trace: Trace, line_size: int = 64) -> List[FetchUnit]:
-    """Split a trace into fetch units (see :class:`FetchUnit`)."""
+    """Split a trace into fetch units (see :class:`FetchUnit`), reading
+    the trace's columns."""
     units: List[FetchUnit] = []
+    append = units.append
     current_line: Optional[int] = None
     count = 0
     data: List[Tuple[int, bool]] = []
-
-    def flush(branch: Optional[Tuple[int, BranchType, bool, int]]) -> None:
-        nonlocal count, data, current_line
-        if current_line is None or count == 0:
-            return
-        units.append(FetchUnit(current_line, count, branch, tuple(data)))
-        count = 0
-        data = []
-
-    for inst in trace:
-        line = inst.pc // line_size
-        if current_line is None:
-            current_line = line
-        elif line != current_line:
-            flush(None)
+    for pc, flags, target, data_addr in zip(
+        trace.pc, trace.flags, trace.target, trace.data_addr
+    ):
+        line = pc // line_size
+        if line != current_line:
+            if count:
+                append(FetchUnit(current_line, count, None, tuple(data)))
+                count = 0
+                data = []
             current_line = line
         count += 1
-        if inst.is_load or inst.is_store:
-            data.append((inst.data_addr // line_size, inst.is_store))
-        if inst.is_branch:
-            flush((inst.pc, inst.branch_type, inst.taken, inst.target))
+        if flags & _MEMORY:
+            data.append((data_addr // line_size, bool(flags & FLAG_STORE)))
+        if flags & TYPE_MASK:
+            branch = (
+                pc, BRANCH_TYPES[flags & TYPE_MASK], bool(flags & FLAG_TAKEN),
+                target,
+            )
+            append(FetchUnit(current_line, count, branch, tuple(data)))
+            count = 0
+            data = []
             current_line = None
-    flush(None)
+    if count:
+        append(FetchUnit(current_line, count, None, tuple(data)))
     return units
 
 

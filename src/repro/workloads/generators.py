@@ -461,7 +461,7 @@ def make_workload(spec: WorkloadSpec) -> Trace:
             spec.trace_file, name=spec.name, category=spec.category
         )
         if spec.n_instructions and len(trace) > spec.n_instructions:
-            trace.instructions = trace.instructions[: spec.n_instructions]
+            trace = trace[: spec.n_instructions]
         return trace
     if spec.category == "microservice" or spec.tenants is not None:
         from repro.workloads.microservice import make_microservice_workload

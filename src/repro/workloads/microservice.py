@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.cfg import BasicBlock, Function, Program, Terminator, TermKind
 from repro.workloads.synthetic import generate_trace, randint
-from repro.workloads.trace import Instruction, Trace
+from repro.workloads.trace import Trace
 
 MICROSERVICE_CATEGORY = "microservice"
 
@@ -355,7 +355,7 @@ def interleave_traces(
         raise ValueError(f"quantum must be >= 1, got {quantum}")
     rng = random.Random(seed)
     cursors = [0] * len(traces)
-    merged: List[Instruction] = []
+    merged = Trace(name, category=category)
     switches = 0
     live = [i for i, t in enumerate(traces) if len(t)]
     turn = 0
@@ -366,7 +366,7 @@ def interleave_traces(
         take = max(1, int(quantum * jitter))
         start = cursors[idx]
         end = min(start + take, len(tenant))
-        merged.extend(tenant.instructions[start:end])
+        merged.extend(tenant[start:end])
         cursors[idx] = end
         switches += 1
         if end >= len(tenant):
@@ -376,8 +376,7 @@ def interleave_traces(
             turn = pos
         else:
             turn += 1
-    out = Trace(name=name, instructions=merged, category=category)
-    return out
+    return merged
 
 
 def make_microservice_workload(spec) -> Trace:
@@ -421,12 +420,9 @@ def make_microservice_workload(spec) -> Trace:
             )
         )
     if len(tenant_traces) == 1:
-        single = tenant_traces[0]
-        return Trace(
-            name=spec.name,
-            instructions=single.instructions[: spec.n_instructions],
-            category=MICROSERVICE_CATEGORY,
-        )
+        single = tenant_traces[0][: spec.n_instructions]
+        single.name = spec.name
+        return single
     quantum = max(1_000, int(DEFAULT_QUANTUM * rng.uniform(0.5, 1.5)))
     merged = interleave_traces(
         tenant_traces,
@@ -435,8 +431,7 @@ def make_microservice_workload(spec) -> Trace:
         category=MICROSERVICE_CATEGORY,
         seed=spec.seed ^ 0x7EA_A17,
     )
-    merged.instructions = merged.instructions[: spec.n_instructions]
-    return merged
+    return merged[: spec.n_instructions]
 
 
 def microservice_suite(

@@ -4,14 +4,16 @@
 :class:`~repro.workloads.cfg.Program`: conditional branches are taken with
 their configured probability, indirect transfers pick a weighted candidate,
 calls push a software return stack, and a return from the entry function
-restarts the program (modelling a server event loop).  The walk emits
-retire-order :class:`~repro.workloads.trace.Instruction` records.
+restarts the program (modelling a server event loop).  The walk appends
+retire-order records to the columns of a
+:class:`~repro.workloads.trace.Trace`.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.workloads.cfg import (
@@ -21,14 +23,28 @@ from repro.workloads.cfg import (
     Terminator,
     TermKind,
 )
-from repro.workloads.trace import BranchType, Instruction, Trace
+from repro.workloads.trace import (
+    FLAG_LOAD,
+    FLAG_STORE,
+    FLAG_TAKEN,
+    BranchType,
+    Trace,
+)
 
 _DATA_REGION_BASE = 0x10_0000_0000
 _DATA_REGION_SIZE = 32 * 1024
 _SHARED_REGION_BASE = 0x20_0000_0000
 _SHARED_REGION_SIZE = 4 * 1024 * 1024
 
-_NOT_BRANCH = BranchType.NOT_BRANCH
+#: Terminator flag bytes (see :class:`~repro.workloads.trace.Trace`);
+#: every transfer but a not-taken conditional is taken.
+_COND = int(BranchType.CONDITIONAL)
+_COND_TAKEN = _COND | FLAG_TAKEN
+_DIRECT_JUMP = int(BranchType.DIRECT_JUMP) | FLAG_TAKEN
+_INDIRECT_JUMP = int(BranchType.INDIRECT_JUMP) | FLAG_TAKEN
+_DIRECT_CALL = int(BranchType.DIRECT_CALL) | FLAG_TAKEN
+_INDIRECT_CALL = int(BranchType.INDIRECT_CALL) | FLAG_TAKEN
+_RETURN = int(BranchType.RETURN) | FLAG_TAKEN
 
 
 def randint(getrandbits: Callable[[int], int], lo: int, hi: int) -> int:
@@ -101,29 +117,38 @@ class CfgInterpreter:
             )
         return frame
 
-    def run(self, n_instructions: int) -> List[Instruction]:
-        """Emit at least ``n_instructions`` records (rounded up to a block).
+    def run(self, n_instructions: int) -> Trace:
+        """Emit at least ``n_instructions`` records (rounded up to a block)
+        as an unnamed trace.
 
         Body instructions are loads with probability ``load_frac``, stores
         with ``store_frac``; their data address is mostly in the
-        function's own region, sometimes in the shared one.
+        function's own region, sometimes in the shared one.  Each block
+        extends the columns with its pcs and zeroed flags, targets and
+        data addresses, then fills in its memory instructions and
+        terminator.
         """
-        out: List[Instruction] = []
-        append = out.append
+        trace = Trace("")
+        pcs, _sizes, flags, targets, data = trace.columns()
         random_ = self.rng.random
         bits = self.rng.getrandbits
-        while len(out) < n_instructions:
+        while len(pcs) < n_instructions:
             frame = self._frame(self._func)
             blocks, bases, _labels, region = frame
             block = blocks[self._block_idx]
             term = block.terminator
             has_branch = term.kind is not TermKind.FALLTHROUGH
             base = bases[self._block_idx]
-            body = block.n_instructions - 1 if has_branch else block.n_instructions
-            end = base + body * INSTRUCTION_SIZE
+            n = block.n_instructions
+            body = n - 1 if has_branch else n
+            start = len(pcs)
+            pcs.extend(range(base, base + n * INSTRUCTION_SIZE, INSTRUCTION_SIZE))
+            flags.frombytes(bytes(n))
+            targets.frombytes(bytes(8 * n))
+            data.frombytes(bytes(8 * n))
             load_frac = block.load_frac
             mem_frac = load_frac + block.store_frac
-            for pc in range(base, end, INSTRUCTION_SIZE):
+            for i in range(start, start + body):
                 roll = random_()
                 is_load = roll < load_frac
                 if is_load or roll < mem_frac:
@@ -133,21 +158,23 @@ class CfgInterpreter:
                         addr = _SHARED_REGION_BASE + randint(
                             bits, 0, _SHARED_REGION_SIZE - 1
                         )
-                    append(Instruction(
-                        pc, 4, _NOT_BRANCH, False, 0, is_load, not is_load,
-                        addr & ~0x7,
-                    ))
-                else:
-                    append(Instruction(pc))
+                    data[i] = addr & ~0x7
+                    flags[i] = FLAG_LOAD if is_load else FLAG_STORE
             if has_branch:
-                append(self._terminate(end, frame, term))
+                flags[start + body], targets[start + body] = self._terminate(
+                    frame, term
+                )
             else:
                 self._advance_fallthrough(blocks)
-        return out
+        trace.size.extend(array("I", [INSTRUCTION_SIZE]) * len(pcs))
+        return trace
 
     # -- terminators ---------------------------------------------------------
 
-    def _terminate(self, pc: int, frame: _Frame, term: Terminator) -> Instruction:
+    def _terminate(self, frame: _Frame, term: Terminator) -> Tuple[int, int]:
+        """Transfer control past ``term``; returns the terminator's
+        ``(flags, target)``, ``(0, 0)`` for a call demoted to a plain
+        instruction."""
         blocks, bases, labels, _region = frame
         kind = term.kind
         if kind is TermKind.COND:
@@ -155,56 +182,37 @@ class CfgInterpreter:
             target_idx = labels[term.target]
             if taken:
                 self._block_idx = target_idx
-            else:
-                self._advance_fallthrough(blocks)
-            return Instruction(
-                pc=pc,
-                branch_type=BranchType.CONDITIONAL,
-                taken=taken,
-                target=bases[target_idx],
-            )
+                return _COND_TAKEN, bases[target_idx]
+            self._advance_fallthrough(blocks)
+            return _COND, bases[target_idx]
         if kind is TermKind.JUMP:
             self._block_idx = labels[term.target]
-            return Instruction(
-                pc=pc,
-                branch_type=BranchType.DIRECT_JUMP,
-                taken=True,
-                target=bases[self._block_idx],
-            )
+            return _DIRECT_JUMP, bases[self._block_idx]
         if kind is TermKind.INDIRECT_JUMP:
             self._block_idx = labels[self._weighted_choice(term.candidates)]
-            return Instruction(
-                pc=pc,
-                branch_type=BranchType.INDIRECT_JUMP,
-                taken=True,
-                target=bases[self._block_idx],
-            )
+            return _INDIRECT_JUMP, bases[self._block_idx]
         if kind is TermKind.CALL:
-            return self._do_call(pc, blocks, term.target, BranchType.DIRECT_CALL)
+            return self._do_call(blocks, term.target, _DIRECT_CALL)
         if kind is TermKind.INDIRECT_CALL:
             callee = self._weighted_choice(term.candidates)
-            return self._do_call(pc, blocks, callee, BranchType.INDIRECT_CALL)
+            return self._do_call(blocks, callee, _INDIRECT_CALL)
         if kind is TermKind.RETURN:
             self._unwind()
-            target = self.program.block_addresses(self._func)[self._block_idx]
-            return Instruction(
-                pc=pc, branch_type=BranchType.RETURN, taken=True, target=target
-            )
+            return _RETURN, self.program.block_addresses(self._func)[self._block_idx]
         raise AssertionError(f"unhandled terminator {term.kind}")
 
     def _do_call(
-        self, pc: int, blocks: List[BasicBlock], callee: str, btype: BranchType
-    ) -> Instruction:
+        self, blocks: List[BasicBlock], callee: str, flags: int
+    ) -> Tuple[int, int]:
         if len(self._stack) >= self.max_call_depth:
             # Depth-bounded: demote the call to a plain instruction and
             # continue with the fall-through block.
             self._advance_fallthrough(blocks)
-            return Instruction(pc)
+            return 0, 0
         self._stack.append((self._func, self._block_idx + 1))
         self._func = callee
         self._block_idx = 0
-        target = self.program.function_address(callee)
-        return Instruction(pc=pc, branch_type=btype, taken=True, target=target)
+        return flags, self.program.function_address(callee)
 
     # -- helpers -------------------------------------------------------------
 
@@ -251,5 +259,7 @@ def generate_trace(
 ) -> Trace:
     """Interpret ``program`` and return a trace of ``n_instructions`` records."""
     interp = CfgInterpreter(program, seed=seed, max_call_depth=max_call_depth)
-    instructions = interp.run(n_instructions)
-    return Trace(name=name, instructions=instructions[:n_instructions], category=category)
+    trace = interp.run(n_instructions)[:n_instructions]
+    trace.name = name
+    trace.category = category
+    return trace
