@@ -8,19 +8,16 @@ finished.  It layers on the on-disk run cache: the cache holds the
 (``resumed`` / ``resumed_hits`` / ``marked``) so drivers and tests can
 assert that a resumed evaluation re-simulated only the missing pairs.
 
-Format v2 is an append-only JSONL: each completed pair is one complete
-line written with a single ``os.write`` on an ``O_APPEND`` descriptor —
-the same pattern ``repro.obs.events.EventLedger`` uses — which POSIX
-serializes in the kernel, so *concurrent resuming processes sharing one
-manifest can no longer lose each other's keys* (format v1 rewrote the
-whole file per mark: two markers raced rewrite-vs-rewrite and the loser
-erased the winner's pairs).  Loading merges every line, tolerating a
-torn tail, and still reads whole-file v1 manifests, so existing
-checkpoints resume across the upgrade.
+The manifest (format v2) is an append-only JSONL: each completed pair
+is one complete line written with a single ``os.write`` on an
+``O_APPEND`` descriptor — the same pattern
+``repro.obs.events.EventLedger`` uses — which POSIX serializes in the
+kernel, so concurrent resuming processes sharing one manifest never
+lose each other's keys.  Loading merges every line.
 
-The manifest is corruption-tolerant: a truncated or schema-mismatched
-file loads as empty (logged), never raises — losing a checkpoint only
-costs re-simulation, exactly like a cold cache.
+The manifest is corruption-tolerant: a torn tail, a corrupt line or a
+line of unknown schema is skipped (logged), never raised — losing a
+checkpoint only costs re-simulation, exactly like a cold cache.
 
 ``examples/full_evaluation.py --resume`` wires a manifest into the
 process-wide slot (:func:`set_checkpoint`), which ``run_suite`` picks up
@@ -38,7 +35,6 @@ from typing import Dict, Optional, Set
 logger = logging.getLogger(__name__)
 
 _MANIFEST_FORMAT_VERSION = 2
-_LEGACY_FORMAT_VERSION = 1
 
 
 def _fsfault(path: str) -> None:
@@ -57,8 +53,8 @@ class CheckpointManifest:
     """Append-only record of completed run keys (JSONL, format v2).
 
     ``resume=True`` (default) loads and merges any existing manifest at
-    ``path`` (v2 JSONL or legacy v1 whole-file JSON); ``resume=False``
-    starts empty and truncates on the first mark.
+    ``path``; ``resume=False`` starts empty and truncates on the first
+    mark.
     """
 
     def __init__(self, path: str, resume: bool = True) -> None:
@@ -138,26 +134,9 @@ class CheckpointManifest:
             return {}
         text = raw.decode("utf-8", errors="replace")
 
-        # Whole-file parse first: legacy v1 manifests (and any
-        # single-line JSON) land here, including schema rejects.
-        try:
-            whole = json.loads(text)
-        except ValueError:
-            whole = None
-        if whole is not None:
-            done = CheckpointManifest._merge_value(whole, {}, path)
-            if done is None:
-                logger.warning(
-                    "checkpoint manifest %s has an unknown schema; "
-                    "starting fresh", path,
-                )
-                return {}
-            return done
-
-        # JSONL (v2, possibly with a legacy v1 first line from before an
-        # in-place upgrade): merge every parseable line.  A torn tail —
-        # the final line cut mid-write by a crash — is expected damage
-        # and silently skipped; any other unparseable line is logged.
+        # Merge every parseable line.  A torn tail — the final line cut
+        # mid-write by a crash — is expected damage and silently skipped;
+        # any other unparseable or unknown-schema line is logged.
         done: Dict[str, Dict[str, str]] = {}
         lines = text.split("\n")
         merged_any = False
@@ -179,45 +158,27 @@ class CheckpointManifest:
                         path, idx + 1,
                     )
                 continue
-            merged = CheckpointManifest._merge_value(value, done, path)
-            if merged is None:
+            if (
+                not isinstance(value, dict)
+                or value.get("format") != _MANIFEST_FORMAT_VERSION
+                or "key" not in value
+            ):
                 logger.warning(
                     "checkpoint manifest %s line %d has an unknown schema; "
                     "skipped", path, idx + 1,
                 )
-            else:
-                merged_any = True
-        if not merged_any and lines and any(line.strip() for line in lines):
+                continue
+            done[str(value["key"])] = {
+                "config": str(value.get("config", "")),
+                "workload": str(value.get("workload", "")),
+            }
+            merged_any = True
+        if not merged_any and any(line.strip() for line in lines):
             logger.warning(
                 "checkpoint manifest %s is unreadable/corrupt; starting "
                 "fresh", path,
             )
         return done
-
-    @staticmethod
-    def _merge_value(
-        value: object, done: Dict[str, Dict[str, str]], path: str
-    ) -> Optional[Dict[str, Dict[str, str]]]:
-        """Merge one parsed JSON value (v1 dict or v2 record) into
-        ``done``; None means unrecognized schema."""
-        if not isinstance(value, dict):
-            return None
-        fmt = value.get("format")
-        if fmt == _LEGACY_FORMAT_VERSION and isinstance(value.get("done"), dict):
-            for key, entry in value["done"].items():
-                if isinstance(entry, dict):
-                    done[str(key)] = {
-                        "config": str(entry.get("config", "")),
-                        "workload": str(entry.get("workload", "")),
-                    }
-            return done
-        if fmt == _MANIFEST_FORMAT_VERSION and "key" in value:
-            done[str(value["key"])] = {
-                "config": str(value.get("config", "")),
-                "workload": str(value.get("workload", "")),
-            }
-            return done
-        return None
 
     def _append(self, record: Dict[str, str]) -> None:
         line = (json.dumps(record) + "\n").encode("utf-8")
@@ -229,9 +190,10 @@ class CheckpointManifest:
                     flags |= os.O_TRUNC
                     self._truncate = False
                 self._fd = os.open(self.path, flags, 0o644)
-                # A legacy v1 manifest has no trailing newline; start our
-                # first appended line on a line of its own or the two
-                # records would fuse into one unparseable line.
+                # A crash mid-append leaves a torn tail with no trailing
+                # newline; start our first line on a line of its own, or
+                # the torn tail and our record would fuse into one
+                # unparseable line and our record would be lost.
                 size = os.fstat(self._fd).st_size
                 if size and os.pread(self._fd, 1, size - 1) != b"\n":
                     line = b"\n" + line

@@ -22,12 +22,11 @@ load, logged, and treated as a miss (re-simulate) — never a crash, never
 silently served garbage.  The disk layer itself is the sharded v4
 :class:`~repro.analysis.store.ShardedRunStore` (256 fan-out dirs,
 size/age eviction, lease-based in-flight coalescing across processes,
-read-only degradation on ENOSPC/EIO); legacy flat v2/v3 entries are
-served and migrated on first read, so a warm cache survives the layout
-change.
+read-only degradation on ENOSPC/EIO), which alone knows the entry
+format and checksum.
 
-The process-wide default cache is enabled unless ``REPRO_RUN_CACHE=0``;
-set ``REPRO_RUN_CACHE_DIR`` to also persist results as JSON files so
+The process-wide default cache is always on; set
+``REPRO_RUN_CACHE_DIR`` to also persist results as JSON files so
 repeated evaluations across processes skip finished simulations.
 """
 
@@ -50,16 +49,9 @@ logger = logging.getLogger(__name__)
 
 #: Version of the *key derivation* (the hashed payload below).  Bumped
 #: whenever a change must produce new run keys (old entries become
-#: misses).  v3: WorkloadSpec gained trace_file/tenants.
+#: misses).  v3: WorkloadSpec gained trace_file/tenants.  The disk entry
+#: format is versioned separately, by ``store.STORE_FORMAT``.
 _KEY_FORMAT_VERSION = 3
-
-#: Version of the *disk entry / layout* written by the store.  v4 moved
-#: entries into 256 shard directories with eviction and leases (see
-#: :mod:`repro.analysis.store`); the entry schema and checksum are
-#: unchanged from v2/v3, so existing flat caches are served and migrated
-#: in place rather than invalidated — which is exactly why this version
-#: is decoupled from the key version above.
-_CACHE_FORMAT_VERSION = 4
 
 
 def _canonical(value: Any) -> Any:
@@ -122,14 +114,6 @@ def run_key(
     }
     text = _canonical_json(payload)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
-
-
-def _entry_checksum(data: Dict[str, Any]) -> str:
-    """Checksum of a disk entry's payload (everything but the checksum)."""
-    payload = {k: v for k, v in data.items() if k != "checksum"}
-    return hashlib.sha256(
-        _canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:16]
 
 
 class RunCache:
@@ -361,21 +345,9 @@ class RunCache:
 _global_cache: Optional[RunCache] = None
 
 
-def cache_enabled() -> bool:
-    """Whether the process-wide default cache is active."""
-    return os.environ.get("REPRO_RUN_CACHE", "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
-def get_run_cache() -> Optional[RunCache]:
-    """The process-wide cache, or None when disabled."""
+def get_run_cache() -> RunCache:
+    """The process-wide cache, created on first use."""
     global _global_cache
-    if not cache_enabled():
-        return None
     if _global_cache is None:
         _global_cache = RunCache(
             disk_dir=os.environ.get("REPRO_RUN_CACHE_DIR") or None

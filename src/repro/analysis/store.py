@@ -1,33 +1,28 @@
 """Crash-safe, multi-process shared run store (cache format v4).
 
-The run cache's disk layer grew up in PR 1 as "one JSON file per run
-key in one flat directory".  That shape is fine for one sweep on one
-machine; it falls over exactly where ROADMAP item 3 (evaluation as a
-service) needs it most: thousands of entries in one directory, no
-eviction, no coordination between concurrent evaluators, and no defined
-behaviour when the disk fills mid-suite.  This module is the store those
-gaps demanded:
+The disk half of the run cache: one checksummed JSON file per run key,
+shared by every process that evaluates against the same directory.  The
+entry files are the store's only state — there is no index or journal
+to keep in step with them, so a stored entry *is* completion.
 
 * **Sharded layout** — entries live under 256 fan-out directories keyed
   by the first two hex digits of the run key
   (``<root>/ab/<key>.json``), so no single directory ever holds the
-  whole corpus.  Entries written by the old flat layout (cache formats
-  v2/v3) are still found, served, and migrated to their shard on first
-  read — an existing warm cache survives the upgrade.
+  whole corpus.
 
 * **Eviction** — a size budget (``REPRO_RUN_CACHE_MAX_BYTES``) and an
   age bound (``REPRO_RUN_CACHE_MAX_AGE``, seconds) enforced
-  LRU-by-atime (maintained via ``os.utime`` on read, so every process
-  sharing the store agrees on recency).  A journalled index
-  (``index.json``) makes startup accounting cheap and is rebuilt from a
-  shard scan whenever it is missing, torn, or contradicts the disk.
+  LRU-by-mtime: every read and publish stamps the entry's mtime with
+  ``os.utime``, so every process sharing the store agrees on recency.
+  :meth:`ShardedRunStore.maintain` scans the shards; between scans the
+  byte total grows with each publish and triggers the next sweep.
 
 * **Leases** — a claim protocol (``O_CREAT|O_EXCL`` lease files
   carrying pid/host, heartbeat = mtime) lets concurrent evaluators
   coalesce identical in-flight run keys: one process simulates, the
   rest :func:`await_result` and serve the published entry.  Followers
   steal leases whose owner died (dead pid on this host, or mtime older
-  than ``REPRO_LEASE_TTL``).  Orphaned leases and staging tmp files are
+  than the lease TTL).  Orphaned leases and staging tmp files are
   reaped on store open.
 
 * **Graceful degradation** — ENOSPC/EIO/EROFS on any store write flips
@@ -36,11 +31,10 @@ gaps demanded:
   uncached instead of crashing hours in.
 
 Every write goes through :mod:`repro.check.artifacts`' atomic
-write-replace, and every entry carries the format stamp + checksum the
-run cache has used since PR 2 — a torn or tampered entry is detected on
-load and treated as a miss, never served.  The deterministic chaos
-harness in :mod:`repro.check.fsfault` drives all of this under injected
-filesystem faults.
+write-replace, and every entry carries a format stamp and checksum — a
+torn or tampered entry is detected on load and treated as a miss, never
+served.  The deterministic chaos harness in :mod:`repro.check.fsfault`
+drives all of this under injected filesystem faults.
 """
 
 from __future__ import annotations
@@ -62,17 +56,15 @@ from repro.check.artifacts import atomic_write_bytes
 logger = logging.getLogger(__name__)
 
 #: Disk-entry format written by this store.  Decoupled from the *key*
-#: format (see ``repro.analysis.runcache._KEY_FORMAT_VERSION``): v4
-#: changed the layout and the store machinery, not the key derivation,
-#: so existing v3 caches keep their keys and migrate in place.
+#: format (see ``repro.analysis.runcache._KEY_FORMAT_VERSION``): an entry
+#: format change need not change any run key, and vice versa.
 STORE_FORMAT = 4
 
-#: Entry formats servable on read.  v2/v3 entries share v4's schema and
-#: checksum; only their directory layout differs (flat, not sharded).
-ACCEPTED_ENTRY_FORMATS = (2, 3, STORE_FORMAT)
+#: Entry formats servable on read; any other stamp loads as ``stale``.
+ACCEPTED_ENTRY_FORMATS = (STORE_FORMAT,)
 
-#: Default lease time-to-live (``REPRO_LEASE_TTL`` seconds): a lease
-#: whose mtime is older than this counts as abandoned and may be stolen.
+#: Default lease time-to-live in seconds: a lease whose mtime is older
+#: than this counts as abandoned and may be stolen.
 DEFAULT_LEASE_TTL = 30.0
 
 #: Default follower poll period, in seconds.
@@ -113,19 +105,6 @@ def _env_int(name: str) -> Optional[int]:
     return value if value > 0 else None
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a number of seconds, got {raw!r}"
-        ) from None
-    return value if value > 0 else default
-
-
 def _env_age(name: str) -> Optional[float]:
     raw = os.environ.get(name, "").strip()
     if not raw:
@@ -137,10 +116,6 @@ def _env_age(name: str) -> Optional[float]:
             f"{name} must be a number of seconds, got {raw!r}"
         ) from None
     return value if value > 0 else None
-
-
-def lease_ttl_from_env() -> float:
-    return _env_float("REPRO_LEASE_TTL", DEFAULT_LEASE_TTL)
 
 
 def _fsfault(op: str, path: str, scope: str) -> None:
@@ -160,12 +135,8 @@ def _fsfault(op: str, path: str, scope: str) -> None:
 
 
 def entry_checksum(data: Dict[str, Any]) -> str:
-    """Checksum of a disk entry's payload (everything but ``checksum``).
-
-    Byte-compatible with the v2/v3 entries written by
-    ``RunCache._store_disk`` since PR 2 — a migrated legacy entry
-    re-validates with the same function that sealed it.
-    """
+    """Checksum of a disk entry's payload (everything but ``checksum``):
+    the first 16 hex digits of the SHA-256 of its sorted-key JSON."""
     import hashlib
 
     payload = {k: v for k, v in data.items() if k != "checksum"}
@@ -211,7 +182,6 @@ class EntryInfo:
     path: str
     size: int
     mtime: float
-    legacy: bool = False
 
 
 class LeaseKeeper(threading.Thread):
@@ -279,7 +249,7 @@ class ShardedRunStore:
         self.max_age = (
             max_age if max_age is not None else _env_age("REPRO_RUN_CACHE_MAX_AGE")
         )
-        self.lease_ttl = lease_ttl if lease_ttl is not None else lease_ttl_from_env()
+        self.lease_ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
         self.host = socket.gethostname()
         #: Duck-typed telemetry hook (an ``EventBus``): cache_evicted /
         #: store_degraded events, same zero-cost pattern as RunCache.
@@ -293,24 +263,22 @@ class ShardedRunStore:
         # counters
         self.evictions = 0
         self.evicted_bytes = 0
-        self.migrated = 0
-        self.index_rebuilds = 0
         self.reaped_leases = 0
         self.reaped_tmps = 0
         self.lease_claims = 0
         self.lease_conflicts = 0
         self.lease_steals = 0
 
-        #: journal hint: key -> (size, last-use); authoritative totals
-        #: always come from a shard scan (see :meth:`maintain`).
-        self._index: Dict[str, Tuple[int, float]] = {}
+        #: Eviction triggers between scans: the byte total and the oldest
+        #: last use as of the last :meth:`maintain`, plus every publish
+        #: since.  The scan in :meth:`maintain` is the authority.
         self._approx_bytes = 0
+        self._oldest_use: Optional[float] = None
 
         try:
             os.makedirs(root, exist_ok=True)
         except OSError as exc:
             self._note_write_error(exc, "store root")
-        self._load_index()
         if reap_on_open:
             self.reap()
         if auto_maintain and (
@@ -326,14 +294,8 @@ class ShardedRunStore:
     def path_for(self, key: str) -> str:
         return os.path.join(self.shard_dir(key), f"{key}.json")
 
-    def legacy_path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
     def lease_path(self, key: str) -> str:
         return os.path.join(self.shard_dir(key), f"{key}.lease")
-
-    def index_path(self) -> str:
-        return os.path.join(self.root, "index.json")
 
     # -- degradation --------------------------------------------------------
 
@@ -388,9 +350,10 @@ class ShardedRunStore:
         except OSError as exc:
             self._note_write_error(exc, f"entry {key[:8]}")
             return False
-        self._index[key] = (len(blob), now)
         self._approx_bytes += len(blob)
-        if self._over_budget() or self._has_expired_hint(now):
+        if self._oldest_use is None:
+            self._oldest_use = now
+        if self._over_budget() or self._has_expired(now):
             self.maintain(protect=frozenset((key,)))
         return True
 
@@ -398,16 +361,17 @@ class ShardedRunStore:
         """Read one entry: ``(data, status)`` with status in
         ``ok | missing | corrupt | stale`` (stale = unknown format
         version, by definition written by some other era — a miss, not
-        damage).  Legacy flat-layout entries are served and migrated to
-        their shard."""
-        data, status = self._read_path(self.path_for(key))
-        if status == "missing":
-            data, status = self._read_path(self.legacy_path(key))
-            if status == "ok":
-                self._migrate(key, data)
-        if status == "ok":
-            self.touch(key)
-        return (data, status) if status == "ok" else (None, status)
+        damage)."""
+        path = self.path_for(key)
+        data, status = self._read_path(path)
+        if status != "ok":
+            return None, status
+        now = self.clock()
+        try:
+            os.utime(path, (now, now))  # a use, for LRU order
+        except OSError:
+            pass
+        return data, status
 
     def _read_path(self, path: str) -> Tuple[Optional[Dict[str, Any]], str]:
         try:
@@ -429,87 +393,32 @@ class ShardedRunStore:
             return None, "corrupt"
         return data, "ok"
 
-    def _migrate(self, key: str, data: Dict[str, Any]) -> None:
-        """Rewrite a legacy flat entry at its shard path (best effort)."""
-        self.migrated += 1
-        payload = {
-            k: v for k, v in data.items() if k not in ("format", "checksum")
-        }
-        if self.publish(key, payload):
-            try:
-                os.unlink(self.legacy_path(key))
-            except OSError:
-                pass
-
-    def touch(self, key: str) -> None:
-        """Record a use for LRU purposes (file mtime + journal hint)."""
-        now = self.clock()
-        path = self.path_for(key)
-        try:
-            os.utime(path, (now, now))
-        except OSError:
-            path = self.legacy_path(key)
-            try:
-                os.utime(path, (now, now))
-            except OSError:
-                return
-        size = self._index.get(key, (0, 0.0))[0]
-        if not size:
-            try:
-                size = os.stat(path).st_size
-            except OSError:
-                size = 0
-        self._index[key] = (size, now)
-
-    def remove(self, key: str) -> int:
-        """Unlink one entry (both layouts); returns bytes reclaimed."""
-        reclaimed = 0
-        for path in (self.path_for(key), self.legacy_path(key)):
-            try:
-                reclaimed += os.stat(path).st_size
-                os.unlink(path)
-            except OSError:
-                continue
-        size, _ = self._index.pop(key, (0, 0.0))
-        self._approx_bytes = max(0, self._approx_bytes - max(size, reclaimed))
-        return reclaimed
-
-    # -- scanning / index ---------------------------------------------------
+    # -- scanning -----------------------------------------------------------
 
     def scan(self) -> List[EntryInfo]:
-        """Authoritative walk of every entry (sharded and legacy flat)."""
+        """Authoritative walk of every entry in every shard directory."""
         entries: List[EntryInfo] = []
         try:
             root_listing = list(os.scandir(self.root))
         except OSError:
             return entries
         for item in root_listing:
-            name = item.name
-            if item.is_file() and _ENTRY_NAME.match(name):
+            if not (item.is_dir() and _SHARD_NAME.match(item.name)):
+                continue
+            try:
+                shard_listing = list(os.scandir(item.path))
+            except OSError:
+                continue
+            for sub in shard_listing:
+                if not (sub.is_file() and _ENTRY_NAME.match(sub.name)):
+                    continue
                 try:
-                    st = item.stat()
+                    st = sub.stat()
                 except OSError:
                     continue
                 entries.append(
-                    EntryInfo(name[:-5], item.path, st.st_size, st.st_mtime,
-                              legacy=True)
+                    EntryInfo(sub.name[:-5], sub.path, st.st_size, st.st_mtime)
                 )
-            elif item.is_dir() and _SHARD_NAME.match(name):
-                try:
-                    shard_listing = list(os.scandir(item.path))
-                except OSError:
-                    continue
-                for sub in shard_listing:
-                    if not (sub.is_file() and _ENTRY_NAME.match(sub.name)):
-                        continue
-                    try:
-                        st = sub.stat()
-                    except OSError:
-                        continue
-                    entries.append(
-                        EntryInfo(sub.name[:-5], sub.path, st.st_size,
-                                  st.st_mtime)
-                    )
         return entries
 
     def total_bytes(self) -> int:
@@ -518,67 +427,14 @@ class ShardedRunStore:
     def _over_budget(self) -> bool:
         return self.max_bytes is not None and self._approx_bytes > self.max_bytes
 
-    def _has_expired_hint(self, now: float) -> bool:
-        if self.max_age is None:
-            return False
-        horizon = now - self.max_age
-        return any(used < horizon for _size, used in self._index.values())
-
-    def _load_index(self) -> None:
-        """Journal hint: fast startup accounting, scan when untrustworthy."""
-        try:
-            with open(self.index_path(), "rb") as fh:
-                data = json.loads(fh.read().decode("utf-8"))
-        except FileNotFoundError:
-            data = None
-        except (OSError, ValueError, UnicodeDecodeError):
-            data = None
-            logger.warning(
-                "run store index %s is torn/unreadable; rebuilding from "
-                "shard scan", self.index_path(),
-            )
-        if (
-            not isinstance(data, dict)
-            or data.get("format") != STORE_FORMAT
-            or not isinstance(data.get("entries"), dict)
-        ):
-            self._rebuild_index()
-            return
-        index: Dict[str, Tuple[int, float]] = {}
-        try:
-            for key, value in data["entries"].items():
-                index[str(key)] = (int(value[0]), float(value[1]))
-        except (TypeError, ValueError, IndexError):
-            self._rebuild_index()
-            return
-        self._index = index
-        self._approx_bytes = sum(size for size, _used in index.values())
-
-    def _rebuild_index(self) -> None:
-        self.index_rebuilds += 1
-        entries = self.scan()
-        self._index = {e.key: (e.size, e.mtime) for e in entries}
-        self._approx_bytes = sum(e.size for e in entries)
-
-    def _write_index(self) -> None:
-        if self.read_only:
-            return
-        payload = {
-            "format": STORE_FORMAT,
-            "written": self.clock(),
-            "entries": {
-                key: [size, used] for key, (size, used) in self._index.items()
-            },
-        }
-        try:
-            atomic_write_bytes(
-                self.index_path(),
-                json.dumps(payload).encode("utf-8"),
-                fsync=False,
-                scope="cache",
-            )
-        except OSError as exc:
-            self._note_write_error(exc, "index journal")
+    def _has_expired(self, now: float) -> bool:
+        # ``_oldest_use`` can only lag behind the truth (a load since the
+        # scan made that entry younger), so this errs towards a sweep.
+        return (
+            self.max_age is not None
+            and self._oldest_use is not None
+            and now - self._oldest_use > self.max_age
+        )
 
     # -- eviction -----------------------------------------------------------
 
@@ -588,57 +444,36 @@ class ShardedRunStore:
         """Enforce the age bound and byte budget; returns
         ``(entries_evicted, bytes_evicted)``.
 
-        The scan is authoritative (the journal is only a trigger hint),
-        so concurrent writers can never hide bytes from the budget.
-        Oldest-last-use goes first; ``protect``\\ ed keys (the entry just
-        published) are evicted only if the budget cannot be met without
-        them — the byte budget is a hard ceiling.
+        One shard scan is authoritative, so concurrent writers can never
+        hide bytes from the budget.  Oldest mtime (last use) goes first;
+        ``protect``\\ ed keys (the entry just published) are evicted only
+        if the budget cannot be met without them — the byte budget is a
+        hard ceiling.
         """
         if self.max_bytes is None and self.max_age is None and not force:
             return (0, 0)
-        entries = self.scan()
-        # Merge journal recency over scan mtimes: the journal may know of
-        # uses the filesystem lost (e.g. a failed utime on a read-only
-        # bind mount); take the newer of the two.
-        by_use: List[Tuple[float, EntryInfo]] = []
-        for entry in entries:
-            hint = self._index.get(entry.key, (0, 0.0))[1]
-            by_use.append((max(entry.mtime, hint), entry))
         now = self.clock()
         evicted = 0
         evicted_bytes = 0
-        survivors: List[Tuple[float, EntryInfo]] = []
-        for used, entry in by_use:
-            if self.max_age is not None and now - used > self.max_age:
+        survivors: List[EntryInfo] = []
+        for entry in self.scan():
+            if self.max_age is not None and now - entry.mtime > self.max_age:
                 evicted += 1
                 evicted_bytes += self._evict(entry, "age")
             else:
-                survivors.append((used, entry))
+                survivors.append(entry)
         if self.max_bytes is not None:
-            survivors.sort(key=lambda pair: pair[0])
-            total = sum(entry.size for _used, entry in survivors)
-            deferred: List[EntryInfo] = []
-            for used, entry in survivors:
-                if total <= self.max_bytes:
-                    break
-                if entry.key in protect:
-                    deferred.append(entry)
-                    continue
-                total -= entry.size
-                evicted += 1
-                evicted_bytes += self._evict(entry, "size")
-            for entry in deferred:
-                if total <= self.max_bytes:
-                    break
-                total -= entry.size
-                evicted += 1
-                evicted_bytes += self._evict(entry, "size")
-        self._index = {
-            e.key: (e.size, max(e.mtime, self._index.get(e.key, (0, 0.0))[1]))
-            for e in self.scan()
-        }
-        self._approx_bytes = sum(size for size, _used in self._index.values())
-        self._write_index()
+            survivors.sort(key=lambda entry: (entry.key in protect, entry.mtime))
+            total = sum(entry.size for entry in survivors)
+            cut = 0
+            while cut < len(survivors) and total > self.max_bytes:
+                total -= survivors[cut].size
+                evicted_bytes += self._evict(survivors[cut], "size")
+                cut += 1
+            evicted += cut
+            survivors = survivors[cut:]
+        self._approx_bytes = sum(entry.size for entry in survivors)
+        self._oldest_use = min((entry.mtime for entry in survivors), default=None)
         return evicted, evicted_bytes
 
     def _evict(self, entry: EntryInfo, reason: str) -> int:
@@ -836,21 +671,18 @@ class ShardedRunStore:
         """Human-readable status lines for ``repro store stats``."""
         entries = self.scan()
         total = sum(e.size for e in entries)
-        legacy = sum(1 for e in entries if e.legacy)
-        shards = len({e.key[:2] for e in entries if not e.legacy})
+        shards = len({e.key[:2] for e in entries})
         budget = (
             f"{self.max_bytes} bytes" if self.max_bytes is not None else "none"
         )
         age = f"{self.max_age:.0f}s" if self.max_age is not None else "none"
         lines = [
             f"store: {self.root}",
-            f"entries: {len(entries)} ({legacy} legacy flat), "
-            f"{total} bytes across {shards} shard dir(s)",
+            f"entries: {len(entries)}, {total} bytes across {shards} "
+            f"shard dir(s)",
             f"budget: {budget}, max age: {age}, lease ttl: "
             f"{self.lease_ttl:.0f}s",
-            f"evictions: {self.evictions} ({self.evicted_bytes} bytes), "
-            f"migrated: {self.migrated}, index rebuilds: "
-            f"{self.index_rebuilds}",
+            f"evictions: {self.evictions} ({self.evicted_bytes} bytes)",
             f"leases: {self.lease_claims} claimed, {self.lease_conflicts} "
             f"conflicts, {self.lease_steals} stolen, {self.reaped_leases} "
             f"reaped (+{self.reaped_tmps} tmp)",

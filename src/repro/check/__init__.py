@@ -10,7 +10,7 @@ Three layers:
   into a run via ``REPRO_SANITIZE=1`` (fatal) / ``REPRO_SANITIZE=report``
   (collect) or ``repro run --check``.
 * **Crash-safe artifact IO** — :mod:`repro.check.artifacts`, the atomic
-  write-replace helper and guarded JSON loader used by every exporter.
+  write-replace helper used by every exporter.
 
 Zero-cost contract: this ``__init__`` imports only the light ``errors``
 and ``artifacts`` modules.  The sanitizer machinery loads lazily —
@@ -29,10 +29,8 @@ from repro.check.artifacts import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
-    load_json_guarded,
 )
 from repro.check.errors import (
-    ArtifactError,
     CheckError,
     ConfigError,
     InvariantViolation,
@@ -47,7 +45,6 @@ from repro.check.errors import (
 )
 
 __all__ = [
-    "ArtifactError",
     "CheckError",
     "ConfigError",
     "InvariantViolation",
@@ -62,7 +59,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
-    "load_json_guarded",
     "sanitize_mode_from_env",
     "sanitizer_from_env",
     "Sanitizer",

@@ -1,4 +1,4 @@
-"""Crash-safe artifact IO: atomic write-replace and guarded loading.
+"""Crash-safe artifact IO: atomic write-replace.
 
 A torn artifact — a metrics export or a trace file half written when
 the process died — is worse than a missing one: downstream
@@ -8,23 +8,15 @@ through :func:`atomic_write_bytes`: the payload is staged in a unique
 temp file in the destination directory, fsynced, then ``os.replace``d
 into place, so readers observe either the old complete file or the new
 complete file, never a prefix.
-
-:func:`load_json_guarded` is the matching reader: it distinguishes
-missing (fine, return the default) from torn/corrupt (log and return the
-default, with the error text so callers can surface it) and never lets a
-decode error escape as a stack trace.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import logging
 import os
 import sys
-from typing import Any, Optional, Tuple
-
-logger = logging.getLogger(__name__)
+from typing import Any, Optional
 
 #: Monotonic suffix so concurrent writers in one process never collide on
 #: the staging file; the pid handles cross-process collisions.
@@ -108,24 +100,3 @@ def atomic_write_json(
         path, json.dumps(payload, indent=indent) + "\n", fsync=fsync
     )
 
-
-def load_json_guarded(
-    path: str, default: Any = None, label: str = "artifact"
-) -> Tuple[Any, Optional[str]]:
-    """Load JSON from ``path`` without ever raising for bad files.
-
-    Returns ``(payload, error)``.  A missing file yields
-    ``(default, None)`` — absence is a normal state, not damage.  A torn
-    or corrupt file yields ``(default, error_text)`` after logging a
-    warning, so callers can degrade gracefully and still tell the user
-    what was skipped.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh), None
-    except FileNotFoundError:
-        return default, None
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        error = f"{label} {path} is unreadable ({exc})"
-        logger.warning("%s; treating as absent", error)
-        return default, error

@@ -18,8 +18,6 @@ The taxonomy:
   entangling variant violates a structural constraint.
 * :class:`InvariantViolation` — the runtime sanitizer caught the
   simulated hardware model outside its declared contract.
-* :class:`ArtifactError` — an on-disk artifact (metrics export, trace
-  file) is torn or corrupt.
 """
 
 from __future__ import annotations
@@ -111,7 +109,3 @@ class InvariantViolation(CheckError):
         self.invariant = invariant
         self.cycle = cycle
         self.context = dict(context or {})
-
-
-class ArtifactError(CheckError):
-    """An on-disk artifact is torn, corrupt, or unwritable."""

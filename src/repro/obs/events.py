@@ -119,28 +119,15 @@ EVENT_TYPES = (
     "store_degraded",   # ENOSPC/EIO degraded the shared store to read-only
 )
 
-#: Ledger rotation threshold (``REPRO_EVENTS_MAX_BYTES``): when an append
-#: would push the file past this size it is rotated to ``<path>.1`` first.
+#: Ledger rotation threshold: when an append would push the file past
+#: this size it is rotated to ``<path>.1`` first.
 DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 
-#: Flight-recorder ring capacity (``REPRO_FLIGHT_EVENTS``).
+#: Flight-recorder ring capacity.
 DEFAULT_FLIGHT_EVENTS = 64
 
 #: Seconds between a running worker's heartbeats.
 HEARTBEAT_INTERVAL = 1.0
-
-
-def _env_positive_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a positive integer, got {raw!r}"
-        ) from None
-    return value if value > 0 else default
 
 
 def events_path_from_env() -> Optional[str]:
@@ -259,11 +246,7 @@ class EventLedger:
 
     def __init__(self, path: str, max_bytes: Optional[int] = None) -> None:
         self.path = path
-        self.max_bytes = (
-            max_bytes
-            if max_bytes is not None
-            else _env_positive_int("REPRO_EVENTS_MAX_BYTES", DEFAULT_MAX_BYTES)
-        )
+        self.max_bytes = max_bytes if max_bytes is not None else DEFAULT_MAX_BYTES
         self.appended = 0
         self.dropped = 0
         self.rotations = 0
@@ -382,11 +365,11 @@ def _read_ledger_file(path: str, out: LedgerRead) -> None:
 def read_events(path: str, include_rotated: bool = True) -> LedgerRead:
     """Read a ledger without ever raising for damage.
 
-    Mirrors :func:`repro.check.artifacts.load_json_guarded`: a missing
-    file is a normal state (empty read), a torn tail — the one record a
-    dying writer half-appended — is counted, skipped, and never kills the
-    reader, and undecodable mid-file lines are counted separately so
-    callers can distinguish "writer died" from "file corrupted".
+    A missing file is a normal state (empty read), a torn tail — the one
+    record a dying writer half-appended — is counted, skipped, and never
+    kills the reader, and undecodable mid-file lines are counted
+    separately so callers can distinguish "writer died" from "file
+    corrupted".
     """
     out = LedgerRead()
     if include_rotated:
@@ -544,11 +527,7 @@ class FlightRecorder:
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = (
-            capacity
-            if capacity is not None
-            else _env_positive_int("REPRO_FLIGHT_EVENTS", DEFAULT_FLIGHT_EVENTS)
-        )
+        self.capacity = capacity if capacity is not None else DEFAULT_FLIGHT_EVENTS
         self.total_seen = 0
         self._ring: deque = deque(maxlen=self.capacity)
 
@@ -842,15 +821,12 @@ class EventBus:
             self.ledger.close()
 
 
-def open_bus(
-    events_path: Optional[str] = None,
-    flight_capacity: Optional[int] = None,
-) -> EventBus:
+def open_bus(events_path: Optional[str] = None) -> EventBus:
     """A ready-to-use bus: ledger (if a path is given) + flight + status."""
     ledger = EventLedger(events_path) if events_path else None
     return EventBus(
         ledger=ledger,
-        flight=FlightRecorder(capacity=flight_capacity),
+        flight=FlightRecorder(),
         status=StatusAggregator(),
     )
 

@@ -290,8 +290,7 @@ class TraceSalvage:
 
 
 _MAGIC = b"EPTR"
-_VERSION = 3         # written; adds a CRC32 over header tail + payload
-_LEGACY_VERSION = 2  # still readable (no checksum)
+_VERSION = 3  # CRC32 over header tail + payload
 _RECORD = struct.Struct("<QIBBQQ")  # pc, size, branch_type|flags, pad, target, data_addr
 _RECORD_SIZE = _RECORD.size
 
@@ -489,7 +488,7 @@ def _decompress_salvage(payload: bytes) -> Tuple[bytes, Optional[str]]:
 def read_trace(path: str, salvage: bool = False) -> Trace:
     """Deserialize a trace written by :func:`write_trace`.
 
-    Reads format versions 2 (legacy, no checksum) and 3.  Every error is
+    Reads format version 3, the only one written.  Every error is
     a :class:`~repro.check.errors.TraceError` subclass (a ``ValueError``)
     carrying the file path, the byte offset of the damage, and — for
     record-level damage — the index of the first bad record.
@@ -524,10 +523,10 @@ def read_trace(path: str, salvage: bool = False) -> Trace:
             offset=len(data),
         )
     version, compressed = data[4], data[5]
-    if version not in (_LEGACY_VERSION, _VERSION):
+    if version != _VERSION:
         raise TraceVersionError(
             f"{path}: unsupported trace version {version} at byte 4 "
-            f"(this reader speaks {_LEGACY_VERSION} and {_VERSION})",
+            f"(this reader speaks {_VERSION})",
             path=path,
             offset=4,
         )
@@ -551,18 +550,17 @@ def read_trace(path: str, salvage: bool = False) -> Trace:
     (count,) = struct.unpack_from("<Q", data, offset)
     offset += 8
 
-    # -- checksum (v3) -------------------------------------------------------
-    stored_crc: Optional[int] = None
-    if version >= _VERSION:
-        if offset + 4 > len(data):
-            raise TraceHeaderError(
-                f"{path}: header truncated before the checksum at byte "
-                f"{offset}",
-                path=path,
-                offset=offset,
-            )
-        (stored_crc,) = struct.unpack_from("<I", data, offset)
-        offset += 4
+    # -- checksum ------------------------------------------------------------
+    if offset + 4 > len(data):
+        raise TraceHeaderError(
+            f"{path}: header truncated before the checksum at byte "
+            f"{offset}",
+            path=path,
+            offset=offset,
+        )
+    crc_region_end = offset
+    (stored_crc,) = struct.unpack_from("<I", data, offset)
+    offset += 4
     payload = data[offset:]
     record_size = _RECORD.size
     expected_bytes = count * record_size
@@ -570,10 +568,7 @@ def read_trace(path: str, salvage: bool = False) -> Trace:
     # An uncompressed short payload is reported as truncation (with the
     # first incomplete record) rather than as a checksum mismatch — the
     # more actionable diagnosis, and the one salvage can act on.
-    crc_region_end = offset - 4 if stored_crc is not None else offset
-    if stored_crc is not None and not (
-        not compressed and len(payload) < expected_bytes
-    ):
+    if compressed or len(payload) >= expected_bytes:
         actual_crc = zlib.crc32(payload, zlib.crc32(data[4:crc_region_end]))
         if actual_crc != stored_crc:
             err = TraceCRCError(

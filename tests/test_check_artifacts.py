@@ -18,7 +18,6 @@ from repro.check.artifacts import (
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
-    load_json_guarded,
 )
 from repro.obs.registry import MetricsRegistry
 
@@ -59,25 +58,6 @@ class TestAtomicWrite:
             atomic_write_json(path, {"bad": object()})
         assert not os.path.exists(path)
         assert _no_tmp_leftovers(tmp_path)
-
-
-class TestGuardedLoad:
-    def test_missing_file_returns_default_without_error(self, tmp_path):
-        payload, error = load_json_guarded(str(tmp_path / "absent.json"), default=[])
-        assert payload == [] and error is None
-
-    def test_corrupt_file_returns_default_with_error(self, tmp_path):
-        path = str(tmp_path / "torn.json")
-        open(path, "w").write('{"entries": [')
-        payload, error = load_json_guarded(path, default={}, label="trajectory")
-        assert payload == {}
-        assert error is not None and "trajectory" in error and path in error
-
-    def test_valid_file_returns_payload(self, tmp_path):
-        path = str(tmp_path / "ok.json")
-        atomic_write_json(path, {"n": 5})
-        payload, error = load_json_guarded(path)
-        assert payload == {"n": 5} and error is None
 
 
 class TestExportersAreAtomic:

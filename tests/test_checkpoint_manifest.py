@@ -1,13 +1,13 @@
 """Regression tests for the append-only checkpoint manifest (format v2).
 
-The bug under test (satellite of the chaos-hardening PR): format v1
-rewrote the whole manifest on every mark, so two processes resuming the
-same interrupted sweep raced rewrite-vs-rewrite and the loser erased the
-winner's finished keys — work already done was re-simulated.  v2 appends
-one complete JSONL line per mark with a single ``os.write`` on an
-``O_APPEND`` descriptor (kernel-serialized), and loading merges every
-line.  These tests pin: merge-on-load, the multi-process union (no lost
-marks), legacy v1 loading and in-place upgrade, and torn-tail tolerance.
+The bug under test: a manifest rewritten whole on every mark lets two
+processes resuming the same interrupted sweep race rewrite-vs-rewrite,
+and the loser erases the winner's finished keys — work already done is
+re-simulated.  v2 appends one complete JSONL line per mark with a single
+``os.write`` on an ``O_APPEND`` descriptor (kernel-serialized), and
+loading merges every line.  These tests pin: merge-on-load, the
+multi-process union (no lost marks), and torn-tail tolerance, including
+appending after a torn tail.
 """
 
 import json
@@ -103,41 +103,6 @@ class TestConcurrentProcesses:
             assert f"{i:032x}" in merged
 
 
-class TestLegacyUpgrade:
-    def _write_v1(self, path: str, keys) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "format": 1,
-                    "done": {
-                        key: {"config": "old", "workload": f"w{n}"}
-                        for n, key in enumerate(keys)
-                    },
-                },
-                fh,
-            )
-
-    def test_v1_whole_file_loads(self, tmp_path):
-        path = os.path.join(str(tmp_path), "ckpt.json")
-        self._write_v1(path, ["a" * 32, "b" * 32])
-        manifest = CheckpointManifest(path, resume=True)
-        assert len(manifest) == 2
-        assert manifest.done["a" * 32]["config"] == "old"
-
-    def test_v1_upgraded_in_place_by_append(self, tmp_path):
-        """Appending to a v1 file (which has no trailing newline) must
-        start a fresh line, and a reload must see the union."""
-        path = os.path.join(str(tmp_path), "ckpt.json")
-        self._write_v1(path, ["a" * 32])
-        manifest = CheckpointManifest(path, resume=True)
-        manifest.mark_done("b" * 32, "new", "wl")
-        manifest.close()
-        merged = CheckpointManifest(path, resume=True)
-        assert len(merged) == 2
-        assert merged.done["a" * 32]["config"] == "old"
-        assert merged.done["b" * 32]["config"] == "new"
-
-
 class TestDamageTolerance:
     def test_torn_tail_skipped_silently(self, tmp_path):
         path = os.path.join(str(tmp_path), "ckpt.json")
@@ -146,6 +111,20 @@ class TestDamageTolerance:
             fh.write(b'{"format": 2, "key": "trunc')  # crash mid-append
         manifest = CheckpointManifest(path, resume=True)
         assert len(manifest) == 5  # torn record dropped, rest intact
+
+    def test_mark_after_torn_tail_starts_a_new_line(self, tmp_path):
+        """A torn tail has no trailing newline: the next append must not
+        fuse with it, so a reload sees the old records plus the new one."""
+        path = os.path.join(str(tmp_path), "ckpt.json")
+        _mark_range(path, 0, 5)
+        with open(path, "ab") as fh:
+            fh.write(b'{"format": 2, "key": "trunc')  # crash mid-append
+        manifest = CheckpointManifest(path, resume=True)
+        manifest.mark_done("f" * 32, "new", "wl")
+        manifest.close()
+        merged = CheckpointManifest(path, resume=True)
+        assert len(merged) == 6
+        assert merged.done["f" * 32] == {"config": "new", "workload": "wl"}
 
     def test_mid_file_corruption_skipped(self, tmp_path):
         path = os.path.join(str(tmp_path), "ckpt.json")

@@ -25,7 +25,6 @@ import pytest
 from repro.analysis.experiments import run_suite
 from repro.analysis.runcache import RunCache
 from repro.obs.events import (
-    DEFAULT_FLIGHT_EVENTS,
     EVENT_TYPES,
     SCHEMA_VERSION,
     EventBus,
@@ -228,16 +227,6 @@ class TestLedgerDurability:
         finally:
             gen.close()
 
-    def test_max_bytes_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENTS_MAX_BYTES", "123")
-        assert EventLedger(str(tmp_path / "l.jsonl")).max_bytes == 123
-        monkeypatch.setenv("REPRO_EVENTS_MAX_BYTES", "-5")
-        ledger = EventLedger(str(tmp_path / "l2.jsonl"))
-        assert ledger.max_bytes > 123  # non-positive falls back
-        monkeypatch.setenv("REPRO_EVENTS_MAX_BYTES", "junk")
-        with pytest.raises(ValueError):
-            EventLedger(str(tmp_path / "l3.jsonl"))
-
     def test_concurrent_appenders_never_interleave(self, tmp_path):
         path = str(tmp_path / "shared.jsonl")
         n_procs, n_records = 4, 50
@@ -286,12 +275,6 @@ class TestFlightRecorder:
         snap = flight.snapshot()
         assert [e.seq for e in snap] == [6, 7, 8, 9]
         assert flight.total_seen == 10
-
-    def test_default_capacity_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIGHT_EVENTS", raising=False)
-        assert FlightRecorder().capacity == DEFAULT_FLIGHT_EVENTS
-        monkeypatch.setenv("REPRO_FLIGHT_EVENTS", "7")
-        assert FlightRecorder().capacity == 7
 
     def test_dump_writes_loadable_envelope(self, tmp_path):
         flight = FlightRecorder(capacity=8)

@@ -14,12 +14,8 @@ import os
 import threading
 
 from repro.analysis.experiments import run_cached
-from repro.analysis.runcache import (
-    RunCache,
-    _CACHE_FORMAT_VERSION,
-    _canonical_json,
-    run_key,
-)
+from repro.analysis.runcache import RunCache, _canonical_json, run_key
+from repro.analysis.store import STORE_FORMAT, entry_checksum
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult
 from repro.sim.stats import SimStats
@@ -40,7 +36,7 @@ class TestRunKeyCanonical:
         """Guards against fingerprint drift: a changed key silently
         invalidates (or collides with) every on-disk cache entry.  If
         this fails because the key derivation *deliberately* changed,
-        bump ``_CACHE_FORMAT_VERSION`` and re-pin."""
+        bump ``_KEY_FORMAT_VERSION`` and re-pin."""
         spec = WorkloadSpec(
             name="pin", category="int", seed=7, n_instructions=50_000
         )
@@ -135,7 +131,7 @@ class TestDiskIntegrity:
         _writer, path = self._seed_entry(tmp_path)
         with open(path) as fh:
             data = json.load(fh)
-        assert data["format"] == _CACHE_FORMAT_VERSION
+        assert data["format"] == STORE_FORMAT
         assert "checksum" in data
         reader = RunCache(disk_dir=str(tmp_path))
         loaded = reader.get("k" * 32)
@@ -167,7 +163,7 @@ class TestDiskIntegrity:
         _writer, path = self._seed_entry(tmp_path)
         with open(path) as fh:
             data = json.load(fh)
-        data["format"] = _CACHE_FORMAT_VERSION + 1
+        data["format"] = STORE_FORMAT + 1
         with open(path, "w") as fh:
             json.dump(data, fh)
         reader = RunCache(disk_dir=str(tmp_path))
@@ -190,9 +186,7 @@ class TestDiskIntegrity:
             data = json.load(fh)
         del data["stats"]
         del data["checksum"]
-        from repro.analysis.runcache import _entry_checksum
-
-        data["checksum"] = _entry_checksum(data)  # checksum passes, key absent
+        data["checksum"] = entry_checksum(data)  # checksum passes, key absent
         with open(path, "w") as fh:
             json.dump(data, fh)
         reader = RunCache(disk_dir=str(tmp_path))

@@ -1,16 +1,15 @@
 """Unit tests for the sharded shared run store (cache format v4).
 
 The contract under test: entries live under 256 fan-out shard
-directories and survive the v2/v3 flat-layout upgrade (legacy entries
-are served and migrated on first read); the byte budget and age bound
-evict LRU-by-last-use, deterministically under an injected clock; the
-journalled index is a hint only — torn or stale, it is rebuilt from a
-shard scan and never changes what ``load`` returns; leases coalesce
-in-flight keys and are stealable exactly when their owner is provably
-gone; and an unwritable filesystem degrades the store to read-only
-instead of raising.  A hypothesis property pins the eviction invariants
-(budget is a hard ceiling, survivors are the most recently used) across
-arbitrary publish/touch/evict interleavings.
+directories, and those entry files are the store's only state (opening
+a store without a budget scans nothing, and no index file is written);
+the byte budget and age bound evict LRU-by-last-use, deterministically
+under an injected clock; leases coalesce in-flight keys and are
+stealable exactly when their owner is provably gone; and an unwritable
+filesystem degrades the store to read-only instead of raising.  A
+hypothesis property pins the eviction invariants (budget is a hard
+ceiling, survivors are the most recently used) across arbitrary
+publish/touch/evict interleavings.
 """
 
 import json
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.store import (
-    ACCEPTED_ENTRY_FORMATS,
     DEFAULT_LEASE_TTL,
     Lease,
     LeaseKeeper,
@@ -29,7 +27,6 @@ from repro.analysis.store import (
     STORE_FORMAT,
     await_result,
     entry_checksum,
-    lease_ttl_from_env,
 )
 
 
@@ -120,67 +117,6 @@ class TestShardedLayout:
         assert status == "stale"
 
 
-class TestLegacyMigration:
-    """v2/v3 entries were flat files in the store root; a warm cache
-    must survive the v4 upgrade (satellite: migration-on-read)."""
-
-    def _plant_legacy(self, store: ShardedRunStore, key: str, fmt: int) -> str:
-        data = _payload(7)
-        data["format"] = fmt
-        data["checksum"] = entry_checksum(data)
-        path = store.legacy_path(key)
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        return path
-
-    @pytest.mark.parametrize("fmt", [2, 3])
-    def test_legacy_entry_served_and_migrated(self, tmp_path, fmt):
-        assert fmt in ACCEPTED_ENTRY_FORMATS
-        store = _store(tmp_path)
-        key = _key(7)
-        legacy = self._plant_legacy(store, key, fmt)
-        data, status = store.load(key)
-        assert status == "ok"
-        assert data["stats"]["instructions"] == 7
-        # Migrated: re-sealed as v4 at the shard path, flat file gone.
-        assert store.migrated == 1
-        assert not os.path.exists(legacy)
-        with open(store.path_for(key)) as fh:
-            resealed = json.load(fh)
-        assert resealed["format"] == STORE_FORMAT
-        assert resealed["checksum"] == entry_checksum(resealed)
-
-    def test_second_read_comes_from_shard(self, tmp_path):
-        store = _store(tmp_path)
-        key = _key(8)
-        self._plant_legacy(store, key, 3)
-        store.load(key)
-        _data, status = store.load(key)
-        assert status == "ok"
-        assert store.migrated == 1  # no second migration
-
-    def test_corrupt_legacy_entry_not_migrated(self, tmp_path):
-        store = _store(tmp_path)
-        key = _key(9)
-        path = self._plant_legacy(store, key, 3)
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        _data, status = store.load(key)
-        assert status == "corrupt"
-        assert store.migrated == 0
-
-    def test_read_only_store_still_serves_legacy(self, tmp_path):
-        """Migration is best-effort: a degraded store serves the flat
-        entry without moving it."""
-        store = _store(tmp_path)
-        key = _key(10)
-        legacy = self._plant_legacy(store, key, 3)
-        store.read_only = True
-        data, status = store.load(key)
-        assert status == "ok"
-        assert os.path.exists(legacy)  # publish refused, flat copy kept
-
-
 class TestEviction:
     def test_byte_budget_evicts_oldest_first(self, tmp_path):
         clock = FakeClock()
@@ -241,6 +177,16 @@ class TestEviction:
         assert store.load(_key(0)) == (None, "missing")
         assert store.evictions == 1
 
+    def test_publish_triggers_age_sweep(self, tmp_path):
+        clock = FakeClock()
+        store = _store(tmp_path, clock=clock, max_age=100.0)
+        store.publish(_key(0), _payload(0))
+        clock.advance(150.0)
+        store.publish(_key(1), _payload(1))
+        assert store.evictions == 1
+        assert store.load(_key(0)) == (None, "missing")
+        assert store.load(_key(1))[1] == "ok"
+
     def test_protected_key_evicted_only_as_last_resort(self, tmp_path):
         """The byte budget is a hard ceiling: when one entry alone
         exceeds it, even the protected just-published key goes."""
@@ -267,42 +213,49 @@ class TestEviction:
         assert events[0][1]["payload"]["reason"] == "size"
 
 
-class TestIndexJournal:
-    def test_index_written_by_maintain(self, tmp_path):
-        store = _store(tmp_path, max_bytes=10_000_000)
-        store.publish(_key(0), _payload(0))
+class TestEntryFilesAreTheOnlyState:
+    def _count_scans(self, monkeypatch):
+        calls = []
+        real_scan = ShardedRunStore.scan
+
+        def counting_scan(self):
+            calls.append(1)
+            return real_scan(self)
+
+        monkeypatch.setattr(ShardedRunStore, "scan", counting_scan)
+        return calls
+
+    def test_open_without_budget_scans_nothing(self, tmp_path, monkeypatch):
+        seed = _store(tmp_path)
+        for i in range(3):
+            seed.publish(_key(i), _payload(i))
+        scans = self._count_scans(monkeypatch)
+        fresh = ShardedRunStore(str(tmp_path))
+        assert scans == []
+        assert fresh.load(_key(1))[1] == "ok"
+
+    def test_open_with_budget_costs_one_maintain(self, tmp_path, monkeypatch):
+        seed = _store(tmp_path)
+        for i in range(3):
+            seed.publish(_key(i), _payload(i))
+        scans = self._count_scans(monkeypatch)
+        _store(tmp_path, max_bytes=10_000_000)
+        on_open = len(scans)
+        scans.clear()
+        _store(tmp_path, auto_maintain=False, max_bytes=10_000_000).maintain()
+        assert on_open == len(scans) == 1
+
+    def test_budget_accounting_writes_no_index(self, tmp_path):
+        clock = FakeClock()
+        store = _store(tmp_path, clock=clock, max_bytes=10_000_000,
+                       max_age=100.0)
+        for i in range(4):
+            store.publish(_key(i), _payload(i))
+            clock.advance(10.0)
         store.maintain(force=True)
-        with open(store.index_path()) as fh:
-            data = json.load(fh)
-        assert data["format"] == STORE_FORMAT
-        assert _key(0) in data["entries"]
-
-    def test_torn_index_rebuilt_from_scan(self, tmp_path):
-        store = _store(tmp_path, max_bytes=10_000_000)
-        store.publish(_key(0), _payload(0))
-        store.maintain(force=True)
-        with open(store.index_path(), "w") as fh:
-            fh.write('{"format": 4, "entries": {"x"')
-        fresh = _store(tmp_path)
-        assert fresh.index_rebuilds == 1
-        assert fresh.load(_key(0))[1] == "ok"
-        assert fresh._approx_bytes == fresh.total_bytes()
-
-    def test_missing_index_rebuilt_silently(self, tmp_path):
-        store = _store(tmp_path)
-        store.publish(_key(0), _payload(0))
-        fresh = _store(tmp_path)
-        assert fresh.index_rebuilds == 1
-        assert fresh._approx_bytes == os.path.getsize(store.path_for(_key(0)))
-
-    def test_index_never_gates_load(self, tmp_path):
-        """The journal is a hint: an entry absent from the index is
-        still served (the scan is authoritative)."""
-        store = _store(tmp_path, max_bytes=10_000_000)
-        store.maintain(force=True)  # write an (empty) index
-        store.publish(_key(5), _payload(5))
-        fresh = _store(tmp_path)
-        assert fresh.load(_key(5))[1] == "ok"
+        assert sorted(os.listdir(str(tmp_path))) == sorted(
+            {_key(i)[:2] for i in range(4)}
+        )
 
 
 class TestLeases:
@@ -514,12 +467,6 @@ class TestAwaitResult:
 
 
 class TestEnvKnobs:
-    def test_lease_ttl_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
-        assert lease_ttl_from_env() == DEFAULT_LEASE_TTL
-        monkeypatch.setenv("REPRO_LEASE_TTL", "7.5")
-        assert lease_ttl_from_env() == 7.5
-
     def test_budget_env_rejects_garbage(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_CACHE_MAX_BYTES", "lots")
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.errors import TraceVersionError
 from repro.workloads.trace import (
     BranchType,
     Instruction,
@@ -150,6 +151,17 @@ class TestTraceIO:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_trace(str(path))
+
+    @pytest.mark.parametrize("salvage", [False, True])
+    def test_version_2_header_is_rejected(self, tmp_path, salvage):
+        path = str(tmp_path / "trace.bin")
+        write_trace(Trace("w", [Instruction(pc=0)] * 8), path)
+        raw = bytearray(open(path, "rb").read())
+        raw[4] = 2
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(TraceVersionError, match="speaks 3") as info:
+            read_trace(path, salvage=salvage)
+        assert info.value.offset == 4
 
     def test_truncated_payload_raises(self, tmp_path):
         path = str(tmp_path / "trace.bin")
