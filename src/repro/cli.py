@@ -99,7 +99,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         n_instructions=args.instructions,
         tenants=tenants,
     )
-    trace = make_workload(spec)
+    try:
+        trace = make_workload(spec)
+    except ValueError as exc:
+        print(f"gen: {exc}", file=sys.stderr)
+        return 2
     write_trace(trace, args.output)
     print(
         f"wrote {args.output}: {len(trace)} instructions, "

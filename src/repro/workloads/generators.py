@@ -31,9 +31,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.workloads.cfg import BasicBlock, Function, Program, Terminator, TermKind
+from repro.workloads.cfg import (
+    K_CALL,
+    K_COND,
+    K_FALLTHROUGH,
+    K_INDIRECT_CALL,
+    K_JUMP,
+    K_RETURN,
+    Program,
+    ProgramDraft,
+)
 from repro.workloads.synthetic import generate_trace, randint
 from repro.workloads.trace import Trace
 
@@ -92,6 +101,43 @@ class ProgramParams:
                 f"n_funcs={self.n_funcs} too small for {self.n_handlers} "
                 f"handlers and {self.shared_utils} shared utilities"
             )
+        check_params(
+            self,
+            probabilities=("loop_prob", "loop_taken_prob", "cond_prob",
+                           "call_prob", "indirect_frac"),
+            ranges=("blocks_per_func", "instrs_per_block"),
+        )
+
+
+def check_params(
+    params: Any, probabilities: Tuple[str, ...], ranges: Tuple[str, ...]
+) -> None:
+    """Reject bad generator knobs when the params are built, naming the
+    field, instead of when a draw first hits one.
+
+    Checks each of ``probabilities`` and every ``cond_bias_choices`` entry
+    are in [0, 1], each of ``ranges`` is an ``(lo, hi)`` pair with
+    ``1 <= lo <= hi``, and ``load_frac + store_frac <= 1``.
+    """
+    kind = type(params).__name__
+    for name in probabilities + ("load_frac", "store_frac"):
+        value = getattr(params, name)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{kind}.{name}={value!r} is not in [0, 1]")
+    biases = params.cond_bias_choices
+    if not biases or not all(0.0 <= bias <= 1.0 for bias in biases):
+        raise ValueError(
+            f"{kind}.cond_bias_choices={biases!r} must be one or more "
+            "probabilities in [0, 1]"
+        )
+    for name in ranges:
+        lo, hi = getattr(params, name)
+        if not 1 <= lo <= hi:
+            raise ValueError(
+                f"{kind}.{name}={(lo, hi)!r} needs 1 <= lo <= hi"
+            )
+    if params.load_frac + params.store_frac > 1.0:
+        raise ValueError(f"{kind}: load_frac + store_frac must not exceed 1.0")
 
 
 class _ProgramShape:
@@ -99,6 +145,8 @@ class _ProgramShape:
 
     def __init__(self, params: ProgramParams) -> None:
         self.names = [f"f{idx:03d}" for idx in range(params.n_funcs)]
+        #: Function name -> number, its position in ``names``.
+        self.number = {name: i for i, name in enumerate(self.names)}
         self.main = self.names[0]
         self.handlers = self.names[1 : 1 + params.n_handlers]
         utils_start = 1 + params.n_handlers
@@ -132,59 +180,74 @@ def build_program(params: ProgramParams, seed: int) -> Program:
     not address-space neighbours, as in real binaries without profile-
     guided layout.  This is what makes purely spatial prefetching (next
     line, aggressive block merging) pay an accuracy cost.
+
+    The blocks are drawn straight into a :class:`ProgramDraft`, one
+    function per name in :attr:`_ProgramShape.names` order, so a
+    function's number is its position there.  Shuffling the numbers draws
+    the same random numbers as shuffling functions would (DESIGN.md
+    section 13).
     """
     rng = random.Random(seed)
     shape = _ProgramShape(params)
-    functions = [_build_main(shape, params, rng)]
+    draft = ProgramDraft()
+    _build_main(draft, shape, params, rng)
     for name in shape.handlers:
-        functions.append(_build_handler(name, shape, params, rng))
-    functions.extend(_build_functions(shape, params, rng))
-    layout = functions[1:]
+        _build_handler(draft, name, shape, params, rng)
+    _build_functions(draft, shape, params, rng)
+    layout = list(range(1, len(draft.names)))
     rng.shuffle(layout)
-    return Program([functions[0]] + layout, entry=shape.main)
+    return draft.build(shape.main, [0] + layout)
 
 
 def _zipf_weights(n: int, s: float) -> List[float]:
     return [1.0 / (rank + 1) ** s for rank in range(max(1, n))]
 
 
-def _build_main(shape: _ProgramShape, params: ProgramParams, rng: random.Random) -> Function:
+def _build_main(
+    draft: ProgramDraft,
+    shape: _ProgramShape,
+    params: ProgramParams,
+    rng: random.Random,
+) -> None:
     """The event loop: dispatch to a handler, then loop forever."""
-    candidates = [(h, rng.uniform(0.6, 1.6)) for h in shape.handlers]
-    blocks = [
-        BasicBlock(
-            label="dispatch",
-            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
-            terminator=Terminator(TermKind.INDIRECT_CALL, candidates=candidates),
-            load_frac=params.load_frac,
-            store_frac=params.store_frac,
-        ),
-        BasicBlock(
-            label="loop",
-            n_instructions=max(2, params.instrs_per_block[0]),
-            terminator=Terminator(TermKind.JUMP, target="dispatch"),
-            load_frac=params.load_frac,
-            store_frac=params.store_frac,
-        ),
-    ]
-    return Function(shape.main, blocks)
+    number = shape.number
+    candidates = [(number[h], rng.uniform(0.6, 1.6)) for h in shape.handlers]
+    draft.function(shape.main, ("dispatch", "loop"))
+    draft.block(
+        randint(rng.getrandbits, *params.instrs_per_block),
+        K_INDIRECT_CALL,
+        draft.table(candidates),
+        load_frac=params.load_frac,
+        store_frac=params.store_frac,
+    )
+    draft.block(
+        max(2, params.instrs_per_block[0]),
+        K_JUMP,
+        0,
+        load_frac=params.load_frac,
+        store_frac=params.store_frac,
+    )
 
 
 def _build_functions(
-    shape: _ProgramShape, params: ProgramParams, rng: random.Random
-) -> List[Function]:
+    draft: ProgramDraft,
+    shape: _ProgramShape,
+    params: ProgramParams,
+    rng: random.Random,
+) -> None:
     """The shared utilities, then the internals, in name order.
 
     Program generation spends most of its time here, one terminator per
-    block, so everything the loop reads is hoisted into locals.  Every
-    draw keeps its order and value (DESIGN.md section 13).
+    block, so everything the loop reads is hoisted into locals and each
+    block is appended to the draft's columns directly.  Every draw keeps
+    its order and value (DESIGN.md section 13).
     """
     random_ = rng.random
     bits = rng.getrandbits
     choices = rng.choices
-    utils = shape.utils
-    internals = shape.internals
-    segment_of = shape.segment_of
+    number = shape.number
+    utils = [number[name] for name in shape.utils]
+    internals = [number[name] for name in shape.internals]
     util_cum = list(accumulate(_zipf_weights(len(utils), params.zipf_s)))
     blocks_lo, blocks_hi = params.blocks_per_func
     instrs_lo, instrs_hi = params.instrs_per_block
@@ -196,21 +259,26 @@ def _build_functions(
     biases = params.cond_bias_choices
     load_frac = params.load_frac
     store_frac = params.store_frac
-    labels = [f"b{b}" for b in range(blocks_hi)]
+    add_size = draft.size.append
+    add_kind = draft.kind.append
+    add_target = draft.target.append
+    add_prob = draft.prob.append
+    table = draft.table
+    # Each distinct segment list, as function numbers.
+    segments: Dict[int, List[int]] = {}
 
-    def pick_callees(func_name: str, k: int) -> List[str]:
+    def pick_callees(caller: int, segment: List[int], k: int) -> List[int]:
         """Pick ``k`` distinct callees: mostly the caller's own segment,
         with a Zipf-weighted chance of a shared utility."""
-        segment = segment_of(func_name)
-        chosen: List[str] = []
-        seen = {func_name}
+        chosen: List[int] = []
+        seen = {caller}
         attempts = 0
         while len(chosen) < k and attempts < 40:
             attempts += 1
             if utils and random_() < 0.35:
                 cand = choices(utils, cum_weights=util_cum)[0]
             else:
-                pool = segment or internals or utils or [func_name]
+                pool = segment or internals or utils or [caller]
                 cand = pool[randint(bits, 0, len(pool) - 1)]
             if cand in seen:
                 continue
@@ -220,62 +288,76 @@ def _build_functions(
             chosen.append(utils[0] if utils else internals[0])
         return chosen
 
-    def pick_terminator(func_name: str, b: int, n_blocks: int) -> Terminator:
-        roll = random_()
-        if roll < loop_prob:
-            # Self-loop: re-execute this block with probability
-            # loop_taken_prob (mean trip count 1/(1-p)).  Self-loops keep
-            # per-function dwell time bounded — back edges to earlier
-            # blocks would nest loops multiplicatively and let one
-            # function absorb the whole trace.
-            return Terminator(TermKind.COND, labels[b], loop_taken_prob)
-        roll -= loop_prob
-        if roll < cond_prob and b + 2 < n_blocks:
-            forward = randint(bits, b + 1, n_blocks - 1)
-            bias = biases[randint(bits, 0, len(biases) - 1)]
-            return Terminator(TermKind.COND, labels[forward], bias)
-        roll -= cond_prob
-        if roll < call_prob:
-            if random_() < indirect_frac:
-                callees = pick_callees(func_name, 3)
-                weights = [10.0] + [1.0] * (len(callees) - 1)
-                return Terminator(
-                    TermKind.INDIRECT_CALL, candidates=list(zip(callees, weights))
-                )
-            return Terminator(TermKind.CALL, pick_callees(func_name, 1)[0])
-        return Terminator(TermKind.FALLTHROUGH)
-
-    functions: List[Function] = []
-    for name in utils + internals:
+    for name in shape.utils + shape.internals:
+        caller = number[name]
+        names = shape.segment_of(name)
+        segment = segments.get(id(names))
+        if segment is None:
+            segment = segments[id(names)] = [number[n] for n in names]
+        draft.function(name)
         n_blocks = randint(bits, blocks_lo, blocks_hi)
         last = n_blocks - 1
-        blocks: List[BasicBlock] = []
         for b in range(n_blocks):
-            n_instr = randint(bits, instrs_lo, instrs_hi)
-            term = (
-                Terminator(TermKind.RETURN)
-                if b == last
-                else pick_terminator(name, b, n_blocks)
-            )
-            blocks.append(BasicBlock(labels[b], n_instr, term, load_frac, store_frac))
-        functions.append(Function(name, blocks))
-    return functions
+            add_size(randint(bits, instrs_lo, instrs_hi))
+            if b == last:
+                add_kind(K_RETURN)
+                add_target(0)
+                add_prob(0.5)
+                continue
+            roll = random_()
+            if roll < loop_prob:
+                # Self-loop: re-execute this block with probability
+                # loop_taken_prob (mean trip count 1/(1-p)).  Self-loops
+                # keep per-function dwell time bounded — back edges to
+                # earlier blocks would nest loops multiplicatively and let
+                # one function absorb the whole trace.
+                add_kind(K_COND)
+                add_target(b)
+                add_prob(loop_taken_prob)
+                continue
+            roll -= loop_prob
+            if roll < cond_prob and b + 2 < n_blocks:
+                add_kind(K_COND)
+                add_target(randint(bits, b + 1, n_blocks - 1))
+                add_prob(biases[randint(bits, 0, len(biases) - 1)])
+                continue
+            roll -= cond_prob
+            if roll < call_prob:
+                if random_() < indirect_frac:
+                    callees = pick_callees(caller, segment, 3)
+                    weights = [10.0] + [1.0] * (len(callees) - 1)
+                    add_kind(K_INDIRECT_CALL)
+                    add_target(table(list(zip(callees, weights))))
+                else:
+                    add_kind(K_CALL)
+                    add_target(pick_callees(caller, segment, 1)[0])
+            else:
+                add_kind(K_FALLTHROUGH)
+                add_target(0)
+            add_prob(0.5)
+        draft.load_frac.extend([load_frac] * n_blocks)
+        draft.store_frac.extend([store_frac] * n_blocks)
 
 
 def _build_handler(
-    name: str, shape: _ProgramShape, params: ProgramParams, rng: random.Random
-) -> Function:
+    draft: ProgramDraft,
+    name: str,
+    shape: _ProgramShape,
+    params: ProgramParams,
+    rng: random.Random,
+) -> None:
     """A request handler: indirect-calls across its whole internal segment.
 
     The segment is partitioned into slices, one call block per slice, so
     every internal function is statically reachable and repeated requests
     of the same type traverse the handler's full code footprint over time.
     """
-    segment = shape.segment[name] or shape.utils or [name]
+    number = shape.number
+    segment = [number[n] for n in shape.segment[name] or shape.utils or [name]]
     slice_size = 6
     slices = [segment[i : i + slice_size] for i in range(0, len(segment), slice_size)]
-    blocks: List[BasicBlock] = []
-    for b, chunk in enumerate(slices):
+    draft.function(name)
+    for chunk in slices:
         # One dominant callee per slice: real dispatch sites have a hot
         # common case, which gives prefetchers a recurring path to learn,
         # plus occasional cold alternatives.
@@ -283,25 +365,19 @@ def _build_handler(
         order = list(range(len(chunk)))
         rng.shuffle(order)
         candidates = [(chunk[i], weights[rank]) for rank, i in enumerate(order)]
-        blocks.append(
-            BasicBlock(
-                label=f"b{b}",
-                n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
-                terminator=Terminator(TermKind.INDIRECT_CALL, candidates=candidates),
-                load_frac=params.load_frac,
-                store_frac=params.store_frac,
-            )
-        )
-    blocks.append(
-        BasicBlock(
-            label=f"b{len(slices)}",
-            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
-            terminator=Terminator(TermKind.RETURN),
+        draft.block(
+            randint(rng.getrandbits, *params.instrs_per_block),
+            K_INDIRECT_CALL,
+            draft.table(candidates),
             load_frac=params.load_frac,
             store_frac=params.store_frac,
         )
+    draft.block(
+        randint(rng.getrandbits, *params.instrs_per_block),
+        K_RETURN,
+        load_frac=params.load_frac,
+        store_frac=params.store_frac,
     )
-    return Function(name, blocks)
 
 
 #: Per-category parameter presets.  ``n_funcs`` x mean function size sets the

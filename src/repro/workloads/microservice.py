@@ -34,7 +34,17 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.workloads.cfg import BasicBlock, Function, Program, Terminator, TermKind
+from repro.workloads.cfg import (
+    K_CALL,
+    K_COND,
+    K_FALLTHROUGH,
+    K_INDIRECT_CALL,
+    K_JUMP,
+    K_RETURN,
+    Program,
+    ProgramDraft,
+)
+from repro.workloads.generators import check_params
 from repro.workloads.synthetic import generate_trace, randint
 from repro.workloads.trace import Trace
 
@@ -95,6 +105,12 @@ class MicroserviceParams:
             raise ValueError(f"an RPC chain needs >= 2 tiers, got {self.tiers}")
         if self.funcs_per_tier < 2 or self.entry_handlers < 1:
             raise ValueError("funcs_per_tier/entry_handlers too small")
+        check_params(
+            self,
+            probabilities=("indirect_frac", "loop_prob", "loop_taken_prob",
+                           "cond_prob"),
+            ranges=("rpc_fanout", "blocks_per_func", "instrs_per_block"),
+        )
 
     @property
     def call_depth(self) -> int:
@@ -164,26 +180,35 @@ def _zipf_weights(n: int, s: float) -> List[float]:
 
 
 class _ChainShape:
-    """Function-name partition of one RPC-chain program."""
+    """Function partition of one RPC-chain program.
+
+    ``names`` lists every function in build order: the frontend, each
+    tier's pool, then the helpers.  A function's number is its position
+    there, and ``tiers``, ``handlers`` and ``utils`` hold numbers.
+    """
 
     def __init__(self, params: MicroserviceParams) -> None:
         self.main = "rpc_main"
-        self.tiers: List[List[str]] = [
-            [f"t{tier}_f{idx:04d}" for idx in range(params.funcs_per_tier)]
-            for tier in range(params.tiers)
-        ]
+        per_tier = params.funcs_per_tier
+        self.names = [self.main]
+        self.tiers: List[List[int]] = []
+        for tier in range(params.tiers):
+            self.tiers.append(list(range(len(self.names), len(self.names) + per_tier)))
+            self.names.extend(f"t{tier}_f{idx:04d}" for idx in range(per_tier))
         self.handlers = self.tiers[0][: params.entry_handlers]
-        self.utils = [f"util{idx:03d}" for idx in range(params.utils)]
+        self.utils = list(range(len(self.names), len(self.names) + params.utils))
+        self.names.extend(f"util{idx:03d}" for idx in range(params.utils))
 
 
 def _tier_function(
+    draft: ProgramDraft,
     name: str,
     tier: int,
     shape: _ChainShape,
     params: MicroserviceParams,
     util_cum: List[float],
     rng: random.Random,
-) -> Function:
+) -> None:
     """One tier function: marshalling blocks around RPC stubs.
 
     Non-leaf tiers place their next-tier calls on dedicated stub blocks
@@ -198,36 +223,24 @@ def _tier_function(
         rng.sample(range(max(1, n_blocks - 1)), min(n_rpc, max(1, n_blocks - 1)))
     )
     next_tier = None if is_leaf else shape.tiers[tier + 1]
-    blocks: List[BasicBlock] = []
+    draft.function(name)
     for b in range(n_blocks):
         is_last = b == n_blocks - 1
         n_instr = randint(bits, *params.instrs_per_block)
         if is_last:
-            term = Terminator(TermKind.RETURN)
+            term: Tuple[int, int, float] = (K_RETURN, 0, 0.5)
         elif b in rpc_blocks and next_tier is not None:
             # The RPC stub: a few plausible next-tier endpoints, one hot.
             if rng.random() < params.indirect_frac:
                 k = randint(bits, 2, 4)
                 callees = rng.sample(next_tier, min(k, len(next_tier)))
                 weights = [8.0] + [1.0] * (len(callees) - 1)
-                term = Terminator(
-                    TermKind.INDIRECT_CALL,
-                    candidates=list(zip(callees, weights)),
-                )
+                term = (K_INDIRECT_CALL, draft.table(list(zip(callees, weights))), 0.5)
             else:
-                term = Terminator(TermKind.CALL, target=rng.choice(next_tier))
+                term = (K_CALL, rng.choice(next_tier), 0.5)
         else:
             term = _glue_terminator(b, n_blocks, shape, params, util_cum, rng)
-        blocks.append(
-            BasicBlock(
-                label=f"b{b}",
-                n_instructions=n_instr,
-                terminator=term,
-                load_frac=params.load_frac,
-                store_frac=params.store_frac,
-            )
-        )
-    return Function(name, blocks)
+        draft.block(n_instr, *term, params.load_frac, params.store_frac)
 
 
 def _glue_terminator(
@@ -237,71 +250,68 @@ def _glue_terminator(
     params: MicroserviceParams,
     util_cum: List[float],
     rng: random.Random,
-) -> Terminator:
-    """Between RPC stubs: copy loops, validation skips, helper calls."""
+) -> Tuple[int, int, float]:
+    """Between RPC stubs: copy loops, validation skips, helper calls.
+
+    Returns the block's ``(kind, target, taken probability)`` draft
+    columns."""
     roll = rng.random()
     if roll < params.loop_prob:
-        return Terminator(
-            TermKind.COND, target=f"b{block_idx}",
-            taken_prob=params.loop_taken_prob,
-        )
+        return K_COND, block_idx, params.loop_taken_prob
     roll -= params.loop_prob
     if roll < params.cond_prob and block_idx + 2 < n_blocks:
         forward = randint(rng.getrandbits, block_idx + 1, n_blocks - 1)
-        bias = rng.choice(params.cond_bias_choices)
-        return Terminator(TermKind.COND, target=f"b{forward}", taken_prob=bias)
+        return K_COND, forward, rng.choice(params.cond_bias_choices)
     roll -= params.cond_prob
     if roll < 0.30 and shape.utils:
-        helper = rng.choices(shape.utils, cum_weights=util_cum)[0]
-        return Terminator(TermKind.CALL, target=helper)
-    return Terminator(TermKind.FALLTHROUGH)
+        return K_CALL, rng.choices(shape.utils, cum_weights=util_cum)[0], 0.5
+    return K_FALLTHROUGH, 0, 0.5
 
 
 def _util_function(
-    name: str, params: MicroserviceParams, rng: random.Random
-) -> Function:
+    draft: ProgramDraft, name: str, params: MicroserviceParams, rng: random.Random
+) -> None:
     """A marshalling helper: a short copy loop and a return."""
-    blocks = [
-        BasicBlock(
-            label="copy",
-            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
-            terminator=Terminator(
-                TermKind.COND, target="copy", taken_prob=0.66
-            ),
-            load_frac=min(1.0 - params.store_frac, params.load_frac + 0.15),
-            store_frac=params.store_frac,
-        ),
-        BasicBlock(
-            label="done",
-            n_instructions=max(2, params.instrs_per_block[0]),
-            terminator=Terminator(TermKind.RETURN),
-            load_frac=params.load_frac,
-            store_frac=params.store_frac,
-        ),
-    ]
-    return Function(name, blocks)
+    draft.function(name, ("copy", "done"))
+    draft.block(
+        randint(rng.getrandbits, *params.instrs_per_block),
+        K_COND,
+        0,
+        0.66,
+        load_frac=min(1.0 - params.store_frac, params.load_frac + 0.15),
+        store_frac=params.store_frac,
+    )
+    draft.block(
+        max(2, params.instrs_per_block[0]),
+        K_RETURN,
+        load_frac=params.load_frac,
+        store_frac=params.store_frac,
+    )
 
 
-def _frontend(shape: _ChainShape, params: MicroserviceParams, rng: random.Random) -> Function:
+def _frontend(
+    draft: ProgramDraft,
+    shape: _ChainShape,
+    params: MicroserviceParams,
+    rng: random.Random,
+) -> None:
     """The event loop: accept a request, dispatch an endpoint, repeat."""
     candidates = [(h, rng.uniform(0.6, 1.6)) for h in shape.handlers]
-    blocks = [
-        BasicBlock(
-            label="accept",
-            n_instructions=randint(rng.getrandbits, *params.instrs_per_block),
-            terminator=Terminator(TermKind.INDIRECT_CALL, candidates=candidates),
-            load_frac=params.load_frac,
-            store_frac=params.store_frac,
-        ),
-        BasicBlock(
-            label="loop",
-            n_instructions=max(2, params.instrs_per_block[0]),
-            terminator=Terminator(TermKind.JUMP, target="accept"),
-            load_frac=params.load_frac,
-            store_frac=params.store_frac,
-        ),
-    ]
-    return Function(shape.main, blocks)
+    draft.function(shape.main, ("accept", "loop"))
+    draft.block(
+        randint(rng.getrandbits, *params.instrs_per_block),
+        K_INDIRECT_CALL,
+        draft.table(candidates),
+        load_frac=params.load_frac,
+        store_frac=params.store_frac,
+    )
+    draft.block(
+        max(2, params.instrs_per_block[0]),
+        K_JUMP,
+        0,
+        load_frac=params.load_frac,
+        store_frac=params.store_frac,
+    )
 
 
 def build_rpc_program(
@@ -313,24 +323,25 @@ def build_rpc_program(
 
     Layout is shuffled within each tier (call-graph neighbours are not
     address neighbours), and the whole program sits at ``base_address``
-    so multi-tenant mixes occupy disjoint code regions.
+    so multi-tenant mixes occupy disjoint code regions.  Functions are
+    drawn into a :class:`ProgramDraft` in :attr:`_ChainShape.names` order
+    and laid out by shuffling their numbers.
     """
     rng = random.Random(seed)
     shape = _ChainShape(params)
     util_cum = list(accumulate(_zipf_weights(len(shape.utils), params.zipf_s)))
-    functions: List[Function] = [_frontend(shape, params, rng)]
-    for tier, names in enumerate(shape.tiers):
-        for name in names:
-            functions.append(
-                _tier_function(name, tier, shape, params, util_cum, rng)
+    draft = ProgramDraft()
+    _frontend(draft, shape, params, rng)
+    for tier, numbers in enumerate(shape.tiers):
+        for number in numbers:
+            _tier_function(
+                draft, shape.names[number], tier, shape, params, util_cum, rng
             )
-    for name in shape.utils:
-        functions.append(_util_function(name, params, rng))
-    layout = functions[1:]
+    for number in shape.utils:
+        _util_function(draft, shape.names[number], params, rng)
+    layout = list(range(1, len(draft.names)))
     rng.shuffle(layout)
-    return Program(
-        [functions[0]] + layout, entry=shape.main, base_address=base_address
-    )
+    return draft.build(shape.main, [0] + layout, base_address=base_address)
 
 
 def interleave_traces(
@@ -394,6 +405,8 @@ def make_microservice_workload(spec) -> Trace:
     if tenants is None:
         count = randint(rng.getrandbits, 2, min(4, len(SERVICE_NAMES)))
         tenants = tuple(rng.sample(SERVICE_NAMES, count))
+    if not tenants:
+        raise ValueError("a microservice workload needs at least one tenant")
     for service in tenants:
         if service not in MICROSERVICE_PARAMS:
             raise ValueError(

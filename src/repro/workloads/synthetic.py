@@ -12,16 +12,21 @@ retire-order records to the columns of a
 from __future__ import annotations
 
 import random
-import zlib
 from array import array
-from typing import Callable, Dict, List, Sequence, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Callable, Dict, List, Tuple
 
 from repro.workloads.cfg import (
+    DATA_REGION_SIZE,
     INSTRUCTION_SIZE,
-    BasicBlock,
+    K_CALL,
+    K_COND,
+    K_FALLTHROUGH,
+    K_INDIRECT_JUMP,
+    K_JUMP,
+    K_RETURN,
     Program,
-    Terminator,
-    TermKind,
 )
 from repro.workloads.trace import (
     FLAG_LOAD,
@@ -31,8 +36,6 @@ from repro.workloads.trace import (
     Trace,
 )
 
-_DATA_REGION_BASE = 0x10_0000_0000
-_DATA_REGION_SIZE = 32 * 1024
 _SHARED_REGION_BASE = 0x20_0000_0000
 _SHARED_REGION_SIZE = 4 * 1024 * 1024
 
@@ -68,13 +71,11 @@ def randint(getrandbits: Callable[[int], int], lo: int, hi: int) -> int:
     return lo + r
 
 
-#: Per-function walk tables: blocks, block start addresses, label ->
-#: block index, and the base of the function's data region.
-_Frame = Tuple[List[BasicBlock], List[int], Dict[str, int], int]
-
-
 class CfgInterpreter:
     """Walks a program's CFG emitting a retire-order instruction stream.
+
+    The walk reads the program's block columns and keeps its position as
+    a block index.
 
     Args:
         program: the laid-out program.
@@ -90,32 +91,18 @@ class CfgInterpreter:
         self.program = program
         self.rng = random.Random(seed)
         self.max_call_depth = max_call_depth
-        # Call stack of (function name, resume block index).
-        self._stack: List[Tuple[str, int]] = []
-        self._func = program.entry
-        self._block_idx = 0
+        # The block each outstanding call resumes at; -1 where the call
+        # was its function's last block.
+        self._stack: List[int] = []
+        self._block = program.entry_block
         self._restarts = 0
-        self._frames: Dict[str, _Frame] = {}
+        # Candidate row -> (blocks, cumulative weights, total weight).
+        self._choices: Dict[int, Tuple[List[int], List[float], float]] = {}
 
     @property
     def restarts(self) -> int:
         """How many times the walk returned from the entry and restarted."""
         return self._restarts
-
-    def _frame(self, name: str) -> _Frame:
-        frame = self._frames.get(name)
-        if frame is None:
-            func = self.program.functions[name]
-            # Stable per-function data region id (process-independent,
-            # unlike the built-in str hash which varies with PYTHONHASHSEED).
-            region = zlib.crc32(name.encode()) & 0xFFFF
-            frame = self._frames[name] = (
-                func.blocks,
-                self.program.block_addresses(name),
-                func.label_index,
-                _DATA_REGION_BASE + region * _DATA_REGION_SIZE,
-            )
-        return frame
 
     def run(self, n_instructions: int) -> Trace:
         """Emit at least ``n_instructions`` records (rounded up to a block)
@@ -130,123 +117,120 @@ class CfgInterpreter:
         """
         trace = Trace("")
         pcs, _sizes, flags, targets, data = trace.columns()
+        program = self.program
+        starts = program.start
+        sizes = program.size
+        kinds = program.kind
+        block_targets = program.target
+        probs = program.prob
+        last = program.last
+        owner = program.owner
+        loads = program.load_frac
+        stores = program.store_frac
+        regions = program.func_region
+        stack = self._stack
+        max_depth = self.max_call_depth
         random_ = self.rng.random
         bits = self.rng.getrandbits
+        b = self._block
         while len(pcs) < n_instructions:
-            frame = self._frame(self._func)
-            blocks, bases, _labels, region = frame
-            block = blocks[self._block_idx]
-            term = block.terminator
-            has_branch = term.kind is not TermKind.FALLTHROUGH
-            base = bases[self._block_idx]
-            n = block.n_instructions
-            body = n - 1 if has_branch else n
-            start = len(pcs)
+            kind = kinds[b]
+            base = starts[b]
+            n = sizes[b]
+            body = n if kind == K_FALLTHROUGH else n - 1
+            first = len(pcs)
             pcs.extend(range(base, base + n * INSTRUCTION_SIZE, INSTRUCTION_SIZE))
             flags.frombytes(bytes(n))
             targets.frombytes(bytes(8 * n))
             data.frombytes(bytes(8 * n))
-            load_frac = block.load_frac
-            mem_frac = load_frac + block.store_frac
-            for i in range(start, start + body):
+            load_frac = loads[b]
+            mem_frac = load_frac + stores[b]
+            region = regions[owner[b]]
+            for i in range(first, first + body):
                 roll = random_()
                 is_load = roll < load_frac
                 if is_load or roll < mem_frac:
                     if random_() < 0.8:
-                        addr = region + randint(bits, 0, _DATA_REGION_SIZE - 1)
+                        addr = region + randint(bits, 0, DATA_REGION_SIZE - 1)
                     else:
                         addr = _SHARED_REGION_BASE + randint(
                             bits, 0, _SHARED_REGION_SIZE - 1
                         )
                     data[i] = addr & ~0x7
                     flags[i] = FLAG_LOAD if is_load else FLAG_STORE
-            if has_branch:
-                flags[start + body], targets[start + body] = self._terminate(
-                    frame, term
-                )
+            if kind == K_FALLTHROUGH:
+                # Falling off a function's last block is an implicit return.
+                b = b + 1 if not last[b] else self._unwind()
+                continue
+            i = first + body  # the terminator
+            if kind == K_COND:
+                dest = block_targets[b]
+                targets[i] = starts[dest]
+                if random_() < probs[b]:
+                    flags[i] = _COND_TAKEN
+                    b = dest
+                else:
+                    flags[i] = _COND
+                    b = b + 1 if not last[b] else self._unwind()
+            elif kind == K_JUMP:
+                b = block_targets[b]
+                flags[i] = _DIRECT_JUMP
+                targets[i] = starts[b]
+            elif kind == K_INDIRECT_JUMP:
+                b = self._weighted_choice(block_targets[b])
+                flags[i] = _INDIRECT_JUMP
+                targets[i] = starts[b]
+            elif kind == K_RETURN:
+                b = self._unwind()
+                flags[i] = _RETURN
+                targets[i] = starts[b]
             else:
-                self._advance_fallthrough(blocks)
+                if kind == K_CALL:
+                    callee, call_flags = block_targets[b], _DIRECT_CALL
+                else:
+                    callee = self._weighted_choice(block_targets[b])
+                    call_flags = _INDIRECT_CALL
+                if len(stack) >= max_depth:
+                    # Depth-bounded: demote the call to a plain
+                    # instruction and continue with the fall-through block.
+                    b = b + 1 if not last[b] else self._unwind()
+                else:
+                    stack.append(-1 if last[b] else b + 1)
+                    b = callee
+                    flags[i] = call_flags
+                    targets[i] = starts[b]
+        self._block = b
         trace.size.extend(array("I", [INSTRUCTION_SIZE]) * len(pcs))
         return trace
 
-    # -- terminators ---------------------------------------------------------
-
-    def _terminate(self, frame: _Frame, term: Terminator) -> Tuple[int, int]:
-        """Transfer control past ``term``; returns the terminator's
-        ``(flags, target)``, ``(0, 0)`` for a call demoted to a plain
-        instruction."""
-        blocks, bases, labels, _region = frame
-        kind = term.kind
-        if kind is TermKind.COND:
-            taken = self.rng.random() < term.taken_prob
-            target_idx = labels[term.target]
-            if taken:
-                self._block_idx = target_idx
-                return _COND_TAKEN, bases[target_idx]
-            self._advance_fallthrough(blocks)
-            return _COND, bases[target_idx]
-        if kind is TermKind.JUMP:
-            self._block_idx = labels[term.target]
-            return _DIRECT_JUMP, bases[self._block_idx]
-        if kind is TermKind.INDIRECT_JUMP:
-            self._block_idx = labels[self._weighted_choice(term.candidates)]
-            return _INDIRECT_JUMP, bases[self._block_idx]
-        if kind is TermKind.CALL:
-            return self._do_call(blocks, term.target, _DIRECT_CALL)
-        if kind is TermKind.INDIRECT_CALL:
-            callee = self._weighted_choice(term.candidates)
-            return self._do_call(blocks, callee, _INDIRECT_CALL)
-        if kind is TermKind.RETURN:
-            self._unwind()
-            return _RETURN, self.program.block_addresses(self._func)[self._block_idx]
-        raise AssertionError(f"unhandled terminator {term.kind}")
-
-    def _do_call(
-        self, blocks: List[BasicBlock], callee: str, flags: int
-    ) -> Tuple[int, int]:
-        if len(self._stack) >= self.max_call_depth:
-            # Depth-bounded: demote the call to a plain instruction and
-            # continue with the fall-through block.
-            self._advance_fallthrough(blocks)
-            return 0, 0
-        self._stack.append((self._func, self._block_idx + 1))
-        self._func = callee
-        self._block_idx = 0
-        return flags, self.program.function_address(callee)
-
-    # -- helpers -------------------------------------------------------------
-
-    def _advance_fallthrough(self, blocks: List[BasicBlock]) -> None:
-        if self._block_idx + 1 < len(blocks):
-            self._block_idx += 1
-        else:
-            # Implicit return at the end of the function.
-            self._unwind()
-
-    def _unwind(self) -> None:
-        """Resume the innermost caller that has a block left after its
-        call; returning from the entry function restarts the event loop."""
-        functions = self.program.functions
-        while self._stack:
-            caller, resume_idx = self._stack.pop()
-            if resume_idx < len(functions[caller].blocks):
-                self._func = caller
-                self._block_idx = resume_idx
-                return
+    def _unwind(self) -> int:
+        """The block to resume at: after the innermost call that has a block
+        left in its function; returning from the entry function restarts
+        the event loop."""
+        stack = self._stack
+        while stack:
+            resume = stack.pop()
+            if resume >= 0:
+                return resume
             # The call was the caller's last block: keep unwinding.
         self._restarts += 1
-        self._func = self.program.entry
-        self._block_idx = 0
+        return self.program.entry_block
 
-    def _weighted_choice(self, candidates: Sequence[Tuple[str, float]]) -> str:
-        total = sum(w for _c, w in candidates)
-        roll = self.rng.random() * total
-        acc = 0.0
-        for cand, weight in candidates:
-            acc += weight
-            if roll < acc:
-                return cand
-        return candidates[-1][0]
+    def _weighted_choice(self, row: int) -> int:
+        """Pick a block of candidate row ``row`` with probability
+        proportional to its weight."""
+        choice = self._choices.get(row)
+        if choice is None:
+            pairs = self.program.candidates[row]
+            weights = [w for _b, w in pairs]
+            choice = self._choices[row] = (
+                [b for b, _w in pairs],
+                list(accumulate(weights, initial=0.0))[1:],
+                sum(weights),
+            )
+        blocks, cumulative, total = choice
+        pick = bisect_right(cumulative, self.rng.random() * total)
+        return blocks[pick] if pick < len(blocks) else blocks[-1]
 
 
 def generate_trace(

@@ -1,13 +1,19 @@
-"""Tests for the CFG program model: validation, layout, builder."""
+"""Tests for the CFG program model: validation, layout, builder, columns."""
 
 import pytest
 
 from repro.workloads.cfg import (
     INSTRUCTION_SIZE,
+    K_CALL,
+    K_COND,
+    K_INDIRECT_CALL,
+    K_JUMP,
+    K_RETURN,
     BasicBlock,
     Function,
     Program,
     ProgramBuilder,
+    ProgramDraft,
     Terminator,
     TermKind,
 )
@@ -170,3 +176,90 @@ class TestProgramBuilder:
         )
         assert program.entry == "m"
         assert "m" in program.functions
+
+
+def _draft(*blocks, functions=("f",)):
+    """A draft whose first function holds ``blocks`` and whose other
+    functions are one RETURN block each."""
+    draft = ProgramDraft()
+    draft.function(functions[0])
+    for block in blocks:
+        draft.block(*block)
+    for name in functions[1:]:
+        draft.function(name)
+        draft.block(1, K_RETURN)
+    return draft
+
+
+class TestColumns:
+    def test_columns_in_layout_order(self):
+        program = TestProgram()._program()
+        assert program.func_name == ["main", "leaf"]
+        assert list(program.size) == [4, 2, 8]
+        assert list(program.last) == [0, 1, 1]
+        assert list(program.owner) == [0, 0, 1]
+        # The call's target is the callee's entry block.
+        assert program.kind[0] == K_CALL and program.target[0] == 2
+        assert program.start[2] == program.function_address("leaf")
+        assert program.entry_block == 0
+
+    def test_layout_order_moves_blocks_not_targets(self):
+        draft = _draft((2, K_CALL, 1), (1, K_RETURN), functions=("m", "g"))
+        program = draft.build("m", order=[1, 0], base_address=0x1000)
+        assert program.func_name == ["g", "m"]
+        assert program.entry_block == 1
+        assert program.target[1] == 0  # g's entry block comes first now
+        assert program.function_address("g") == 0x1000
+
+    def test_functions_view_matches_the_authoring_objects(self):
+        blocks = [
+            BasicBlock("top", 3, Terminator(
+                TermKind.INDIRECT_JUMP, candidates=[("end", 2.0), ("top", 1.0)]
+            ), load_frac=0.5, store_frac=0.25),
+            BasicBlock("end", 1, _ret()),
+        ]
+        func = Function("f", blocks)
+        assert Program([func], entry="f").functions == {"f": func}
+
+    def test_equal_programs_compare_equal(self):
+        assert TestProgram()._program() == TestProgram()._program()
+        assert TestProgram()._program() != ProgramBuilder(entry="m").function(
+            "m").block("b0", 1, _ret()).build()
+
+    @pytest.mark.parametrize("block, message", [
+        ((0, K_RETURN), "at least one instruction"),
+        ((2, K_COND, 0, 1.5), "taken_prob out of range"),
+        ((2, K_RETURN, 0, 0.5, 0.8, 0.3), r"load_frac \+ store_frac"),
+        ((2, K_JUMP, 5), "not in function"),
+        ((2, K_CALL, 9), "not defined"),
+    ])
+    def test_column_checks(self, block, message):
+        with pytest.raises(ValueError, match=message):
+            _draft(block, (1, K_RETURN)).build("f")
+
+    def test_empty_candidates_rejected(self):
+        draft = ProgramDraft()
+        draft.function("f")
+        draft.block(2, K_INDIRECT_CALL, draft.table([]))
+        with pytest.raises(ValueError, match="requires candidates"):
+            draft.build("f")
+
+    @pytest.mark.parametrize("weight", [-1.0, float("nan")])
+    def test_bad_candidate_weight_rejected(self, weight):
+        term = Terminator(TermKind.INDIRECT_CALL, candidates=[("f", weight)])
+        with pytest.raises(ValueError, match="candidate weight"):
+            Program([Function("f", [BasicBlock("b0", 2, term)])], entry="f")
+
+    def test_duplicate_names_and_missing_entry(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            _draft((1, K_RETURN), functions=("f", "f")).build("f")
+        with pytest.raises(ValueError, match="entry"):
+            _draft((1, K_RETURN)).build("main")
+
+    def test_error_names_the_block(self):
+        draft = ProgramDraft()
+        draft.function("f", ("head", "tail"))
+        draft.block(2, K_JUMP, 7)
+        draft.block(1, K_RETURN)
+        with pytest.raises(ValueError, match="f/head"):
+            draft.build("f")

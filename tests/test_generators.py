@@ -27,6 +27,23 @@ class TestProgramParams:
         with pytest.raises(Exception):
             params.n_funcs = 10
 
+    @pytest.mark.parametrize("field, knobs", [
+        ("loop_prob", {"loop_prob": -0.5}),
+        ("loop_taken_prob", {"loop_taken_prob": 1.2}),
+        ("cond_prob", {"cond_prob": float("nan")}),
+        ("call_prob", {"call_prob": 2.0}),
+        ("indirect_frac", {"indirect_frac": 5.0}),
+        ("load_frac", {"load_frac": -0.1}),
+        ("cond_bias_choices", {"cond_bias_choices": (0.1, 1.5)}),
+        ("cond_bias_choices", {"cond_bias_choices": ()}),
+        ("blocks_per_func", {"blocks_per_func": (0, 4)}),
+        ("instrs_per_block", {"instrs_per_block": (9, 4)}),
+        (r"load_frac \+ store_frac", {"load_frac": 0.7, "store_frac": 0.5}),
+    ])
+    def test_bad_knob_rejected_naming_the_field(self, field, knobs):
+        with pytest.raises(ValueError, match=field):
+            ProgramParams(**knobs)
+
 
 class TestProgramShape:
     def test_partition_is_disjoint_and_complete(self):

@@ -10,12 +10,14 @@ category, and bit-identical execution across the simulator backends.
 import pytest
 
 from repro.analysis.experiments import run_suite
+from repro.cli import main
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.config import SimConfig
 from repro.sim.simulator import simulate
 from repro.workloads.generators import ALL_CATEGORIES, WorkloadSpec, make_workload
 from repro.workloads.microservice import (
     MICROSERVICE_PARAMS,
+    MicroserviceParams,
     SERVICE_NAMES,
     TENANT_BASE,
     TENANT_STRIDE,
@@ -37,6 +39,24 @@ def _spec(tenants, n=60_000, seed=4, name="ms"):
         n_instructions=n,
         tenants=tenants,
     )
+
+
+class TestMicroserviceParams:
+    @pytest.mark.parametrize("field, knobs", [
+        ("indirect_frac", {"indirect_frac": 5.0}),
+        ("loop_prob", {"loop_prob": -0.5}),
+        ("loop_taken_prob", {"loop_taken_prob": 1.01}),
+        ("cond_prob", {"cond_prob": 2.0}),
+        ("store_frac", {"store_frac": -1.0}),
+        ("cond_bias_choices", {"cond_bias_choices": (0.5, -0.2)}),
+        ("rpc_fanout", {"rpc_fanout": (0, 2)}),
+        ("blocks_per_func", {"blocks_per_func": (6, 3)}),
+        ("instrs_per_block", {"instrs_per_block": (0, 0)}),
+        (r"load_frac \+ store_frac", {"load_frac": 0.9, "store_frac": 0.2}),
+    ])
+    def test_bad_knob_rejected_naming_the_field(self, field, knobs):
+        with pytest.raises(ValueError, match=field):
+            MicroserviceParams(**knobs)
 
 
 class TestRpcPrograms:
@@ -144,6 +164,24 @@ class TestWorkloadFamily:
     def test_unknown_service_rejected(self):
         with pytest.raises(ValueError, match="unknown microservice"):
             make_workload(_spec(("monolith",)))
+
+    def test_empty_tenants_rejected(self):
+        with pytest.raises(ValueError, match="at least one tenant"):
+            make_microservice_workload(_spec(()))
+
+    @pytest.mark.parametrize("tenants, message", [
+        (",", "at least one tenant"),
+        ("monolith", "unknown microservice 'monolith'"),
+    ])
+    def test_cli_gen_bad_tenants_exit_2(self, tmp_path, capsys, tenants, message):
+        out = tmp_path / "w.trc"
+        code = main(["gen", str(out), "--category", "microservice",
+                     "--tenants", tenants, "--instructions", "1000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gen: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_suite_shape(self):
         specs = microservice_suite()
