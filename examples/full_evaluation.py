@@ -26,7 +26,7 @@ JSON (load it at https://ui.perfetto.dev), rendered from the campaign's
 telemetry events; with ``--events`` too, the same trace can be rendered
 from the ledger later.  ``--progress`` renders a live status line
 read from the telemetry event bus (equivalent to ``REPRO_PROGRESS=1``);
-with ``--events`` it counts the whole campaign, like ``repro top``.
+it counts the whole campaign, like ``repro top`` over its ledger.
 
 With ``--events PATH`` every figure driver appends its telemetry to one
 JSONL run ledger (equivalent to ``REPRO_EVENTS=PATH``) — inspect it with
@@ -74,7 +74,7 @@ from repro.analysis.figures import (
     tab4_energy,
 )
 from repro.analysis.checkpoint import CheckpointManifest, set_checkpoint
-from repro.analysis.experiments import resolve_jobs, run_suite
+from repro.analysis.experiments import resolve_jobs, run_suite, telemetry_scope
 from repro.analysis.runcache import RunCache, set_run_cache
 from repro.workloads import cloudsuite_suite, cvp_suite
 
@@ -127,30 +127,6 @@ def main() -> None:
     if args.progress:
         os.environ["REPRO_PROGRESS"] = "1"
 
-    # One event bus for the whole campaign: every run_suite call below —
-    # including the ones buried inside figure drivers — reuses the
-    # installed bus, so all of them append to a single ledger, feed a
-    # single set of live gauges, and land in one execution trace
-    # (rendered from the bus's events at the end).
-    bus = None
-    metrics_server = None
-    traced = []
-    if args.events or args.metrics_port is not None or args.trace:
-        from repro.obs.events import open_bus, set_event_bus
-
-        bus = open_bus(args.events)
-        if args.trace:
-            bus.subscribe(traced.append)
-        if args.metrics_port is not None:
-            from repro.obs.exporthttp import (MetricsHTTPServer,
-                                              bus_metrics_source)
-
-            metrics_server = MetricsHTTPServer(
-                bus_metrics_source(bus), port=args.metrics_port)
-            metrics_server.start()
-            print(f"metrics: {metrics_server.url}", file=sys.stderr)
-        set_event_bus(bus)
-
     jobs = resolve_jobs(args.jobs)
     # One shared cache for every figure driver in this process: figures
     # 6-10, Table IV, §IV-E, and Figure 16 sweep overlapping (config,
@@ -173,104 +149,104 @@ def main() -> None:
         checkpoint = CheckpointManifest(checkpoint_path, resume=args.resume)
         set_checkpoint(checkpoint)
 
-    suite = cvp_suite(per_category=args.per_category)
-    clouds = cloudsuite_suite(n_instructions=300_000)
-    sections = []
-    started_all = time.time()
+    # One telemetry scope for the whole campaign: every run_suite call
+    # below — including the ones inside figure drivers — reuses its bus,
+    # so all of them append to one ledger, feed one set of live gauges
+    # and one progress line, and land in one execution trace.
+    with telemetry_scope(
+        args.events,
+        args.trace,
+        live=None,  # REPRO_PROGRESS, which --progress set above
+        metrics_port=args.metrics_port,
+    ):
+        suite = cvp_suite(per_category=args.per_category)
+        clouds = cloudsuite_suite(n_instructions=300_000)
+        sections = []
+        started_all = time.time()
 
-    def section(title, body, started):
-        elapsed = time.time() - started
-        text = f"== {title} (computed in {elapsed:.0f}s) ==\n{body}"
-        sections.append(text)
-        print(text, flush=True)
-        print(flush=True)
+        def section(title, body, started):
+            elapsed = time.time() - started
+            text = f"== {title} (computed in {elapsed:.0f}s) ==\n{body}"
+            sections.append(text)
+            print(text, flush=True)
+            print(flush=True)
 
-    t = time.time()
-    oracle_results = fig1_fig2_oracle(suite)
-    section("Figures 1-2", render_fig1(oracle_results) + "\n\n" +
-            render_fig2(oracle_results), t)
+        t = time.time()
+        oracle_results = fig1_fig2_oracle(suite)
+        section("Figures 1-2", render_fig1(oracle_results) + "\n\n" +
+                render_fig2(oracle_results), t)
 
-    t = time.time()
-    section("Tables I-II", render_tab1_tab2(), t)
+        t = time.time()
+        section("Tables I-II", render_tab1_tab2(), t)
 
-    t = time.time()
-    rows, _ = fig6_ipc_vs_storage(suite, FIG6_CONFIGS, jobs=jobs)
-    section("Figure 6", render_fig6(rows), t)
+        t = time.time()
+        rows, _ = fig6_ipc_vs_storage(suite, FIG6_CONFIGS, jobs=jobs)
+        section("Figure 6", render_fig6(rows), t)
 
-    t = time.time()
-    curve_eval = run_suite(suite, list(CURVE_CONFIGS), jobs=jobs)
-    parts = []
-    for fig, metric in (("Fig 7 — normalized IPC", "ipc"),
-                        ("Fig 8 — L1I miss ratio", "miss_ratio"),
-                        ("Fig 9 — coverage", "coverage"),
-                        ("Fig 10 — accuracy", "accuracy")):
-        parts.append(render_curves(fig, per_workload_curves(curve_eval, metric)))
-    section("Figures 7-10", "\n\n".join(parts), t)
+        t = time.time()
+        curve_eval = run_suite(suite, list(CURVE_CONFIGS), jobs=jobs)
+        parts = []
+        for fig, metric in (("Fig 7 — normalized IPC", "ipc"),
+                            ("Fig 8 — L1I miss ratio", "miss_ratio"),
+                            ("Fig 9 — coverage", "coverage"),
+                            ("Fig 10 — accuracy", "accuracy")):
+            parts.append(render_curves(fig, per_workload_curves(curve_eval, metric)))
+        section("Figures 7-10", "\n\n".join(parts), t)
 
-    t = time.time()
-    energy_rows, _ = tab4_energy(suite, TAB4_CONFIGS, jobs=jobs)
-    section("Table IV", render_tab4(energy_rows), t)
+        t = time.time()
+        energy_rows, _ = tab4_energy(suite, TAB4_CONFIGS, jobs=jobs)
+        section("Table IV", render_tab4(energy_rows), t)
 
-    t = time.time()
-    ablation = fig11_ablation(suite)
-    section("Figure 11", render_fig11(ablation), t)
+        t = time.time()
+        ablation = fig11_ablation(suite)
+        section("Figure 11", render_fig11(ablation), t)
 
-    t = time.time()
-    internals = figs12_to_15_internals(suite)
-    section("Figures 12-15", render_figs12_to_15(internals), t)
+        t = time.time()
+        internals = figs12_to_15_internals(suite)
+        section("Figures 12-15", render_figs12_to_15(internals), t)
 
-    t = time.time()
-    physical = sec4e_physical(suite, jobs=jobs)
-    section("Section IV-E", render_sec4e(physical), t)
+        t = time.time()
+        physical = sec4e_physical(suite, jobs=jobs)
+        section("Section IV-E", render_sec4e(physical), t)
 
-    t = time.time()
-    cloud_data, _ = fig16_cloudsuite(clouds, FIG16_CONFIGS, jobs=jobs)
-    section("Figure 16", render_fig16(cloud_data), t)
+        t = time.time()
+        cloud_data, _ = fig16_cloudsuite(clouds, FIG16_CONFIGS, jobs=jobs)
+        section("Figure 16", render_fig16(cloud_data), t)
 
-    t = time.time()
-    msvc_data, _ = fig_microservice(jobs=jobs)
-    section("Microservices (extension)", render_fig_microservice(msvc_data), t)
+        t = time.time()
+        msvc_data, _ = fig_microservice(jobs=jobs)
+        section("Microservices (extension)", render_fig_microservice(msvc_data), t)
 
-    total = time.time() - started_all
-    lines = [
-        "== Timing summary ==",
-        f"total wall-clock:    {total:.0f}s (jobs={jobs})",
-        f"unique simulations:  {cache.stores}",
-        f"cache hits:          {cache.hits} ({cache.disk_hits} from disk)",
-        f"wall-clock saved:    ~{cache.wall_seconds_saved:.0f}s of simulation",
-    ]
-    if cache.disk_corrupt:
-        lines.append(
-            f"corrupt entries:     {cache.disk_corrupt} rejected and "
-            f"re-simulated"
-        )
-    if checkpoint is not None:
-        lines.append(
-            f"checkpoint:          {len(checkpoint)} pairs done "
-            f"({checkpoint.resumed} resumed, {checkpoint.resumed_hits} "
-            f"served from cache, {checkpoint.marked} newly completed)"
-        )
-    summary = "\n".join(lines)
-    sections.append(summary)
-    print(summary, flush=True)
+        total = time.time() - started_all
+        lines = [
+            "== Timing summary ==",
+            f"total wall-clock:    {total:.0f}s (jobs={jobs})",
+            f"unique simulations:  {cache.stores}",
+            f"cache hits:          {cache.hits} ({cache.disk_hits} from disk)",
+            f"wall-clock saved:    ~{cache.wall_seconds_saved:.0f}s of simulation",
+        ]
+        if cache.disk_corrupt:
+            lines.append(
+                f"corrupt entries:     {cache.disk_corrupt} rejected and "
+                f"re-simulated"
+            )
+        if checkpoint is not None:
+            lines.append(
+                f"checkpoint:          {len(checkpoint)} pairs done "
+                f"({checkpoint.resumed} resumed, {checkpoint.resumed_hits} "
+                f"served from cache, {checkpoint.marked} newly completed)"
+            )
+        summary = "\n".join(lines)
+        sections.append(summary)
+        print(summary, flush=True)
 
-    if bus is not None:
-        from repro.obs.events import set_event_bus
-
-        if metrics_server is not None:
-            metrics_server.stop()
-        set_event_bus(None)
-        bus.close()
-        if args.events:
-            print(f"run ledger written to {args.events} "
-                  f"(python -m repro events {args.events} --summary)",
-                  file=sys.stderr)
-        if args.trace:
-            from repro.obs.chrometrace import write_chrome_trace
-
-            write_chrome_trace(traced, args.trace)
-            print(f"execution trace written to {args.trace} "
-                  f"(load at https://ui.perfetto.dev)", file=sys.stderr)
+    if args.events:
+        print(f"run ledger written to {args.events} "
+              f"(python -m repro events {args.events} --summary)",
+              file=sys.stderr)
+    if args.trace:
+        print(f"execution trace written to {args.trace} "
+              f"(load at https://ui.perfetto.dev)", file=sys.stderr)
 
     if args.out:
         with open(args.out, "w") as fh:

@@ -15,12 +15,24 @@ from __future__ import annotations
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.checkpoint import CheckpointManifest, get_checkpoint
-from repro.analysis.runcache import RunCache, get_run_cache, run_key
+from repro.analysis.runcache import RunCache, file_stamp, get_run_cache, run_key
 from repro.check import sanitizer_from_env
 from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
 from repro.obs.profiler import stage
@@ -97,32 +109,48 @@ def _resolve_checkpoint(checkpoint: CheckpointArg) -> Optional[CheckpointManifes
     return checkpoint
 
 
-#: A trace source: a generated workload, or a trace-file path.
-TraceSource = Union[WorkloadSpec, str]
+class TraceFile(NamedTuple):
+    """A trace-file source: the path and how to read it (the per-process
+    memos key on all three, so a salvaged load never serves a strict read)."""
+
+    path: str
+    fmt: str = "auto"
+    salvage: bool = False
+
+
+#: A trace source: a generated workload, or a trace file.
+TraceSource = Union[WorkloadSpec, TraceFile]
+
+
+def _stamp(source: TraceSource) -> Optional[Tuple[int, int, int]]:
+    path = source.path if isinstance(source, TraceFile) else source.trace_file
+    return None if path is None else file_stamp(path)
+
+
+def _cached_workload(source: TraceSource) -> Trace:
+    """Per-process trace of a spec or a trace file; a file rewritten in
+    place (a new :func:`~repro.analysis.runcache.file_stamp`) is reloaded."""
+    return _trace_memo(source, _stamp(source))
 
 
 @lru_cache(maxsize=256)
-def _cached_workload(spec: WorkloadSpec) -> Trace:
-    return make_workload(spec)
-
-
-@lru_cache(maxsize=4)
-def _cached_trace_file(path: str) -> Trace:
-    """Per-process load of a trace file (``repro sweep`` / guarded ``run``)."""
+def _trace_memo(source: TraceSource, stamp: Any) -> Trace:
+    if isinstance(source, WorkloadSpec):
+        return make_workload(source)
     from repro.workloads.importers import load_external_trace
 
-    return load_external_trace(path)
+    return load_external_trace(
+        source.path, fmt=source.fmt, salvage=source.salvage
+    )
 
 
-def _load_source(source: TraceSource) -> Trace:
-    if isinstance(source, WorkloadSpec):
-        return _cached_workload(source)
-    return _cached_trace_file(source)
+def _cached_units(source: TraceSource, line_size: int) -> Tuple[FetchUnit, ...]:
+    return _units_memo(source, _stamp(source), line_size)
 
 
 @lru_cache(maxsize=256)
-def _cached_units(source: TraceSource, line_size: int) -> Tuple[FetchUnit, ...]:
-    return tuple(build_fetch_units(_load_source(source), line_size))
+def _units_memo(source: TraceSource, stamp: Any, line_size: int) -> Tuple[FetchUnit, ...]:
+    return tuple(build_fetch_units(_trace_memo(source, stamp), line_size))
 
 
 def installed_event_bus() -> Optional[Any]:
@@ -133,6 +161,69 @@ def installed_event_bus() -> Optional[Any]:
     """
     events_mod = sys.modules.get("repro.obs.events")
     return events_mod.get_event_bus() if events_mod is not None else None
+
+
+@contextmanager
+def telemetry_scope(
+    events_path: Optional[str] = None,
+    trace_path: Optional[str] = None,
+    live: Optional[bool] = False,
+    metrics_port: Optional[int] = None,
+) -> Iterator[Optional[Any]]:
+    """The one telemetry scope: yields the event bus, or None.
+
+    The bus is the ``events_path`` one (opened and owned), else the
+    installed process bus, else one with the ``REPRO_EVENTS`` ledger; a
+    Chrome trace, a ``live`` consumer (a progress line, a sanitizer
+    summary; ``None`` defers to ``REPRO_PROGRESS``, as ``run_suite``'s
+    ``progress`` does) or a ``metrics_port`` alone opens one without a
+    ledger.  For the scope the trace collector is subscribed,
+    ``metrics_port`` served (0 = any free port; the URL goes to stderr)
+    and the bus installed as the process bus; on exit the previous bus
+    is restored, the server stopped, an owned bus closed and the trace
+    written.  The scope emits
+    nothing: :func:`~repro.analysis.parallel.run_tasks_parallel` brackets
+    each batch as a suite.  Without an opt-in or an installed bus,
+    :mod:`repro.obs.events` is never imported (the zero-cost contract).
+    """
+    bus = None if events_path else installed_event_bus()
+    owned = bus is None
+    if live is None:
+        live = _progress_stream(None) is not None
+    if owned:
+        events_path = events_path or os.environ.get("REPRO_EVENTS", "").strip()
+        if not (events_path or trace_path or live or metrics_port is not None):
+            yield None
+            return
+    from repro.obs.events import open_bus, set_event_bus
+
+    if owned:
+        bus = open_bus(events_path or None)
+    traced: List[Any] = []
+    if trace_path is not None:
+        bus.subscribe(traced.append)
+    server = None
+    if metrics_port is not None:
+        from repro.obs.exporthttp import MetricsHTTPServer, bus_metrics_source
+
+        server = MetricsHTTPServer(bus_metrics_source(bus), port=metrics_port)
+        server.start()
+        print(f"metrics: {server.url}", file=sys.stderr)
+    previous = set_event_bus(bus)
+    try:
+        yield bus
+    finally:
+        set_event_bus(previous)
+        if server is not None:
+            server.stop()
+        if trace_path is not None:
+            bus.unsubscribe(traced.append)
+        if owned:
+            bus.close()
+        if trace_path is not None:
+            from repro.obs.chrometrace import write_chrome_trace
+
+            write_chrome_trace(traced, trace_path)
 
 
 def resolve_config(name: str, base: SimConfig) -> Tuple[InstructionPrefetcher, SimConfig]:
@@ -289,7 +380,7 @@ def run_single(
             config_name, base_config or SimConfig()
         )
     with stage("workload_build"):
-        trace = _load_source(spec)
+        trace = _cached_workload(spec)
     with stage("fetch_units"):
         units = _cached_units(spec, sim_config.line_size)
     with stage("simulate"):
@@ -342,15 +433,19 @@ def run_cached(
         return run_single(spec, config_name, base_config, warmup_instructions)
     base = base_config or SimConfig()
     _prefetcher, sim_config = resolve_config(config_name, base)
-    key = run_key(
-        spec, config_name, sim_config, resolve_warmup(spec, warmup_instructions)
-    )
+    warmup = resolve_warmup(spec, warmup_instructions)
+    key = run_key(spec, config_name, sim_config, warmup)
     label = f"{config_name}/{spec.name}"
     hit = active.get(key, label=label)
     if hit is not None:
         return hit
     result = run_single(spec, config_name, base_config, warmup_instructions)
-    active.put(key, result, label=label)
+    # A trace file rewritten during the run re-keys: store nothing then.
+    if (
+        spec.trace_file is None
+        or run_key(spec, config_name, sim_config, warmup) == key
+    ):
+        active.put(key, result, label=label)
     return result
 
 
@@ -418,33 +513,28 @@ def run_suite(
     interrupted evaluation can resume; a non-None checkpoint routes even
     ``jobs=1`` through the fault-tolerant runner (in-process).
 
-    ``trace_path`` writes a Chrome trace-event JSON (Perfetto /
-    ``chrome://tracing``) of the whole evaluation — suite, cache lookups,
-    executor attempts (error-tagged when they failed), retry backoffs and
-    worker-side pipeline stages across every worker process.  It is
-    rendered (:mod:`repro.obs.chrometrace`) from the telemetry events
-    this call publishes, so it needs a bus: the ``events_path`` one, an
-    installed one, or — when neither exists — a bus without a ledger
-    that lives for this call.  The same renderer applied to the ledger
-    reproduces the trace offline.
-    ``progress`` (or ``REPRO_PROGRESS=1``) renders a throttled live
-    status line such as ``status: 14/24 done, 4 running, 0 failed,
-    6 cached, ETA 41s``.  It is read from the bus's
-    :class:`~repro.obs.events.StatusAggregator`, so it equals ``repro
-    top`` over the ledger.  Only the live line adds a ``stale`` suffix,
-    for workers whose heartbeats stopped before the task timeout fired
-    (see ``evaluation.faults.stale_tasks``).  Like a trace, it uses the
-    ``events_path`` bus, an installed one, or a ledger-less bus that
-    lives for this call.
-
+    Telemetry goes through one :func:`telemetry_scope` (the
+    ``events_path`` bus, else an installed one such as a CLI command's,
+    else ``REPRO_EVENTS``, else a ledger-less bus for this call), and
+    the scheduler brackets the evaluation as one suite on it.
     ``events_path`` (or ``REPRO_EVENTS``) appends every telemetry event
     — suite lifecycle, task starts/heartbeats/finishes, executor
     verdicts, cache hits/misses, sanitizer reports — to a JSONL run
     ledger (see :mod:`repro.obs.events`); a crash/timeout/quarantine
     additionally dumps a flight-recorder artifact next to the ledger,
-    linked from ``evaluation.faults.flight_recordings``.  A process bus
-    already installed via ``repro.obs.events.set_event_bus`` (the CLI's
-    ``--events``/``--metrics-port`` session) is reused instead.
+    linked from ``evaluation.faults.flight_recordings``.
+    ``trace_path`` writes a Chrome trace-event JSON (Perfetto) of the
+    evaluation — cache lookups, executor attempts (error-tagged when
+    they failed), retry backoffs and worker-side pipeline stages —
+    rendered (:mod:`repro.obs.chrometrace`) from those events, as the
+    same renderer reproduces it from the ledger offline.
+    ``progress`` (or ``REPRO_PROGRESS=1``) renders a throttled live
+    status line such as ``status: 14/24 done, 4 running, 0 failed,
+    6 cached, ETA 41s`` from the bus's
+    :class:`~repro.obs.events.StatusAggregator`, so it equals ``repro
+    top`` over the ledger.  Only the live line adds a ``stale`` suffix,
+    for workers whose heartbeats stopped before the task timeout fired
+    (see ``evaluation.faults.stale_tasks``).
 
     All three are strictly opt-in: architectural results are
     bit-identical with or without them, and none of the observability
@@ -458,50 +548,17 @@ def run_suite(
     n_jobs = resolve_jobs(jobs)
     active_checkpoint = _resolve_checkpoint(checkpoint)
 
-    # Telemetry bus: an explicit events_path creates (and owns) one; a bus
-    # installed via set_event_bus (CLI session) is reused; REPRO_EVENTS is
-    # the env fallback; a trace or progress line alone gets a ledger-less
-    # bus of its own.  Discovery goes through sys.modules so a run with
-    # no events, trace or progress never imports repro.obs.events.
-    events_bus: Optional[Any] = None
-    owns_bus = False
-    if events_path is None:
-        events_bus = installed_event_bus()
-        if events_bus is None:
-            events_path = os.environ.get("REPRO_EVENTS", "").strip() or None
     stream = _progress_stream(progress)
-    if events_bus is None and (
-        events_path is not None
-        or trace_path is not None
-        or stream is not None
-    ):
-        from repro.obs.events import open_bus
-
-        events_bus = open_bus(events_path)
-        owns_bus = True
-    traced: Optional[List[Any]] = None
-    if trace_path is not None:
-        traced = []
-        events_bus.subscribe(traced.append)
-
-    # Worker events ride the engine's queue, so a bus forces the engine.
-    use_engine = (
-        n_jobs > 1
-        or active_checkpoint is not None
-        or retry_policy is not None
-        or events_bus is not None
-    )
-    if events_bus is not None:
-        events_bus.emit(
-            "suite_started",
-            payload={
-                "n_configs": len(names),
-                "n_workloads": len(specs),
-                "n_tasks": len(names) * len(specs),
-                "jobs": n_jobs,
-            },
+    with telemetry_scope(
+        events_path, trace_path, live=stream is not None
+    ) as events_bus:
+        # Worker events ride the engine's queue, so a bus forces the engine.
+        use_engine = (
+            n_jobs > 1
+            or active_checkpoint is not None
+            or retry_policy is not None
+            or events_bus is not None
         )
-    try:
         with stage("run_suite"):
             if use_engine:
                 from repro.analysis.parallel import RunTask, run_tasks_parallel
@@ -517,7 +574,6 @@ def run_suite(
                     cache=_resolve_cache(cache),
                     checkpoint=active_checkpoint,
                     policy=retry_policy,
-                    events_bus=events_bus,
                     progress=stream,
                 )
                 evaluation.runs = {name: {} for name in names}
@@ -560,31 +616,6 @@ def run_suite(
                             logger.warning(
                                 "quarantined %s/%s: %s", name, spec.name, exc
                             )
-    finally:
-        if events_bus is not None:
-            completed = sum(len(per) for per in evaluation.runs.values())
-            quarantined = (
-                len(evaluation.faults.quarantined)
-                if evaluation.faults is not None
-                else 0
-            )
-            try:
-                events_bus.emit(
-                    "suite_finished",
-                    payload={
-                        "completed": completed,
-                        "quarantined": quarantined,
-                    },
-                )
-            finally:
-                if traced is not None:
-                    events_bus.unsubscribe(traced.append)
-                if owns_bus:
-                    events_bus.close()
-    if trace_path is not None:
-        from repro.obs.chrometrace import write_chrome_trace
-
-        write_chrome_trace(traced, trace_path)
     return evaluation
 
 

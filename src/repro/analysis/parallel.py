@@ -9,8 +9,8 @@ a ``ProcessPoolExecutor`` and returns the results in task order, so
 ``jobs=N`` is bit-identical to ``jobs=1`` for every architectural
 counter.  It is the only scheduler: ``run_suite`` builds its
 (config, workload) product, ``repro tune`` sends genome batches, and
-``repro sweep`` and guarded ``repro run`` send trace-file tasks, and
-every simulation runs in :func:`execute_task_attempt`.
+``repro run`` and ``repro sweep`` send trace-file tasks, and every
+simulation runs in :func:`execute_task_attempt`.
 
 At the paper's full evaluation scale (959 traces x ~15 configurations) a
 single crashed or hung worker must not kill hours of simulation, so the
@@ -66,6 +66,8 @@ from typing import (
 
 from repro.analysis.checkpoint import CheckpointManifest
 from repro.analysis.experiments import (
+    TraceFile,
+    installed_event_bus,
     resolve_config,
     resolve_warmup,
     run_single,
@@ -599,8 +601,9 @@ class RunTask(NamedTuple):
 
     ``source`` is a :class:`WorkloadSpec` — regenerated per process, and
     run-keyed so the store can serve, claim and checkpoint it — or a
-    trace-file path (``repro sweep`` and guarded ``repro run``), which is
-    loaded per process and never cached, claimed or checkpointed.  The
+    :class:`~repro.analysis.experiments.TraceFile` (``repro run`` and
+    ``repro sweep``), loaded per process with its read options and never
+    cached, claimed or checkpointed.  The
     configuration is the registry name ``config_name`` resolved against
     ``base_config``, or, when ``configs`` is set, an already-resolved
     ``(EntanglingConfig, SimConfig)`` pair named ``config_name`` (a tune
@@ -609,7 +612,7 @@ class RunTask(NamedTuple):
     ``WARMUP_FRACTION`` of its trace.
     """
 
-    source: Union[WorkloadSpec, str]
+    source: Union[WorkloadSpec, TraceFile]
     config_name: str
     base_config: Optional[SimConfig] = None
     warmup_instructions: Optional[int] = None
@@ -678,7 +681,7 @@ def execute_task_attempt(
     """The worker entry point: one attempt of one task, detached result.
 
     Every simulation the scheduler runs — a suite pair, a tune genome, a
-    sweep configuration, a guarded ``repro run``, a lease-stolen
+    sweep configuration, a ``repro run``, a lease-stolen
     follower — goes through here, so fault injection
     (:class:`FaultInjector`, keyed on :func:`task_label`) and telemetry
     reach all of them.
@@ -728,13 +731,12 @@ def run_tasks_parallel(
     cache: Optional[RunCache] = None,
     checkpoint: Optional[CheckpointManifest] = None,
     policy: Optional[RetryPolicy] = None,
-    events_bus: Optional[Any] = None,
     progress: Optional[Any] = None,
 ) -> SuiteOutcome:
     """Evaluate ``tasks`` with ``jobs`` worker processes: the one scheduler.
 
     ``run_suite`` (its config x workload product), ``repro tune`` (genome
-    batches), ``repro sweep`` and guarded ``repro run`` (trace-file tasks,
+    batches), ``repro run`` and ``repro sweep`` (trace-file tasks,
     ``cache=None``) all come through here, and every simulation runs in
     :func:`execute_task_attempt`.  Returns one result per task, in task
     order, plus the executor's :class:`FaultReport`; ``jobs=N`` is
@@ -745,8 +747,11 @@ def run_tasks_parallel(
     resumed; tasks that fail every attempt are quarantined (None, listed
     in the report) rather than fatal.
 
-    ``events_bus`` (a ``repro.obs.events.EventBus``) receives every
-    telemetry event of the evaluation — the worker lifecycle and
+    The installed process bus (see
+    :func:`~repro.analysis.experiments.telemetry_scope`), if any,
+    receives every telemetry event of the evaluation inside the one
+    ``suite_started`` / ``suite_finished`` pair this call emits — the
+    worker lifecycle and
     heartbeats over the worker queue (pumped by a
     :class:`~repro.obs.events.ProgressDrain`), executor verdicts via an
     :class:`~repro.obs.events.EventObserver`, and cache traffic.  The
@@ -764,6 +769,7 @@ def run_tasks_parallel(
     — through the same worker entry point, so it reports like any other
     task — only when the owner provably died.
     """
+    events_bus = installed_event_bus()
     labels = [task_label(task) for task in tasks]
     keys: List[Optional[str]] = [None] * len(tasks)
     results: List[Optional[SimResult]] = [None] * len(tasks)
@@ -814,6 +820,12 @@ def run_tasks_parallel(
             if result is None:
                 continue  # quarantined — reported, not fatal
             result.stats.attempts = max(1, n_attempts)
+            if (
+                keys[idx] is not None
+                and tasks[idx].source.trace_file is not None
+                and task_key(tasks[idx]) != keys[idx]
+            ):
+                keys[idx] = None  # its trace file changed: serve, store nothing
             if cache is not None and keys[idx] is not None:
                 cache.put(keys[idx], result, label=labels[idx])
             finish(idx, result)
@@ -823,6 +835,9 @@ def run_tasks_parallel(
             # Workers send their events over one queue, pumped onto the bus
             # (and rendered as the progress line) until the last followed
             # key resolves.
+            events_bus.emit(
+                "suite_started", payload={"n_tasks": len(tasks), "jobs": jobs}
+            )
             from repro.obs.events import (
                 EventObserver,
                 ProgressDrain,
@@ -975,4 +990,9 @@ def run_tasks_parallel(
                 report.store_degraded = True
         if publisher_attached:
             cache.publisher = previous_publisher
+        if events_bus is not None:
+            completed = sum(result is not None for result in results)
+            events_bus.emit("suite_finished", payload={
+                "completed": completed, "quarantined": len(report.quarantined),
+            })
     return SuiteOutcome(results, report)

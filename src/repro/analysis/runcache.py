@@ -33,11 +33,12 @@ repeated evaluations across processes skip finished simulations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.store import ShardedRunStore
 from repro.sim.config import SimConfig
@@ -102,6 +103,9 @@ def run_key(
     bit-identical signatures (enforced by ``tests/test_backends.py``), so
     a result computed by one core must be served to all of them — and a
     backend switch must never invalidate a warm cache.
+
+    A ``trace_file`` spec's workload is the file's content, so a digest
+    of its bytes joins the key (generated specs' keys are unaffected).
     """
     config_fields = _canonical(sim_config)
     config_fields.pop("backend", None)
@@ -112,8 +116,43 @@ def run_key(
         "sim_config": config_fields,
         "warmup_instructions": warmup_instructions,
     }
+    if spec.trace_file is not None:
+        payload["trace_digest"] = _file_digest(spec.trace_file)
     text = _canonical_json(payload)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+
+
+def file_stamp(path: str) -> Optional[Tuple[int, int, int]]:
+    """``(size, mtime_ns, inode)`` of ``path``, or None when it cannot be
+    stat'ed.  Rewriting the file changes it, so memos of what a file
+    holds key on it."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return stat.st_size, stat.st_mtime_ns, stat.st_ino
+
+
+def _file_digest(path: str) -> Optional[str]:
+    """sha256 of the file's bytes, or None when unreadable (loading it
+    fails too)."""
+    stamp = file_stamp(path)
+    try:
+        return None if stamp is None else _stamped_digest(path, stamp)
+    except OSError:
+        return None
+
+
+# Unbounded: an entry is a short hex string, and a bounded memo is swept
+# clean by a config-major suite over more files than it holds, which
+# then hashes every file once per configuration.
+@functools.lru_cache(maxsize=None)
+def _stamped_digest(path: str, stamp: Tuple[int, int, int]) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class RunCache:

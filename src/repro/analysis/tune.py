@@ -47,7 +47,6 @@ from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.checkpoint import CheckpointManifest
-from repro.analysis.experiments import installed_event_bus
 from repro.analysis.metrics import robust_geometric_mean
 from repro.analysis.parallel import (
     RunTask,
@@ -517,29 +516,14 @@ class Tuner:
     def _schedule(
         self, tasks: List[RunTask], jobs: int
     ) -> List[Optional[SimResult]]:
-        """One :func:`run_tasks_parallel` call, bracketed as a suite on
-        the installed telemetry bus so a ledger replay counts its pairs."""
-        bus = installed_event_bus()
-        if bus is not None:
-            bus.emit(
-                "suite_started",
-                payload={"n_tasks": len(tasks), "jobs": jobs},
-            )
+        """One :func:`run_tasks_parallel` call, which brackets itself as a
+        suite on the installed telemetry bus."""
         outcome = run_tasks_parallel(
             tasks,
             jobs=jobs,
             cache=self.cache,
             checkpoint=self.checkpoint,
-            events_bus=bus,
         )
-        if bus is not None:
-            bus.emit(
-                "suite_finished",
-                payload={
-                    "completed": sum(r is not None for r in outcome.results),
-                    "quarantined": len(outcome.report.quarantined),
-                },
-            )
         if outcome.report.store_degraded and not self._degradation_warned:
             self._degradation_warned = True
             logger.warning(

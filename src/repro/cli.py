@@ -31,14 +31,23 @@ any supported trace format directly (the bytes are sniffed — see
 :mod:`repro.workloads.importers`), so ``import`` is only needed when the
 converted trace will be reused many times.
 
+``run``, ``sweep`` and ``tune`` simulate through the one scheduler
+(:func:`~repro.analysis.parallel.run_tasks_parallel`): ``run`` is one
+in-process task, and ``--retries``/``--task-timeout`` move it into a
+worker process.  ``run``/``sweep``/``trace`` load the trace here first,
+so a damaged file is reported once (exit code 2).
+
 Telemetry (:mod:`repro.obs.events`): ``run``/``sweep``/``tune`` accept
 ``--events PATH`` (or ``REPRO_EVENTS``) to append every lifecycle,
 fault, cache, and sanitizer occurrence to a JSONL run ledger, and
-``--metrics-port N`` to serve live Prometheus metrics while they run.
-``events`` queries/tails a ledger, ``top`` renders a live status table
-from one, and ``metrics-serve`` exports a ledger over HTTP after the
-fact.  Without those flags the telemetry modules are never imported
-(the zero-cost contract of :mod:`repro.obs`).
+``--metrics-port N`` to serve live Prometheus metrics while they run,
+through one :func:`~repro.analysis.experiments.telemetry_scope`; the
+scheduler brackets each batch as a suite.  ``run --check`` prints the
+verdict of the run's ``sanitizer`` event, so it opens a bus without a
+ledger.  ``events`` queries/tails a ledger, ``top`` renders a live
+status table from one, and ``metrics-serve`` exports a ledger over HTTP
+after the fact.  Without those flags the telemetry modules are never
+imported (the zero-cost contract of :mod:`repro.obs`).
 
 Shared run store (:mod:`repro.analysis.store`): ``store`` inspects and
 maintains a cache directory (entry/lease stats, forced eviction,
@@ -57,9 +66,15 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.prefetchers.registry import available_prefetchers
-from repro.analysis.experiments import resolve_config, resolve_jobs
+from repro.analysis.experiments import (
+    TraceFile,
+    _cached_workload,
+    resolve_config,
+    resolve_jobs,
+    telemetry_scope,
+)
 from repro.analysis.reporting import format_table
-from repro.check import TraceError, sanitizer_from_env
+from repro.check import TraceError, sanitize_mode_from_env
 from repro.sim.config import BACKENDS, SimConfig
 from repro.sim.fetchunits import build_fetch_units
 from repro.sim.simulator import simulate
@@ -72,16 +87,27 @@ from repro.workloads.importers import load_external_trace
 from repro.workloads.trace import write_trace
 
 
-def _load_trace(path: str, salvage: bool = False, fmt: str = "auto"):
-    """Read a trace of any supported format, reporting salvage on stderr.
+class _InputError(Exception):
+    """An unreadable or damaged input trace (:func:`main` exits 2)."""
 
-    Raises TraceError upward; the command wrappers turn it into exit
-    code 2 with a one-line diagnosis instead of a stack trace.
+
+def _trace_source(args: argparse.Namespace) -> TraceFile:
+    """Load ``args.trace`` here, the way its tasks will read it.
+
+    A damaged trace raises here, before any task is dispatched, instead
+    of failing every attempt; the salvage note prints once.  The load is
+    memoized, so an in-process attempt reuses it.
     """
-    trace = load_external_trace(path, fmt=fmt, salvage=salvage)
+    source = TraceFile(args.trace, getattr(args, "format", "auto"),
+                       getattr(args, "salvage", False))
+    try:
+        trace = _cached_workload(source)
+    except (OSError, TraceError) as exc:
+        raise _InputError(exc) from exc
     if trace.salvage is not None:
-        print(f"salvage: {path}: {trace.salvage.describe()}", file=sys.stderr)
-    return trace
+        print(f"salvage: {args.trace}: {trace.salvage.describe()}",
+              file=sys.stderr)
+    return source
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -130,8 +156,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
             salvage=args.salvage,
         )
     except (OSError, TraceError) as exc:
-        print(f"import: {exc}", file=sys.stderr)
-        return 2
+        raise _InputError(exc) from exc
     if trace.salvage is not None:
         print(f"salvage: {args.source}: {trace.salvage.describe()}",
               file=sys.stderr)
@@ -150,79 +175,14 @@ def _cmd_import(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(trace, config_name: str, warmup: int, checker=None):
-    prefetcher, sim_config = resolve_config(config_name, SimConfig())
-    units = build_fetch_units(trace, sim_config.line_size)
-    return simulate(
-        trace, prefetcher, config=sim_config, units=units,
-        warmup_instructions=warmup, checker=checker,
+def _telemetry(args: argparse.Namespace, live: bool = False):
+    """The command's :func:`~repro.analysis.experiments.telemetry_scope`."""
+    return telemetry_scope(
+        events_path=args.events,
+        trace_path=getattr(args, "trace_out", None),
+        live=live,
+        metrics_port=args.metrics_port,
     )
-
-
-@contextmanager
-def _telemetry(args: argparse.Namespace, command: str, n_tasks: int = 1):
-    """CLI telemetry scope: run ledger, live metrics endpoint, trace.
-
-    Yields the installed :class:`~repro.obs.events.EventBus`, or None
-    when none of ``--events`` / ``REPRO_EVENTS``, ``--metrics-port`` or
-    ``--trace`` opted in — in which case nothing under
-    ``repro.obs.events`` is imported (the zero-cost contract).  The bus
-    is installed as the process bus for the scope so in-process
-    publishers (sanitizer, run cache) reach the same ledger, and
-    suite_started/suite_finished bracket the command.  With ``--trace``
-    (a bus without a ledger unless one was asked for) the scope's
-    events are rendered as a Chrome trace on exit.
-    """
-    import os
-
-    events_path = getattr(args, "events", None) or (
-        os.environ.get("REPRO_EVENTS", "").strip() or None
-    )
-    port = getattr(args, "metrics_port", None)
-    trace_path = getattr(args, "trace_out", None)
-    if not events_path and port is None and not trace_path:
-        yield None
-        return
-    from repro.obs.events import open_bus, set_event_bus
-
-    bus = open_bus(events_path)
-    traced: list = []
-    if trace_path:
-        bus.subscribe(traced.append)
-    server = None
-    if port is not None:
-        from repro.obs.exporthttp import MetricsHTTPServer, bus_metrics_source
-
-        server = MetricsHTTPServer(bus_metrics_source(bus), port=port)
-        server.start()
-        print(f"metrics: {server.url}", file=sys.stderr)
-    previous = set_event_bus(bus)
-    bus.emit(
-        "suite_started",
-        payload={"n_tasks": n_tasks, "command": command},
-    )
-    completed = False
-    try:
-        yield bus
-        completed = True
-    finally:
-        try:
-            bus.emit(
-                "suite_finished",
-                payload={"command": command, "completed": completed},
-            )
-        except Exception:  # noqa: BLE001 — telemetry never masks the exit
-            pass
-        set_event_bus(previous)
-        if server is not None:
-            server.stop()
-        bus.close()
-        if trace_path:
-            from repro.obs.chrometrace import write_chrome_trace
-
-            write_chrome_trace(traced, trace_path)
-            print(f"wrote execution trace {trace_path} "
-                  f"(load at https://ui.perfetto.dev)")
 
 
 @contextmanager
@@ -258,6 +218,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("run: a trace is required (positional or --trace-file)",
               file=sys.stderr)
         return 2
+    source = _trace_source(args)
+    resolve_config(args.prefetcher, SimConfig())  # an unknown name raises here
     overrides = {}
     if args.backend:
         # One switch covers both the in-process path and guarded worker
@@ -268,49 +230,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Propagate to worker processes (guarded mode) and keep the
         # in-process path on the same code route as REPRO_SANITIZE=1.
         overrides["REPRO_SANITIZE"] = "1"
-    with _scoped_environ(overrides), _telemetry(args, "run") as bus:
-        checker = None
-        if args.task_timeout is not None or args.retries is not None:
-            # Guarded execution: run the simulation in a worker process
-            # so a hang can be timed out and a crash retried.
+    # Guarded execution runs the simulation in a worker process, so a
+    # hang can be timed out and a crash retried; otherwise the scheduler
+    # runs it in this process.
+    guarded = args.task_timeout is not None or args.retries is not None
+    with _scoped_environ(overrides):
+        sanitized = sanitize_mode_from_env() is not None
+        summaries: List[str] = []
+
+        def collect(event) -> None:
+            if event.type == "sanitizer":
+                summaries.append(event.payload["summary"])
+
+        # The sanitizer verdict reaches this process as an event, so a
+        # sanitized run needs a bus even without a ledger.
+        with _telemetry(args, live=sanitized) as bus:
+            if bus is not None:
+                bus.subscribe(collect)
             (result,) = _run_trace_tasks(
-                args, [args.prefetcher], bus,
-                jobs=2,  # pooled (1 task -> 1 worker); enables timeout
+                args, source, [args.prefetcher], jobs=2 if guarded else 1
             )
-            if result is None:
-                return 1
-        else:
-            try:
-                trace = _load_trace(
-                    args.trace, salvage=args.salvage, fmt=args.format
-                )
-            except TraceError as exc:
-                print(f"run: {exc}", file=sys.stderr)
-                return 2
-            checker = sanitizer_from_env()
             if bus is not None:
-                bus.emit(
-                    "task_started",
-                    label=args.prefetcher,
-                    payload={"trace": args.trace},
-                )
-            result = _run_one(trace, args.prefetcher, args.warmup,
-                              checker=checker)
-            if bus is not None:
-                bus.emit(
-                    "task_finished",
-                    label=args.prefetcher,
-                    cycle=result.stats.cycles,
-                    payload={"ipc": result.stats.ipc},
-                )
-                if checker is not None:
-                    bus.emit(
-                        "sanitizer",
-                        config=args.prefetcher,
-                        workload=result.trace_name,
-                        cycle=result.stats.cycles,
-                        payload=checker.report().to_payload(),
-                    )
+                bus.unsubscribe(collect)
+        if result is None:
+            return 1
         from repro.sim.stages import resolve_backend
 
         stats = result.stats
@@ -329,8 +272,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"(mispredict rate {stats.branch_misprediction_rate:.3f})")
         print(f"sim speed:  {stats.instrs_per_second:,.0f} instrs/s "
               f"({stats.wall_seconds:.2f}s wall)")
-        if checker is not None:
-            print(checker.report().summary_line())
+        for line in summaries:
+            print(line)
         return 0
 
 
@@ -349,21 +292,22 @@ def _cli_policy(args: argparse.Namespace):
     return policy
 
 
-def _run_trace_tasks(args: argparse.Namespace, names: List[str], bus, jobs: int):
-    """Run ``names`` on ``args.trace`` through the suite scheduler.
+def _run_trace_tasks(
+    args: argparse.Namespace, source: TraceFile, names: List[str], jobs: int
+):
+    """Run ``names`` on the trace ``source`` through the suite scheduler.
 
     Returns one result per name, None where the configuration was
-    quarantined; quarantines (and flight recordings, when ``bus`` is
-    set) are reported on stderr.  Trace-file tasks are never cached.
+    quarantined; quarantines (and flight recordings, when a bus is
+    installed) are reported on stderr.  Trace-file tasks are never cached.
     """
     from repro.analysis.parallel import RunTask, run_tasks_parallel
 
     outcome = run_tasks_parallel(
-        [RunTask(args.trace, name, None, args.warmup) for name in names],
+        [RunTask(source, name, None, args.warmup) for name in names],
         jobs=jobs,
         cache=None,
         policy=_cli_policy(args),
-        events_bus=bus,
     )
     for path in outcome.report.flight_recordings.values():
         print(f"flight recording: {path}", file=sys.stderr)
@@ -376,9 +320,10 @@ def _run_trace_tasks(args: argparse.Namespace, names: List[str], bus, jobs: int)
 def _cmd_sweep(args: argparse.Namespace) -> int:
     names = [n.strip() for n in args.prefetchers.split(",") if n.strip()]
     jobs = resolve_jobs(args.jobs)
-    with _telemetry(args, "sweep", n_tasks=len(names)) as bus:
+    source = _trace_source(args)
+    with _telemetry(args):
         results = _run_trace_tasks(
-            args, names, bus, jobs=jobs if len(names) > 1 else 1
+            args, source, names, jobs=jobs if len(names) > 1 else 1
         )
         baseline = None
         rows = []
@@ -406,7 +351,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ))
         print(f"({len(rows)}/{len(names)} configs, {total_wall:.1f}s of "
               f"simulation, jobs={jobs})")
-        return 0 if rows else 1
+    if args.trace_out:
+        print(f"wrote execution trace {args.trace_out} "
+              f"(load at https://ui.perfetto.dev)")
+    return 0 if rows else 1
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -460,9 +408,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"tune: {exc}", file=sys.stderr)
         return 2
-    with _telemetry(args, "tune", n_tasks=0):
-        # Each scheduler batch of the search brackets itself as a suite
-        # on the installed bus.
+    with _telemetry(args):
         result = tuner.search()
     print(result.render())
     if result.invalid:
@@ -495,7 +441,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         registry_for_run,
     )
 
-    trace = _load_trace(args.trace)
+    source = _trace_source(args)
+    trace = _cached_workload(source)
     prefetcher, sim_config = resolve_config(args.prefetcher, SimConfig())
     units = build_fetch_units(trace, sim_config.line_size)
     tracer = PrefetchTracer(capacity=args.capacity, sample=args.sample)
@@ -1239,7 +1186,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,9 @@ scraped mid-flight (:mod:`repro.obs.exporthttp`).
 
 Event routing is exactly-once by construction:
 
+* :func:`~repro.analysis.parallel.run_tasks_parallel`, the one
+  scheduler, brackets each batch it runs with one ``suite_started`` /
+  ``suite_finished`` pair; nothing else emits either;
 * everything a worker reports — its attempt lifecycle
   (``task_started``/``heartbeat``/``task_finished``/``task_failed``)
   and richer events such as sanitizer reports — is published through
@@ -41,11 +44,14 @@ the fleet was doing when the worker died.
 The Chrome/Perfetto trace is rendered from these same events
 (:mod:`repro.obs.chrometrace`), live or from a ledger.
 
-Zero-cost contract: nothing imports this module unless events, a trace
-or live progress are explicitly requested (``run_suite(...,
-events_path=)``, ``trace_path=`` or ``progress=``, ``REPRO_EVENTS``,
-``REPRO_PROGRESS``, ``--events`` / ``--metrics-port`` / ``--trace`` /
-``--progress``); an untraced run never loads it (subprocess-pinned in
+Zero-cost contract: buses are opened, installed and closed by one
+scope, :func:`~repro.analysis.experiments.telemetry_scope` (used by
+``run_suite``, the CLI's ``run``/``sweep``/``tune`` and the full
+evaluation), which imports this module only on an explicit opt-in
+(``events_path=``/``trace_path=``/``progress=``, ``REPRO_EVENTS``,
+``REPRO_PROGRESS``, ``--events``/``--metrics-port``/``--trace``/
+``--progress``, or ``repro run --check``, whose verdict arrives as an
+event); an untraced run never loads it (subprocess-pinned in
 ``tests/test_events.py``) and is bit-identical.
 """
 

@@ -195,11 +195,25 @@ def read_text_trace(
     if _is_pathlike(path_or_file):
         path = os.fspath(path_or_file)
         opener = gzip.open if _is_gz(path) else open
-        with opener(path, "rt") as fh:
+        with opener(path, "rb") as fh:
             return parse_text_trace(
-                fh, name=name or path, category=category, path=path
+                _decoded_lines(fh, path),
+                name=name or path, category=category, path=path,
             )
     return parse_text_trace(path_or_file, name=name or "imported", category=category)
+
+
+def _decoded_lines(raw_lines: Iterable[bytes], path: str) -> Iterable[str]:
+    """A file's lines as UTF-8; one that is not (a binary trace read as
+    text) raises a :class:`TraceParseError` naming the file and line."""
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(
+                line_no, raw[:32].decode("utf-8", "replace"),
+                f"not UTF-8 text ({exc.reason})", path=path,
+            ) from None
 
 
 def format_text_trace(trace: Trace) -> str:

@@ -473,9 +473,10 @@ class WorkloadSpec:
       seeded mix).
     * *external* — ``trace_file`` points at an on-disk trace (our binary
       format, text, or ChampSim); the file's content is the workload and
-      the generator knobs are unused.  Cache keys include the path, not
-      the bytes: re-running after overwriting the file in place reuses
-      stale cache entries, so version external trace files by name.
+      the generator knobs are unused.  Run keys include a digest of the
+      file's bytes and the per-process trace memos key on its size,
+      mtime and inode, so a file overwritten between runs is not served
+      the old file's results (DESIGN §13 names the narrow exceptions).
     """
 
     name: str

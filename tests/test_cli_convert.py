@@ -226,6 +226,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["run", "import"])
+    def test_format_text_on_binary_trace_exits_2(
+        self, tmp_path, capsys, command
+    ):
+        trace = str(tmp_path / "w.trc")
+        main(["gen", trace, "--category", "int", "--seed", "1",
+              "--instructions", "2000"])
+        capsys.readouterr()
+        outputs = [str(tmp_path / "out.trc")] if command == "import" else []
+        assert main([command, trace, *outputs, "--format", "text"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{command}: {trace}: line 1: not UTF-8")
+
     def test_run_unknown_prefetcher(self, tmp_path):
         out = str(tmp_path / "w.trc")
         main(["gen", out, "--category", "fp", "--seed", "1",

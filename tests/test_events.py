@@ -11,6 +11,7 @@ pinned with a subprocess) and stays bit-identical.
 """
 
 import json
+import re
 import multiprocessing
 import os
 import subprocess
@@ -800,3 +801,196 @@ class TestCLITelemetry:
         (finished,) = [e for e in ledger if e.type == "task_finished"]
         assert finished.label == "next_line"
         assert finished.pid != suite.pid  # relayed by the worker process
+
+
+@pytest.fixture
+def scheduler_calls(monkeypatch):
+    """The task count of every ``run_tasks_parallel`` call, in order."""
+    import repro.analysis.parallel as parallel
+    import repro.analysis.tune as tune
+
+    calls = []
+    original = parallel.run_tasks_parallel
+
+    def counted(tasks, *args, **kwargs):
+        calls.append(len(tasks))
+        return original(tasks, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_tasks_parallel", counted)
+    monkeypatch.setattr(tune, "run_tasks_parallel", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    from repro.cli import main
+
+    path = str(tmp_path_factory.mktemp("ledger") / "t.trc")
+    assert main(["gen", path, "--category", "srv", "--seed", "4",
+                 "--instructions", "20000"]) == 0
+    return path
+
+
+def _suite_entry(jobs):
+    def run(trace, ledger):
+        evaluation = run_suite(
+            [SPEC_A, SPEC_B], ["next_line"], warmup_instructions=WARMUP,
+            jobs=jobs, cache=None, checkpoint=None, events_path=ledger,
+        )
+        assert evaluation.is_complete()
+    return run
+
+
+def _cli_entry(*args):
+    def run(trace, ledger):
+        from repro.cli import main
+
+        argv = [arg.replace("TRACE", trace) for arg in args]
+        assert main([*argv, "--events", ledger]) == 0
+    return run
+
+
+#: Every entry point that reaches the scheduler with a ledger.
+LEDGER_ENTRY_POINTS = {
+    "run_suite_jobs1": _suite_entry(1),
+    "run_suite_jobs2": _suite_entry(2),
+    "run": _cli_entry("run", "TRACE", "--prefetcher", "next_line",
+                      "--warmup", "5000"),
+    "run_guarded": _cli_entry("run", "TRACE", "--prefetcher", "next_line",
+                              "--warmup", "5000", "--retries", "0"),
+    "sweep_jobs2": _cli_entry("sweep", "TRACE", "--prefetchers",
+                              "no,next_line", "--warmup", "5000",
+                              "--jobs", "2"),
+    "tune": _cli_entry("tune", "--strategy", "random", "--seed", "3",
+                       "--per-category", "1", "--instructions", "3000",
+                       "--population", "2", "--generations", "1"),
+}
+
+
+class TestLedgerShape:
+    """The scheduler is the only bracket: one suite pair per call."""
+
+    @pytest.mark.parametrize("entry", sorted(LEDGER_ENTRY_POINTS))
+    def test_one_suite_pair_per_scheduler_call(
+        self, entry, small_trace, scheduler_calls, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        ledger = str(tmp_path / "ev.jsonl")
+        LEDGER_ENTRY_POINTS[entry](small_trace, ledger)
+        events = read_events(ledger).events
+        brackets = [e for e in events
+                    if e.type in ("suite_started", "suite_finished")]
+        assert scheduler_calls
+        assert [e.type for e in brackets] == (
+            ["suite_started", "suite_finished"] * len(scheduler_calls)
+        )
+        started = brackets[::2]
+        assert [e.payload["n_tasks"] for e in started] == scheduler_calls
+        assert all(set(e.payload) == {"n_tasks", "jobs"} for e in started)
+        assert all(
+            set(e.payload) == {"completed", "quarantined"}
+            for e in brackets[1::2]
+        )
+        capsys.readouterr()
+        assert main(["top", ledger, "--once"]) == 0
+        total = sum(scheduler_calls)
+        status = capsys.readouterr().out.splitlines()[0]
+        assert status.startswith(f"status: {total}/{total} done")
+
+    @pytest.mark.parametrize("guard", [[], ["--retries", "0"]],
+                             ids=["unguarded", "guarded"])
+    def test_run_check_ledger_and_summary(
+        self, guard, small_trace, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        ledger = str(tmp_path / "ev.jsonl")
+        assert main(["run", small_trace, "--prefetcher", "next_line",
+                     "--warmup", "5000", "--check", "--events", ledger,
+                     *guard]) == 0
+        assert re.search(r"^sanitizer: \d+ checks, no violations$",
+                         capsys.readouterr().out, re.MULTILINE)
+        counts = summarize_events(read_events(ledger))["counts"]
+        assert counts["suite_started"] == counts["suite_finished"] == 1
+        assert counts["task_started"] == counts["task_finished"] == 1
+        assert counts["sanitizer"] == 1
+
+    def test_guarded_check_prints_summary_without_ledger(
+        self, small_trace, capsys
+    ):
+        from repro.cli import main
+
+        assert main(["run", small_trace, "--prefetcher", "next_line",
+                     "--warmup", "5000", "--check", "--retries", "0"]) == 0
+        assert re.search(r"^sanitizer: \d+ checks, no violations$",
+                         capsys.readouterr().out, re.MULTILINE)
+
+
+class TestGuardedRunReadOptions:
+    """A trace-file task carries ``--format``/``--salvage`` to its worker."""
+
+    def _ipc(self, out):
+        return [line for line in out.splitlines() if line.startswith("IPC:")]
+
+    def test_guarded_salvage_runs_a_torn_trace(self, small_trace, tmp_path,
+                                               capsys):
+        from repro.cli import main
+
+        torn = str(tmp_path / "torn.trc")
+        with open(small_trace, "rb") as src, open(torn, "wb") as dst:
+            dst.write(src.read()[:40_000])
+        base = ["run", torn, "--warmup", "1000", "--salvage"]
+        assert main(base) == 0
+        plain = capsys.readouterr()
+        assert main(base + ["--retries", "0"]) == 0
+        guarded = capsys.readouterr()
+        assert guarded.err.startswith(f"salvage: {torn}: salvaged")
+        assert self._ipc(guarded.out) == self._ipc(plain.out) != []
+
+    def test_guarded_format_reads_a_text_trace(self, small_trace, tmp_path,
+                                               capsys):
+        from repro.cli import main
+        from repro.workloads.convert import write_text_trace
+        from repro.workloads.trace import read_trace
+
+        text = str(tmp_path / "t.dat")
+        write_text_trace(read_trace(small_trace), text)
+        base = ["run", text, "--warmup", "5000", "--format", "text"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--retries", "0"]) == 0
+        assert self._ipc(capsys.readouterr().out) == self._ipc(plain) != []
+
+    def test_sweep_on_damaged_trace_exits_2_before_dispatch(
+        self, small_trace, tmp_path, capsys, scheduler_calls
+    ):
+        from repro.cli import main
+
+        torn = str(tmp_path / "torn.trc")
+        with open(small_trace, "rb") as src, open(torn, "wb") as dst:
+            dst.write(src.read()[:40_000])
+        ledger = str(tmp_path / "ev.jsonl")
+        assert main(["sweep", torn, "--prefetchers", "no,next_line",
+                     "--events", ledger]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"sweep: {torn}: ")
+        assert scheduler_calls == []
+
+    def test_other_os_errors_are_not_reported_as_bad_input(
+        self, small_trace, tmp_path
+    ):
+        """Only loading the input trace maps to exit 2; a ``--metrics-port``
+        that is already taken still raises."""
+        import socket
+
+        from repro.cli import main
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = str(taken.getsockname()[1])
+            with pytest.raises(OSError):
+                main(["run", small_trace, "--warmup", "1000",
+                      "--metrics-port", port])
+        assert main(["run", str(tmp_path / "absent.trc")]) == 2

@@ -11,7 +11,12 @@ differences) fails loudly.
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
+
+import pytest
 
 from repro.analysis.experiments import run_cached
 from repro.analysis.runcache import RunCache, _canonical_json, run_key
@@ -19,7 +24,10 @@ from repro.analysis.store import STORE_FORMAT, entry_checksum
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult
 from repro.sim.stats import SimStats
-from repro.workloads.generators import WorkloadSpec
+from repro.workloads.generators import WorkloadSpec, make_workload
+from repro.workloads.trace import write_trace
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 SPEC = WorkloadSpec(name="rc_int", category="int", seed=31, n_instructions=12_000)
 
@@ -304,3 +312,113 @@ class TestClearSemantics:
         reloaded = cache.get("k" * 32)
         assert reloaded is not None  # served from disk after clear
         assert cache.disk_hits == 1
+
+
+#: One process of the stale-trace repro: run next_line on a trace file
+#: through the store at argv[2] and print the IPC.
+_FILE_SUITE = textwrap.dedent("""
+    import sys
+    from repro.analysis.experiments import run_suite
+    from repro.analysis.runcache import RunCache
+    from repro.workloads.importers import file_workload_spec
+
+    spec = file_workload_spec(sys.argv[1])
+    evaluation = run_suite(
+        [spec], ["next_line"], cache=RunCache(disk_dir=sys.argv[2]),
+        checkpoint=None, jobs=1,
+    )
+    print(evaluation.stats("next_line", spec.name).ipc)
+""")
+
+
+class TestTraceFileKeys:
+    def test_rewritten_trace_file_is_not_served_from_store(self, tmp_path):
+        """Three processes share one store; the file is rewritten (same
+        name, same length, other content) between the first two, and the
+        second must match a fresh run rather than the first."""
+        trace = str(tmp_path / "w.trc")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("REPRO_EVENTS", None)
+
+        def write(seed):
+            spec = WorkloadSpec(
+                name="w", category="int", seed=seed, n_instructions=8000
+            )
+            write_trace(make_workload(spec), trace)
+
+        def ipc(store):
+            proc = subprocess.run(
+                [sys.executable, "-c", _FILE_SUITE, trace, str(store)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return float(proc.stdout)
+
+        write(1)
+        first = ipc(tmp_path / "shared")
+        write(2)
+        second = ipc(tmp_path / "shared")
+        fresh = ipc(tmp_path / "fresh")
+        assert second == fresh != first
+
+    def _write(self, path, seed, n_instructions=8000):
+        spec = WorkloadSpec(
+            name="w", category="int", seed=seed, n_instructions=n_instructions
+        )
+        write_trace(make_workload(spec), path)
+
+    def test_rewritten_trace_file_reloads_in_process(self, tmp_path):
+        """One process, one store: after an in-place rewrite the suite
+        simulates the new bytes instead of a memoized trace of the old."""
+        from repro.analysis.experiments import run_suite
+        from repro.workloads.importers import file_workload_spec
+
+        trace = str(tmp_path / "w.trc")
+
+        def ipc(cache):
+            spec = file_workload_spec(trace)
+            evaluation = run_suite(
+                [spec], ["next_line"], cache=cache, checkpoint=None, jobs=1
+            )
+            return evaluation.stats("next_line", spec.name).ipc
+
+        shared = RunCache(disk_dir=str(tmp_path / "shared"))
+        self._write(trace, 1)
+        first = ipc(shared)
+        self._write(trace, 2)
+        second = ipc(shared)
+        fresh = ipc(RunCache(disk_dir=str(tmp_path / "fresh")))
+        assert second == fresh != first
+
+    @pytest.mark.parametrize("path", ["serial", "scheduler"])
+    def test_file_rewritten_mid_run_is_not_stored(
+        self, tmp_path, monkeypatch, path
+    ):
+        """A result simulated while its trace file changed is returned but
+        stored under neither the old nor the new content's key."""
+        from repro.analysis import experiments
+        from repro.analysis.parallel import RunTask, run_tasks_parallel, task_key
+        from repro.workloads.importers import file_workload_spec
+
+        trace = str(tmp_path / "w.trc")
+        self._write(trace, 1)
+        spec = file_workload_spec(trace)
+        old_key = task_key(RunTask(spec, "no"))
+        simulate = experiments.simulate
+
+        def rewrite_then_simulate(*args, **kwargs):
+            self._write(trace, 2, n_instructions=9000)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate", rewrite_then_simulate)
+        cache = RunCache()
+        if path == "serial":
+            result = run_cached(spec, "no", cache=cache)
+        else:
+            result = run_tasks_parallel(
+                [RunTask(spec, "no")], jobs=1, cache=cache
+            ).results[0]
+        assert result is not None
+        new_key = task_key(RunTask(spec, "no"))
+        assert old_key != new_key
+        assert cache.get(old_key) is None and cache.get(new_key) is None
