@@ -31,15 +31,15 @@ it counts the whole campaign, like ``repro top`` over its ledger.
 With ``--events PATH`` every figure driver appends its telemetry to one
 JSONL run ledger (equivalent to ``REPRO_EVENTS=PATH``) — inspect it with
 ``python -m repro events PATH --summary`` or watch it live from another
-terminal with ``python -m repro top PATH``.  ``--metrics-port N`` serves
-live ``repro_engine_*`` gauges as Prometheus text on
-``http://127.0.0.1:N/metrics`` for the duration of the run.
+terminal with ``python -m repro top PATH``; ``python -m repro top PATH
+--metrics-port N`` also serves its ``repro_engine_*`` gauges as
+Prometheus text on ``http://127.0.0.1:N/metrics`` while it watches.
 
 Usage::
 
     python examples/full_evaluation.py [--per-category N] [--jobs N]
         [--cache-dir DIR] [--resume] [--trace FILE] [--progress]
-        [--events FILE] [--metrics-port N] [--out FILE]
+        [--events FILE] [--out FILE]
 """
 
 import argparse
@@ -105,10 +105,6 @@ def main() -> None:
     parser.add_argument("--events", type=str, default=None, metavar="PATH",
                         help="append every telemetry event to this JSONL "
                              "run ledger (equivalent to REPRO_EVENTS)")
-    parser.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve live engine gauges as Prometheus text "
-                             "on http://127.0.0.1:PORT/metrics")
     parser.add_argument("--progress", action="store_true",
                         help="render a live status line from the telemetry "
                              "event bus, the counts 'repro top' shows for "
@@ -151,13 +147,12 @@ def main() -> None:
 
     # One telemetry scope for the whole campaign: every run_suite call
     # below — including the ones inside figure drivers — reuses its bus,
-    # so all of them append to one ledger, feed one set of live gauges
-    # and one progress line, and land in one execution trace.
+    # so all of them append to one ledger, feed one progress line, and
+    # land in one execution trace.
     with telemetry_scope(
         args.events,
         args.trace,
         live=None,  # REPRO_PROGRESS, which --progress set above
-        metrics_port=args.metrics_port,
     ):
         suite = cvp_suite(per_category=args.per_category)
         clouds = cloudsuite_suite(n_instructions=300_000)

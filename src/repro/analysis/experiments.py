@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
@@ -35,7 +35,6 @@ from repro.analysis.checkpoint import CheckpointManifest, get_checkpoint
 from repro.analysis.runcache import RunCache, file_stamp, get_run_cache, run_key
 from repro.check import sanitizer_from_env
 from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
-from repro.obs.profiler import stage
 
 logger = logging.getLogger(__name__)
 
@@ -163,12 +162,16 @@ def installed_event_bus() -> Optional[Any]:
     return events_mod.get_event_bus() if events_mod is not None else None
 
 
+def _untimed(name: str) -> "nullcontext[None]":
+    """The pipeline-stage timer when no worker relay is installed."""
+    return nullcontext()
+
+
 @contextmanager
 def telemetry_scope(
     events_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     live: Optional[bool] = False,
-    metrics_port: Optional[int] = None,
 ) -> Iterator[Optional[Any]]:
     """The one telemetry scope: yields the event bus, or None.
 
@@ -176,12 +179,10 @@ def telemetry_scope(
     installed process bus, else one with the ``REPRO_EVENTS`` ledger; a
     Chrome trace, a ``live`` consumer (a progress line, a sanitizer
     summary; ``None`` defers to ``REPRO_PROGRESS``, as ``run_suite``'s
-    ``progress`` does) or a ``metrics_port`` alone opens one without a
-    ledger.  For the scope the trace collector is subscribed,
-    ``metrics_port`` served (0 = any free port; the URL goes to stderr)
-    and the bus installed as the process bus; on exit the previous bus
-    is restored, the server stopped, an owned bus closed and the trace
-    written.  The scope emits
+    ``progress`` does) alone opens one without a ledger.  For the scope
+    the trace collector is subscribed and the bus installed as the
+    process bus; on exit the previous bus is restored, an owned bus
+    closed and the trace written.  The scope emits
     nothing: :func:`~repro.analysis.parallel.run_tasks_parallel` brackets
     each batch as a suite.  Without an opt-in or an installed bus,
     :mod:`repro.obs.events` is never imported (the zero-cost contract).
@@ -192,7 +193,7 @@ def telemetry_scope(
         live = _progress_stream(None) is not None
     if owned:
         events_path = events_path or os.environ.get("REPRO_EVENTS", "").strip()
-        if not (events_path or trace_path or live or metrics_port is not None):
+        if not (events_path or trace_path or live):
             yield None
             return
     from repro.obs.events import open_bus, set_event_bus
@@ -202,20 +203,11 @@ def telemetry_scope(
     traced: List[Any] = []
     if trace_path is not None:
         bus.subscribe(traced.append)
-    server = None
-    if metrics_port is not None:
-        from repro.obs.exporthttp import MetricsHTTPServer, bus_metrics_source
-
-        server = MetricsHTTPServer(bus_metrics_source(bus), port=metrics_port)
-        server.start()
-        print(f"metrics: {server.url}", file=sys.stderr)
     previous = set_event_bus(bus)
     try:
         yield bus
     finally:
         set_event_bus(previous)
-        if server is not None:
-            server.stop()
         if trace_path is not None:
             bus.unsubscribe(traced.append)
         if owned:
@@ -362,10 +354,11 @@ def run_single(
     genome, see :func:`repro.analysis.tune.genome_configs`) used instead
     of resolving ``config_name``.
 
-    The three pipeline stages (trace construction, fetch-unit
-    preprocessing, simulation) report to the installed stage profiler —
-    see :func:`repro.obs.profiler.set_stage_profiler` — and are untimed
-    no-ops otherwise.
+    When the installed process bus is a worker's
+    :class:`~repro.obs.events.WorkerEventRelay`, the three pipeline
+    stages (trace construction, fetch-unit preprocessing, simulation)
+    are timed through its ``stage`` and reach ``task_finished``; any
+    other bus, or none, leaves them untimed.
 
     ``REPRO_SANITIZE=1`` (fatal) / ``REPRO_SANITIZE=report`` (collect)
     attaches the runtime invariant sanitizer (:mod:`repro.check.sanitize`)
@@ -379,6 +372,8 @@ def run_single(
         prefetcher, sim_config = resolve_config(
             config_name, base_config or SimConfig()
         )
+    bus = installed_event_bus()
+    stage = getattr(bus, "stage", _untimed)
     with stage("workload_build"):
         trace = _cached_workload(spec)
     with stage("fetch_units"):
@@ -399,10 +394,9 @@ def run_single(
         )
     if checker is not None:
         # Publish the sanitizer report onto the telemetry bus, if one is
-        # installed.  In a worker this finds the WorkerEventRelay and the
-        # report crosses the progress queue; in-process it finds the
-        # parent bus directly.
-        bus = installed_event_bus()
+        # installed.  In a worker this is the WorkerEventRelay and the
+        # report crosses the progress queue; in-process it is the parent
+        # bus itself.
         if bus is not None:
             report = checker.report()
             bus.emit(
@@ -559,63 +553,60 @@ def run_suite(
             or retry_policy is not None
             or events_bus is not None
         )
-        with stage("run_suite"):
-            if use_engine:
-                from repro.analysis.parallel import RunTask, run_tasks_parallel
+        if use_engine:
+            from repro.analysis.parallel import RunTask, run_tasks_parallel
 
-                tasks = [
-                    RunTask(spec, name, base_config, warmup_instructions)
-                    for name in names
-                    for spec in specs
-                ]
-                outcome = run_tasks_parallel(
-                    tasks,
-                    jobs=n_jobs,
-                    cache=_resolve_cache(cache),
-                    checkpoint=active_checkpoint,
-                    policy=retry_policy,
-                    progress=stream,
-                )
-                evaluation.runs = {name: {} for name in names}
-                for task, result in zip(tasks, outcome.results):
-                    if result is not None:  # else quarantined, reported
-                        evaluation.runs[task.config_name][task.source.name] = (
-                            result
+            tasks = [
+                RunTask(spec, name, base_config, warmup_instructions)
+                for name in names
+                for spec in specs
+            ]
+            outcome = run_tasks_parallel(
+                tasks,
+                jobs=n_jobs,
+                cache=_resolve_cache(cache),
+                checkpoint=active_checkpoint,
+                policy=retry_policy,
+                progress=stream,
+            )
+            evaluation.runs = {name: {} for name in names}
+            for task, result in zip(tasks, outcome.results):
+                if result is not None:  # else quarantined, reported
+                    evaluation.runs[task.config_name][task.source.name] = result
+            evaluation.faults = outcome.report
+        else:
+            for name in names:
+                evaluation.runs[name] = {}
+                for spec in specs:
+                    try:
+                        evaluation.runs[name][spec.name] = run_cached(
+                            spec, name, base_config, warmup_instructions,
+                            cache=cache,
                         )
-                evaluation.faults = outcome.report
-            else:
-                for name in names:
-                    evaluation.runs[name] = {}
-                    for spec in specs:
-                        try:
-                            evaluation.runs[name][spec.name] = run_cached(
-                                spec, name, base_config, warmup_instructions,
-                                cache=cache,
-                            )
-                        except ValueError as exc:
-                            # Bad ingestion input (TraceError, ConfigError,
-                            # an unknown workload category, ...): quarantine
-                            # the pair instead of killing the whole suite,
-                            # mirroring the engine path's fault handling.
-                            from repro.analysis.parallel import (
-                                FaultReport,
-                                TaskFailure,
-                            )
+                    except ValueError as exc:
+                        # Bad ingestion input (TraceError, ConfigError,
+                        # an unknown workload category, ...): quarantine
+                        # the pair instead of killing the whole suite,
+                        # mirroring the engine path's fault handling.
+                        from repro.analysis.parallel import (
+                            FaultReport,
+                            TaskFailure,
+                        )
 
-                            if evaluation.faults is None:
-                                evaluation.faults = FaultReport()
-                            evaluation.faults.attempts += 1
-                            evaluation.faults.task_errors += 1
-                            evaluation.faults.quarantined.append(
-                                TaskFailure(
-                                    label=f"{name}/{spec.name}",
-                                    attempts=1,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                )
+                        if evaluation.faults is None:
+                            evaluation.faults = FaultReport()
+                        evaluation.faults.attempts += 1
+                        evaluation.faults.task_errors += 1
+                        evaluation.faults.quarantined.append(
+                            TaskFailure(
+                                label=f"{name}/{spec.name}",
+                                attempts=1,
+                                error=f"{type(exc).__name__}: {exc}",
                             )
-                            logger.warning(
-                                "quarantined %s/%s: %s", name, spec.name, exc
-                            )
+                        )
+                        logger.warning(
+                            "quarantined %s/%s: %s", name, spec.name, exc
+                        )
     return evaluation
 
 

@@ -689,10 +689,11 @@ def execute_task_attempt(
     ``progress`` is the parent's event queue, bound through
     ``functools.partial`` when the evaluation has a telemetry bus.  With
     it, a :class:`~repro.obs.events.WorkerEventRelay` is this worker's
-    process bus and stage profiler for the attempt: it publishes the
-    attempt's ``task_started``, heartbeats and ``task_finished`` (which
-    carries the pipeline stage timings) or ``task_failed``, and forwards
-    worker-side publishers (the sanitizer path) over the same queue.
+    process bus for the attempt: it publishes the attempt's
+    ``task_started``, heartbeats and ``task_finished`` (which carries the
+    pipeline stage timings ``run_single`` takes through it) or
+    ``task_failed``, and forwards worker-side publishers (the sanitizer
+    path) over the same queue.
     Without it, ``repro.obs.events`` is never imported and the worker
     runs the exact untelemetered path.
     """
@@ -700,11 +701,9 @@ def execute_task_attempt(
     if progress is None:
         return _attempt_body(task, label, attempt, in_process)
     from repro.obs.events import WorkerEventRelay, set_event_bus
-    from repro.obs.profiler import get_stage_profiler, set_stage_profiler
 
-    relay = WorkerEventRelay(progress, label, attempt, chain=get_stage_profiler())
+    relay = WorkerEventRelay(progress, label, attempt)
     previous_bus = set_event_bus(relay)
-    previous_profiler = set_stage_profiler(relay)
     relay.start()
     ok = False
     try:
@@ -712,7 +711,6 @@ def execute_task_attempt(
         ok = True
     finally:
         set_event_bus(previous_bus)
-        set_stage_profiler(previous_profiler)
         relay.finish(ok)
     return result
 

@@ -9,8 +9,7 @@ The subcommands mirror the typical workflow of a prefetching study::
     python -m repro tune --strategy genetic --seed 7 --out front
     python -m repro trace out.trc --prefetcher entangling_4k --export out
     python -m repro events events.jsonl --summary
-    python -m repro top events.jsonl
-    python -m repro metrics-serve events.jsonl --port 9095
+    python -m repro top events.jsonl --metrics-port 9095
     python -m repro store ~/.cache/repro-runs stats
     python -m repro chaos /tmp/chaos --writers 4 --expect-degraded
 
@@ -39,15 +38,16 @@ so a damaged file is reported once (exit code 2).
 
 Telemetry (:mod:`repro.obs.events`): ``run``/``sweep``/``tune`` accept
 ``--events PATH`` (or ``REPRO_EVENTS``) to append every lifecycle,
-fault, cache, and sanitizer occurrence to a JSONL run ledger, and
-``--metrics-port N`` to serve live Prometheus metrics while they run,
-through one :func:`~repro.analysis.experiments.telemetry_scope`; the
-scheduler brackets each batch as a suite.  ``run --check`` prints the
-verdict of the run's ``sanitizer`` event, so it opens a bus without a
-ledger.  ``events`` queries/tails a ledger, ``top`` renders a live
-status table from one, and ``metrics-serve`` exports a ledger over HTTP
-after the fact.  Without those flags the telemetry modules are never
-imported (the zero-cost contract of :mod:`repro.obs`).
+fault, cache, and sanitizer occurrence to a JSONL run ledger, through
+one :func:`~repro.analysis.experiments.telemetry_scope`; the scheduler
+brackets each batch as a suite.  ``run --check`` prints the verdict of
+the run's ``sanitizer`` event, so it opens a bus without a ledger.
+``events`` queries/tails a ledger, and ``top`` renders a live status
+table from one; ``top --metrics-port N`` also serves the ledger's
+engine gauges as Prometheus text while it runs, so an evaluation
+started with ``--events`` can be scraped from another process.
+Without those flags the telemetry modules are never imported (the
+zero-cost contract of :mod:`repro.obs`).
 
 Shared run store (:mod:`repro.analysis.store`): ``store`` inspects and
 maintains a cache directory (entry/lease stats, forced eviction,
@@ -181,7 +181,6 @@ def _telemetry(args: argparse.Namespace, live: bool = False):
         events_path=args.events,
         trace_path=getattr(args, "trace_out", None),
         live=live,
-        metrics_port=args.metrics_port,
     )
 
 
@@ -581,6 +580,15 @@ def _cmd_top(args: argparse.Namespace) -> int:
     path = _ledger_path(args, "top")
     if path is None:
         return 2
+    server = None
+    if args.port is not None:
+        from repro.obs.exporthttp import MetricsHTTPServer, ledger_metrics_source
+
+        server = MetricsHTTPServer(
+            ledger_metrics_source(path), host=args.host, port=args.port
+        )
+        server.start()
+        print(f"metrics: {server.url}", file=sys.stderr)
     deadline = None if args.duration is None else time.time() + args.duration
     try:
         while True:
@@ -598,32 +606,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
-
-
-def _cmd_metrics_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs.exporthttp import MetricsHTTPServer, ledger_metrics_source
-
-    path = _ledger_path(args, "metrics-serve")
-    if path is None:
-        return 2
-    server = MetricsHTTPServer(
-        ledger_metrics_source(path), host=args.host, port=args.port
-    )
-    server.start()
-    print(f"serving {path} at {server.url}", file=sys.stderr)
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
     finally:
-        server.stop()
-    return 0
+        if server is not None:
+            server.stop()
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -705,7 +690,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _add_telemetry_args(command_parser: argparse.ArgumentParser) -> None:
-    """The ``--events`` / ``--metrics-port`` pair shared by run/sweep/tune."""
+    """The ``--events`` flag shared by run/sweep/tune."""
     command_parser.add_argument(
         "--events",
         default=None,
@@ -714,15 +699,19 @@ def _add_telemetry_args(command_parser: argparse.ArgumentParser) -> None:
              "(default: REPRO_EVENTS env or off); inspect it with "
              "`repro events` / `repro top`",
     )
-    command_parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live Prometheus metrics on 127.0.0.1:PORT while the "
-             "command runs (0 = any free port; the URL is printed on "
-             "stderr)",
-    )
+
+
+def _positive(convert):
+    """An argparse ``type`` accepting only values of ``convert`` above 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1058,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep only events from the trailing window (overrides --since)",
     )
     events.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=_positive(int), default=None,
         help="print at most this many events (the newest ones)",
     )
     events.add_argument(
@@ -1078,18 +1067,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live engine status table rendered from a run ledger",
+        help="live engine status table (and, with --metrics-port, "
+             "Prometheus metrics) rendered from a run ledger",
     )
     top.add_argument(
         "path", nargs="?", default=None,
         help="ledger JSONL file (default: REPRO_EVENTS env)",
     )
-    top.add_argument(
+    once_or_serve = top.add_mutually_exclusive_group()
+    once_or_serve.add_argument(
         "--once", action="store_true",
         help="render one snapshot and exit",
     )
+    once_or_serve.add_argument(
+        "--metrics-port", dest="port", type=int, default=None,
+        metavar="PORT",
+        help="while refreshing, also serve the ledger's engine gauges as "
+             "Prometheus text on http://HOST:PORT/metrics (0 = any free "
+             "port; the URL is printed on stderr)",
+    )
     top.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
+        "--metrics-host", dest="host", default="127.0.0.1", metavar="HOST",
+        help="bind address for --metrics-port (default 127.0.0.1)",
+    )
+    top.add_argument(
+        "--interval", type=_positive(float), default=2.0, metavar="SECONDS",
         help="refresh period (default 2s)",
     )
     top.add_argument(
@@ -1097,29 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after this long (default: until Ctrl-C)",
     )
     top.set_defaults(func=_cmd_top)
-
-    metrics = sub.add_parser(
-        "metrics-serve",
-        help="serve a run ledger as Prometheus metrics over HTTP",
-    )
-    metrics.add_argument(
-        "path", nargs="?", default=None,
-        help="ledger JSONL file (default: REPRO_EVENTS env); re-read on "
-             "every scrape, so it may still be growing",
-    )
-    metrics.add_argument(
-        "--port", type=int, default=9095,
-        help="listen port (0 = any free port; default 9095)",
-    )
-    metrics.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default 127.0.0.1)",
-    )
-    metrics.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="stop serving after this long (default: until Ctrl-C)",
-    )
-    metrics.set_defaults(func=_cmd_metrics_serve)
 
     store = sub.add_parser(
         "store",

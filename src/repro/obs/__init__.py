@@ -11,15 +11,15 @@ Independent facilities, all strictly opt-in:
   ``SimStats`` / ``EntanglingStats`` / ``TableStats`` counter dataclasses
   into named, typed metrics with JSON, CSV and Prometheus-text exporters.
 * :mod:`repro.obs.profiler` — wall-clock phase profiling for the
-  simulator's four phases (fills / predict / issue / retire) and the
-  analysis pipeline stages.
+  simulator's four phases (fills / predict / issue / retire).
 * :mod:`repro.obs.events` / :mod:`repro.obs.exporthttp` — the unified
   telemetry event bus (one versioned schema over heartbeat, fault,
   cache, stage-timing and sanitizer signals; workers send these same
   events over the engine's queue), the append-only JSONL run ledger,
   the crash flight recorder, the live progress line with stale-worker
   flags (a view of the bus's status aggregator), and the stdlib HTTP
-  metrics endpoint serving live engine gauges as Prometheus text.
+  metrics endpoint serving a ledger's engine gauges as Prometheus text
+  (``repro top LEDGER --metrics-port N``).
 * :mod:`repro.obs.chrometrace` — the evaluation engine's execution
   trace (suite → task → attempt → backoff / cache lookup / pipeline
   stages) as Chrome trace-event JSON loadable in Perfetto, rendered
@@ -30,18 +30,12 @@ executes the exact pre-observability code paths — every hook site is a
 single attribute-is-None check — and its ``SimStats.signature()`` is
 bit-identical to a process that never imported this package.  The
 event and trace submodules are *not* imported here (they
-resolve lazily via ``__getattr__``): the analysis layer imports
-``repro.obs.profiler`` on every run, and an untraced process must never
-load the telemetry machinery (``tests/test_obs.py`` pins this with a
-subprocess check).
+resolve lazily via ``__getattr__``): an untraced process must never
+load the telemetry machinery (``tests/test_events.py`` pins this with
+a subprocess check).
 """
 
-from repro.obs.profiler import (
-    PhaseProfiler,
-    get_stage_profiler,
-    set_stage_profiler,
-    stage,
-)
+from repro.obs.profiler import PhaseProfiler
 from repro.obs.registry import Metric, MetricsRegistry, registry_for_run
 from repro.obs.tracer import (
     EVENT_KINDS,
@@ -64,12 +58,9 @@ __all__ = [
     "TelemetryEvent",
     "TimelinessReport",
     "TraceEvent",
-    "get_stage_profiler",
     "open_bus",
     "read_events",
     "registry_for_run",
-    "set_stage_profiler",
-    "stage",
     "write_chrome_trace",
 ]
 

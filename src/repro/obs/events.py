@@ -7,8 +7,9 @@ unless something unifies them.  This module is that something: one
 versioned, structured :class:`TelemetryEvent` schema, one process-wide
 :class:`EventBus` everything publishes into, and an append-only JSONL
 **run ledger** (:class:`EventLedger`) so a long evaluation leaves a
-durable, queryable record (``repro events`` / ``repro top``) and can be
-scraped mid-flight (:mod:`repro.obs.exporthttp`).
+durable, queryable record (``repro events`` / ``repro top``) that
+``repro top --metrics-port`` serves mid-flight as Prometheus text
+(:mod:`repro.obs.exporthttp`).
 
 Event routing is exactly-once by construction:
 
@@ -30,9 +31,9 @@ Event routing is exactly-once by construction:
   ``publisher`` hook — a single ``is None`` check, no imports.
 
 The bus's :class:`StatusAggregator` is the one state machine counting
-a run: the live progress line (rendered by the drain), ``repro top``
-and the metrics endpoint all read it, and replaying the ledger through
-a fresh one reproduces the same line.
+a run: the live progress line (rendered by the drain) reads it, and
+``repro top`` and its metrics endpoint replay the ledger through a
+fresh one, which reproduces the same line.
 
 The **flight recorder** keeps a bounded ring of the most recent events;
 when an attempt crashes, times out, or a task is quarantined, the ring
@@ -49,10 +50,10 @@ scope, :func:`~repro.analysis.experiments.telemetry_scope` (used by
 ``run_suite``, the CLI's ``run``/``sweep``/``tune`` and the full
 evaluation), which imports this module only on an explicit opt-in
 (``events_path=``/``trace_path=``/``progress=``, ``REPRO_EVENTS``,
-``REPRO_PROGRESS``, ``--events``/``--metrics-port``/``--trace``/
-``--progress``, or ``repro run --check``, whose verdict arrives as an
-event); an untraced run never loads it (subprocess-pinned in
-``tests/test_events.py``) and is bit-identical.
+``REPRO_PROGRESS``, ``--events``/``--trace``/``--progress``, or
+``repro run --check``, whose verdict arrives as an event); an untraced
+run never loads it (subprocess-pinned in ``tests/test_events.py``) and
+is bit-identical.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import sys
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -87,7 +88,6 @@ __all__ = [
     "StatusAggregator",
     "WorkerEventRelay",
     "event_matches",
-    "events_path_from_env",
     "follow_events",
     "get_event_bus",
     "open_bus",
@@ -134,12 +134,6 @@ DEFAULT_FLIGHT_EVENTS = 64
 
 #: Seconds between a running worker's heartbeats.
 HEARTBEAT_INTERVAL = 1.0
-
-
-def events_path_from_env() -> Optional[str]:
-    """The ledger path from ``REPRO_EVENTS``, or None when unset/empty."""
-    raw = os.environ.get("REPRO_EVENTS", "").strip()
-    return raw or None
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +579,8 @@ class StatusAggregator:
     """Engine status derived purely from the event stream.
 
     One implementation serves both the live path (the bus's own
-    aggregator, read by the progress line and the metrics endpoint) and
-    the offline path (``repro top`` replaying a ledger): feed events in
+    aggregator, read by the progress line) and the offline path
+    (``repro top`` and its metrics endpoint replaying a ledger): feed events in
     order via :meth:`handle` and read ``running``/``done``/``failed``/
     ``cached``/:meth:`eta_seconds` at any point.
 
@@ -740,7 +734,7 @@ class StatusAggregator:
 
 
 class EventBus:
-    """Process-wide publish point: stamps, counts, persists, fans out.
+    """Process-wide publish point: stamps, persists, fans out.
 
     ``emit`` assigns the monotonic ``seq`` and default wall/pid stamps,
     feeds the flight-recorder ring and the status aggregator, appends to
@@ -758,7 +752,6 @@ class EventBus:
         self.ledger = ledger
         self.flight = flight
         self.status = status
-        self.counts: Dict[str, int] = {}
         self._seq = 0
         self._lock = threading.Lock()
         self._subscribers: List[Callable[[TelemetryEvent], None]] = []
@@ -808,7 +801,6 @@ class EventBus:
         with self._lock:
             self._seq += 1
             event.seq = self._seq
-            self.counts[event.type] = self.counts.get(event.type, 0) + 1
             if self.flight is not None:
                 self.flight.record(event)
             if self.status is not None:
@@ -906,25 +898,16 @@ class WorkerEventRelay:
     carrying the worker's own pid/ts stamps; the parent's
     :class:`ProgressDrain` re-emits it and the bus assigns ``seq``.
 
-    The relay also sits in the stage-profiler slot for the attempt
-    (:func:`repro.obs.profiler.set_stage_profiler`): each pipeline
-    ``stage()`` block is appended to :attr:`stages` as
-    ``[name, start, end]`` (epoch seconds) and forwarded to ``chain``,
-    the profiler installed before it.  ``task_finished`` carries the
-    list as ``payload["stages"]``.
+    ``run_single`` times its pipeline stages through the installed
+    relay: each :meth:`stage` block is appended to :attr:`stages` as
+    ``[name, start, end]`` (epoch seconds), and ``task_finished``
+    carries the list as ``payload["stages"]``.
     """
 
-    def __init__(
-        self,
-        queue: Any,
-        label: str,
-        attempt: Optional[int] = None,
-        chain: Optional[Any] = None,
-    ):
+    def __init__(self, queue: Any, label: str, attempt: Optional[int] = None):
         self.queue = queue
         self.label = label
         self.attempt = attempt
-        self.chain = chain
         self.stages: List[List[Any]] = []
         self._done = threading.Event()
         self._pulse: Optional[threading.Thread] = None
@@ -957,13 +940,9 @@ class WorkerEventRelay:
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
-        chained = (
-            self.chain.stage(name) if self.chain is not None else nullcontext()
-        )
         started = time.time()
         try:
-            with chained:
-                yield
+            yield
         finally:
             self.stages.append([name, started, time.time()])
 

@@ -11,11 +11,10 @@ from a :class:`~repro.obs.events.StatusAggregator` — over plain
 * ``GET /metrics`` (or ``/``) — Prometheus text;
 * ``GET /healthz`` — liveness probe (``ok``).
 
-Two sources cover both deployment shapes: :func:`bus_metrics_source`
-renders the live in-process bus (``--metrics-port`` on
-``run``/``sweep``/``tune``), :func:`ledger_metrics_source` re-reads a
-ledger file per scrape (``repro metrics-serve``, which can watch an
-evaluation owned by another process).
+The one source is the run ledger: :func:`ledger_metrics_source`
+re-reads it on every scrape, so ``repro top LEDGER --metrics-port N``
+watches an evaluation that another process is still appending to (any
+run started with ``--events``).
 
 Zero-cost contract: imported only when a metrics port is requested.
 """
@@ -24,23 +23,19 @@ from __future__ import annotations
 
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.obs.events import StatusAggregator, read_events
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "MetricsHTTPServer",
-    "bus_metrics_source",
     "ledger_metrics_source",
     "status_registry",
 ]
 
 
-def status_registry(
-    status: StatusAggregator,
-    counts: Optional[Dict[str, int]] = None,
-) -> MetricsRegistry:
+def status_registry(status: StatusAggregator) -> MetricsRegistry:
     """Engine gauges + per-type event counters as a metrics registry."""
     registry = MetricsRegistry()
     gauges = (
@@ -62,23 +57,13 @@ def status_registry(
             "repro_engine_eta_seconds", float(eta), kind="gauge",
             help="estimated seconds until the evaluation completes",
         )
-    for type_, count in sorted((counts or status.counts).items()):
+    for type_, count in sorted(status.counts.items()):
         registry.register(
             "repro_events_total", float(count), kind="counter",
             help="telemetry events published, by type",
             labels={"type": type_},
         )
     return registry
-
-
-def bus_metrics_source(bus) -> Callable[[], str]:
-    """Scrape source rendering a live in-process EventBus."""
-
-    def render() -> str:
-        status = bus.status or StatusAggregator()
-        return status_registry(status, bus.counts).to_prometheus_text()
-
-    return render
 
 
 def ledger_metrics_source(path: str) -> Callable[[], str]:

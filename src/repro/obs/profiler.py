@@ -1,22 +1,21 @@
-"""Wall-clock phase and stage profiling.
+"""Wall-clock phase profiling.
 
 :class:`PhaseProfiler` accumulates seconds and call counts per named
 phase.  The simulator uses it to time its four per-cycle phases (fills /
-predict / issue / retire); the analysis pipeline uses the process-wide
-*stage profiler* slot (:func:`set_stage_profiler`) to time trace
-construction, fetch-unit preprocessing and simulation without threading a
-profiler argument through every driver.
+predict / issue / retire).  The analysis pipeline's stages (trace
+construction, fetch-unit preprocessing, simulation) are timed by the
+worker's telemetry relay instead
+(:meth:`repro.obs.events.WorkerEventRelay.stage`).
 
 Profiling is host-side telemetry only: it never touches architectural
 state, so a profiled run's ``SimStats.signature()`` equals an unprofiled
-run's.  When no profiler is installed the hook sites are a ``None`` check.
+run's.  When no profiler is attached the hook sites are a ``None`` check.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict
 
 #: The simulator's per-cycle phases, in execution order.
 SIM_PHASES = ("fills", "predict", "issue", "retire")
@@ -32,15 +31,6 @@ class PhaseProfiler:
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds
         self.calls[name] = self.calls.get(name, 0) + calls
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block as one call of ``name``."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - started)
 
     def wrap(self, name: str, fn: Callable) -> Callable:
         """A callable timing every invocation of ``fn`` under ``name``.
@@ -71,10 +61,6 @@ class PhaseProfiler:
         """Seconds per phase, rounded-trip-safe for JSON telemetry."""
         return dict(self.seconds)
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        for name, seconds in other.seconds.items():
-            self.add(name, seconds, other.calls.get(name, 0))
-
     def format(self, title: str = "Phase profile") -> str:
         lines = [title]
         total = self.total_seconds()
@@ -88,34 +74,3 @@ class PhaseProfiler:
         lines.append(f"  {'(total)':12s} {total:8.3f}s")
         return "\n".join(lines)
 
-
-# -- the process-wide analysis-stage profiler slot -------------------------------
-
-_stage_profiler: Optional[PhaseProfiler] = None
-
-
-def get_stage_profiler() -> Optional[PhaseProfiler]:
-    """The installed analysis-pipeline profiler, or None (the default)."""
-    return _stage_profiler
-
-
-def set_stage_profiler(profiler: Optional[PhaseProfiler]) -> Optional[PhaseProfiler]:
-    """Install (or clear, with None) the pipeline stage profiler.
-
-    Returns the previous profiler so callers can restore it.
-    """
-    global _stage_profiler
-    previous = _stage_profiler
-    _stage_profiler = profiler
-    return previous
-
-
-@contextmanager
-def stage(name: str) -> Iterator[None]:
-    """Time a block against the installed stage profiler, if any."""
-    profiler = _stage_profiler
-    if profiler is None:
-        yield
-        return
-    with profiler.stage(name):
-        yield

@@ -60,6 +60,32 @@ def _repro(args, env_extra=None, timeout=300):
     )
 
 
+def _scrape_top(path):
+    """Start ``repro top PATH --metrics-port 0``, scrape it once, stop it."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "top", path, "--metrics-port", "0",
+         "--duration", "30", "--interval", "0.2"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        line = proc.stderr.readline()
+        match = re.search(r"http://\S+", line)
+        assert match, f"no URL announced: {line!r}"
+        return urllib.request.urlopen(match.group(0), timeout=10).read().decode()
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+
+
+def _samples(text):
+    """Prometheus exposition samples as ``{name{labels}: value}``."""
+    return dict(
+        line.rsplit(" ", 1) for line in text.splitlines()
+        if line and not line.startswith("#")
+    )
+
+
 class TestEventSchema:
     def test_round_trip(self):
         event = TelemetryEvent(
@@ -453,6 +479,24 @@ class TestRunSuiteIntegration:
             len(key) == 32 for key in runs.values()
         )
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_stages_reach_the_ledger(self, tmp_path, jobs):
+        path = str(tmp_path / "ev.jsonl")
+        run_suite(
+            [SPEC_A, SPEC_B], ["no"], warmup_instructions=WARMUP,
+            include_baseline=False, jobs=jobs, cache=None, checkpoint=None,
+            events_path=path,
+        )
+        finished = [e for e in read_events(path).events
+                    if e.type == "task_finished"]
+        assert len(finished) == 2
+        for event in finished:
+            stages = event.payload["stages"]
+            assert [s[0] for s in stages] == [
+                "workload_build", "fetch_units", "simulate"
+            ]
+            assert all(start <= end for _name, start, end in stages)
+
     def test_exactly_once_serial(self, tmp_path):
         path = str(tmp_path / "ev.jsonl")
         evaluation = run_suite(
@@ -592,24 +636,48 @@ class TestMetricsEndpoint:
                 r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+0-9.eE]+$", line
             ), line
 
-    def test_bus_source_serves_live_gauges(self):
-        from repro.obs.exporthttp import MetricsHTTPServer, bus_metrics_source
+    def test_top_scrape_matches_the_live_bus(self, tmp_path, monkeypatch):
+        """The ledger is the one metrics source: ``repro top
+        --metrics-port`` serves every gauge and per-type counter that the
+        run's live bus holds, adding only the reader's torn/invalid
+        tallies."""
+        import repro.obs.events as events
+        from repro.obs.exporthttp import status_registry
 
-        bus = open_bus(None)
-        bus.emit("suite_started", payload={"n_tasks": 2})
-        bus.emit("task_started", label="no/w")
-        bus.emit("task_finished", label="no/w")
-        server = MetricsHTTPServer(bus_metrics_source(bus), port=0)
-        server.start()
-        try:
-            body = self._scrape(server.url)
-        finally:
-            server.stop()
-            bus.close()
+        cache = RunCache()
+        run_suite(
+            [SPEC_B], ["next_line"], warmup_instructions=WARMUP,
+            include_baseline=False, jobs=1, cache=cache, checkpoint=None,
+        )
+        opened = []
+
+        def recording_open_bus(events_path=None):
+            opened.append(open_bus(events_path))
+            return opened[-1]
+
+        monkeypatch.setattr(events, "open_bus", recording_open_bus)
+        # Hashes "no/ev_a" into the victim half: quarantined after a retry.
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0.5:all")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
+        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
+        path = str(tmp_path / "ev.jsonl")
+        run_suite(
+            [SPEC_A, SPEC_B], ["no", "next_line"],
+            warmup_instructions=WARMUP, include_baseline=False, jobs=2,
+            cache=cache, checkpoint=None, events_path=path,
+        )
+        (bus,) = opened
+        live = _samples(status_registry(bus.status).to_prometheus_text())
+        assert live["repro_engine_failed"] == "1"
+        assert live["repro_engine_cached"] == "1"
+        assert live["repro_engine_done"] == "3"
+        assert live['repro_events_total{type="task_failed"}'] == "2"
+        body = _scrape_top(path)
         self._assert_prometheus_text(body)
-        assert "repro_engine_tasks_total 2" in body
-        assert "repro_engine_done 1" in body
-        assert 'repro_events_total{type="task_finished"} 1' in body
+        scraped = _samples(body)
+        assert scraped.pop("repro_events_torn") == "0"
+        assert scraped.pop("repro_events_invalid") == "0"
+        assert scraped == live
 
     def test_ledger_source_and_health_endpoints(self, tmp_path):
         from repro.obs.exporthttp import (
@@ -712,25 +780,52 @@ class TestEventsCLI:
         assert "1 failed" in out
         assert "next_line/w1" in out and "quarantined" in out
 
-    def test_metrics_serve_scrapes(self, tmp_path):
-        import re
+    def test_top_metrics_port_scrapes(self, tmp_path):
+        body = _scrape_top(self._ledger(tmp_path))
+        assert "repro_engine_failed 1" in body
+        assert 'repro_events_total{type="quarantined"} 1' in body
+
+    def test_top_without_metrics_port_never_imports_http_server(
+        self, tmp_path
+    ):
+        path = self._ledger(tmp_path)
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            f"assert main(['top', {path!r}, '--once']) == 0\n"
+            "assert 'http.server' not in sys.modules, 'http.server leaked'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["events", "--limit", "0"],
+        ["events", "--limit", "-2"],
+        ["top", "--interval", "0"],
+        ["top", "--interval", "-1", "--duration", "0.1"],
+        ["top", "--once", "--metrics-port", "0"],
+    ], ids=["limit-0", "limit-negative", "interval-0", "interval-negative",
+            "once-with-metrics-port"])
+    def test_usage_errors_exit_2(self, tmp_path, capsys, argv):
+        from repro.cli import main
 
         path = self._ledger(tmp_path)
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "metrics-serve", path,
-             "--port", "0", "--duration", "10"],
-            stderr=subprocess.PIPE, text=True, env=env,
-        )
-        try:
-            line = proc.stderr.readline()
-            match = re.search(r"http://\S+", line)
-            assert match, f"no URL announced: {line!r}"
-            body = urllib.request.urlopen(match.group(0), timeout=10).read()
-            assert b"repro_engine_failed 1" in body
-        finally:
-            proc.kill()
-            proc.wait(timeout=30)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], path, *argv[1:]])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_limit_keeps_the_newest_events(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["events", self._ledger(tmp_path), "--limit", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [json.loads(line)["type"] for line in lines] == [
+            "quarantined", "suite_finished"
+        ]
 
 
 class TestCLITelemetry:
@@ -980,17 +1075,13 @@ class TestGuardedRunReadOptions:
     def test_other_os_errors_are_not_reported_as_bad_input(
         self, small_trace, tmp_path
     ):
-        """Only loading the input trace maps to exit 2; a ``--metrics-port``
-        that is already taken still raises."""
-        import socket
-
+        """Only loading the input trace maps to exit 2; an ``--events``
+        ledger that cannot be created still raises."""
         from repro.cli import main
 
-        with socket.socket() as taken:
-            taken.bind(("127.0.0.1", 0))
-            taken.listen()
-            port = str(taken.getsockname()[1])
-            with pytest.raises(OSError):
-                main(["run", small_trace, "--warmup", "1000",
-                      "--metrics-port", port])
+        not_a_dir = tmp_path / "plain.txt"
+        not_a_dir.write_text("")
+        with pytest.raises(OSError):
+            main(["run", small_trace, "--warmup", "1000",
+                  "--events", str(not_a_dir / "ledger.jsonl")])
         assert main(["run", str(tmp_path / "absent.trc")]) == 2

@@ -31,10 +31,7 @@ from repro.obs import (
     PrefetchTracer,
     TimelinessReport,
     TraceEvent,
-    get_stage_profiler,
     registry_for_run,
-    set_stage_profiler,
-    stage,
 )
 from repro.obs.profiler import SIM_PHASES
 from repro.obs.registry import registry_from_sim_stats
@@ -399,15 +396,13 @@ class TestPhaseProfiler:
         assert profiler.calls["work"] == 5
         assert profiler.seconds["work"] >= 0.0
 
-    def test_stage_and_merge(self):
-        a, b = PhaseProfiler(), PhaseProfiler()
-        with a.stage("s"):
-            pass
-        with b.stage("s"):
-            pass
-        a.merge(b)
-        assert a.calls["s"] == 2
-        assert "s" in a.format()
+    def test_add_accumulates_and_formats(self):
+        profiler = PhaseProfiler()
+        profiler.add("s", 0.5)
+        profiler.add("s", 0.25, calls=2)
+        assert profiler.calls["s"] == 3
+        assert profiler.seconds["s"] == pytest.approx(0.75)
+        assert "s" in profiler.format()
 
     def test_simulator_phases_recorded(self):
         profiler = PhaseProfiler()
@@ -417,22 +412,6 @@ class TestPhaseProfiler:
         assert all(s >= 0.0 for s in result.stats.phase_seconds.values())
         # Telemetry stays out of the architectural signature.
         assert "phase_seconds" not in result.stats.signature()
-
-    def test_stage_profiler_slot_set_and_restore(self):
-        assert get_stage_profiler() is None
-        profiler = PhaseProfiler()
-        previous = set_stage_profiler(profiler)
-        try:
-            assert previous is None
-            with stage("unit"):
-                pass
-            assert profiler.calls["unit"] == 1
-        finally:
-            set_stage_profiler(previous)
-        assert get_stage_profiler() is None
-        with stage("noop"):  # no profiler installed: a plain no-op
-            pass
-        assert "noop" not in profiler.calls
 
 
 class TestTimelinessReport:

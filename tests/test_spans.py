@@ -192,48 +192,54 @@ class TestChromeTrace:
         assert tasks["c/hit"]["tid"] != tasks["c/bad"]["tid"]
 
 
-class _FakeProfiler:
-    def __init__(self):
-        self.stages = []
-
-    def stage(self, name):
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _cm():
-            self.stages.append(name)
-            yield
-
-        return _cm()
-
-
 class TestWorkerStages:
-    def test_relay_records_stages_and_chains(self):
-        chained = _FakeProfiler()
-        relay = WorkerEventRelay(queue.Queue(), "c/w", 0, chain=chained)
+    def test_relay_records_stages(self):
+        relay = WorkerEventRelay(queue.Queue(), "c/w", 0)
         with relay.stage("fetch_units"):
             pass
-        assert chained.stages == ["fetch_units"]
         ((name, start, end),) = relay.stages
         assert name == "fetch_units" and start <= end
 
+    def test_run_single_times_stages_only_through_a_relay(self):
+        from repro.analysis.experiments import run_single
+        from repro.obs.events import open_bus, set_event_bus
+
+        relay = WorkerEventRelay(queue.Queue(), "no/span_int", 0)
+        previous = set_event_bus(relay)
+        try:
+            run_single(SUITE[0], "no")
+        finally:
+            set_event_bus(previous)
+        assert [s[0] for s in relay.stages] == [
+            "workload_build", "fetch_units", "simulate"
+        ]
+        # Any other bus (or none) leaves the stages untimed.
+        bus = open_bus(None)
+        previous = set_event_bus(bus)
+        try:
+            run_single(SUITE[0], "no")
+        finally:
+            set_event_bus(previous)
+        run_single(SUITE[0], "no")
+        assert len(relay.stages) == 3 and bus.status.counts == {}
+
     def test_finished_event_carries_stages_and_slots_restore(self):
-        from repro.obs.events import get_event_bus
-        from repro.obs.profiler import get_stage_profiler, set_stage_profiler
+        from repro.obs.events import get_event_bus, open_bus, set_event_bus
 
         progress = queue.Queue()
-        outer = _FakeProfiler()
-        previous = set_stage_profiler(outer)
+        outer = open_bus(None)
+        previous = set_event_bus(outer)
         try:
             execute_task_attempt(
                 RunTask(SUITE[0], "no", None, None), 0, in_process=True,
                 progress=progress,
             )
-            assert get_stage_profiler() is outer
+            assert get_event_bus() is outer
         finally:
-            set_stage_profiler(previous)
+            set_event_bus(previous)
         assert get_event_bus() is None
-        assert outer.stages == ["workload_build", "fetch_units", "simulate"]
+        # The attempt's events ride the queue, never the outer bus.
+        assert outer.status.counts == {}
         drained = []
         while not progress.empty():
             drained.append(progress.get_nowait())
