@@ -557,7 +557,6 @@ def _cmd_events(args: argparse.Namespace) -> int:
     if args.summary:
         filtered = LedgerRead(
             events=selected, torn=read.torn, invalid=read.invalid,
-            files=read.files,
         )
         print(json.dumps(summarize_events(filtered), indent=2,
                          sort_keys=True))
@@ -575,28 +574,29 @@ def _cmd_events(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs.events import StatusAggregator, read_events
+    from repro.obs.events import LedgerStatus
 
     path = _ledger_path(args, "top")
     if path is None:
         return 2
+    # One tail and one aggregator for the whole session: each refresh and
+    # each scrape folds in only the bytes appended since the last read.
+    ledger = LedgerStatus(path)
     server = None
     if args.port is not None:
         from repro.obs.exporthttp import MetricsHTTPServer, ledger_metrics_source
 
         server = MetricsHTTPServer(
-            ledger_metrics_source(path), host=args.host, port=args.port
+            ledger_metrics_source(ledger), host=args.host, port=args.port
         )
         server.start()
         print(f"metrics: {server.url}", file=sys.stderr)
     deadline = None if args.duration is None else time.time() + args.duration
     try:
         while True:
-            status = StatusAggregator()
-            for event in read_events(path).events:
-                status.handle(event)
-            print(status.status_line())
-            rows = status.rows()
+            with ledger.current() as status:
+                line, rows = status.status_line(), status.rows()
+            print(line)
             if rows:
                 print(format_table(["task", "status", "attempt", "age"],
                                    rows))
@@ -609,6 +609,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.stop()
+        ledger.close()
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -1113,11 +1114,11 @@ def build_parser() -> argparse.ArgumentParser:
              "reap: remove stale leases and orphaned tmp files",
     )
     store.add_argument(
-        "--max-bytes", type=int, default=None,
+        "--max-bytes", type=_positive(int), default=None,
         help="size budget for evict (default: REPRO_RUN_CACHE_MAX_BYTES)",
     )
     store.add_argument(
-        "--max-age", type=float, default=None, metavar="SECONDS",
+        "--max-age", type=_positive(float), default=None, metavar="SECONDS",
         help="age bound for evict (default: REPRO_RUN_CACHE_MAX_AGE)",
     )
     store.add_argument(

@@ -30,17 +30,25 @@ Event routing is exactly-once by construction:
   from the :class:`~repro.analysis.runcache.RunCache`'s duck-typed
   ``publisher`` hook — a single ``is None`` check, no imports.
 
+The ledger is one file that only grows, and :class:`LedgerTail` is its
+one reader: each read decodes only the complete lines appended since
+the last one.  ``repro events`` (:func:`read_events`, and
+:func:`follow_events` for ``--follow``) and ``repro top`` with its
+metrics endpoint (one shared :class:`LedgerStatus`) are all built on
+it, so a process watching a ledger parses each byte once.
+
 The bus's :class:`StatusAggregator` is the one state machine counting
 a run: the live progress line (rendered by the drain) reads it, and
-``repro top`` and its metrics endpoint replay the ledger through a
-fresh one, which reproduces the same line.
+``repro top`` and its metrics endpoint fold the ledger into one of
+their own, which reproduces the same line.
 
-The **flight recorder** keeps a bounded ring of the most recent events;
-when an attempt crashes, times out, or a task is quarantined, the ring
-is dumped as an atomic JSON artifact (via :mod:`repro.check.artifacts`)
-and linked from the run's
-:class:`~repro.analysis.parallel.FaultReport` — a post-mortem of what
-the fleet was doing when the worker died.
+The **flight recorder** keeps one fleet-wide ring of the 64 most recent
+events; on every failed attempt (crash, timeout, rejected result) and
+on quarantine the ring is dumped as an atomic JSON artifact (via
+:mod:`repro.check.artifacts`), ``flight-<label>.json`` beside the
+ledger (a later dump for the same task replaces it), and linked from
+the run's :class:`~repro.analysis.parallel.FaultReport` — a post-mortem
+of what the fleet was doing when the worker died.
 
 The Chrome/Perfetto trace is rendered from these same events
 (:mod:`repro.obs.chrometrace`), live or from a ledger.
@@ -68,7 +76,9 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Any, BinaryIO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.check.artifacts import atomic_write_json
 
@@ -84,6 +94,8 @@ __all__ = [
     "FlightRecorder",
     "HEARTBEAT_INTERVAL",
     "LedgerRead",
+    "LedgerStatus",
+    "LedgerTail",
     "ProgressDrain",
     "StatusAggregator",
     "WorkerEventRelay",
@@ -124,10 +136,6 @@ EVENT_TYPES = (
     "lease_wait",       # a follower is coalescing on another process's run
     "store_degraded",   # ENOSPC/EIO degraded the shared store to read-only
 )
-
-#: Ledger rotation threshold: when an append would push the file past
-#: this size it is rotated to ``<path>.1`` first.
-DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 
 #: Flight-recorder ring capacity.
 DEFAULT_FLIGHT_EVENTS = 64
@@ -222,12 +230,8 @@ class TelemetryEvent:
 
 
 # ---------------------------------------------------------------------------
-# ledger (append-only JSONL, rotation, torn-tail-tolerant reader)
+# ledger (append-only JSONL, one incremental torn-tail-tolerant reader)
 # ---------------------------------------------------------------------------
-
-
-def rotated_path(path: str) -> str:
-    return path + ".1"
 
 
 class EventLedger:
@@ -237,19 +241,15 @@ class EventLedger:
     ``os.write`` to an ``O_APPEND`` descriptor: POSIX guarantees the
     kernel serializes such writes, so two processes appending to one
     ledger never interleave bytes within a record (pinned in
-    ``tests/test_events.py``).  When an append would push the file past
-    ``max_bytes`` the current file is rotated to ``<path>.1``
-    (``os.replace``, atomic; a concurrent rotation by another process is
-    tolerated).  Appends are best-effort: a full disk degrades telemetry,
-    never the evaluation.
+    ``tests/test_events.py``).  The ledger is the run's record, so it
+    stays one file that only grows (about 1.6 KB per task).  Appends are
+    best-effort: a full disk degrades telemetry, never the evaluation.
     """
 
-    def __init__(self, path: str, max_bytes: Optional[int] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.max_bytes = max_bytes if max_bytes is not None else DEFAULT_MAX_BYTES
         self.appended = 0
         self.dropped = 0
-        self.rotations = 0
         self._fd: Optional[int] = None
         self._closed = False
         parent = os.path.dirname(os.path.abspath(path))
@@ -262,27 +262,12 @@ class EventLedger:
             )
         return self._fd
 
-    def _maybe_rotate(self, incoming: int) -> None:
-        fd = self._ensure_fd()
-        size = os.fstat(fd).st_size
-        if size <= 0 or size + incoming <= self.max_bytes:
-            return
-        os.close(fd)
-        self._fd = None
-        try:
-            os.replace(self.path, rotated_path(self.path))
-            self.rotations += 1
-        except OSError:
-            pass  # another appender rotated first; just reopen
-        self._ensure_fd()
-
     def append(self, event: TelemetryEvent) -> None:
         if self._closed:
             return
         line = (event.to_json_line() + "\n").encode("utf-8")
         try:
             self._fsfault()
-            self._maybe_rotate(len(line))
             os.write(self._ensure_fd(), line)
             self.appended += 1
         except OSError as exc:
@@ -316,82 +301,104 @@ class EventLedger:
             self._fd = None
 
 
+class LedgerTail:
+    """The one ledger reader: each read decodes only newly appended bytes.
+
+    It holds the open file, the byte ``offset`` read so far, the
+    ``pending`` partial line after the last newline and the ``invalid``
+    count (undecodable or wrong-schema complete lines).  A missing path
+    reads as empty until it appears.  If the path's inode changes (the
+    file was replaced) or its size drops below ``offset`` (truncated in
+    place), the tail starts again from the head and :meth:`read` says
+    so, and the caller drops whatever it derived from the old bytes.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.offset = 0
+        self.pending = b""
+        self.invalid = 0
+        self._fh: Optional[BinaryIO] = None
+
+    @property
+    def torn(self) -> int:
+        """1 while a partial record (a dying writer's half line) is pending."""
+        return 1 if self.pending.strip() else 0
+
+    def read(self) -> Tuple[List[TelemetryEvent], bool]:
+        """``(events, reset)``: the complete records appended since the
+        last call, and whether the tail restarted from the head first."""
+        reset = self._fh is not None and self._replaced()
+        if reset:
+            self.close()
+            self.offset, self.pending, self.invalid = 0, b"", 0
+        try:
+            if self._fh is None:
+                self._fh = open(self.path, "rb")
+            chunk = self._fh.read()
+        except FileNotFoundError:
+            return [], reset
+        except OSError as exc:
+            logger.warning("event ledger %s is unreadable (%s); skipping",
+                           self.path, exc)
+            self.invalid += 1
+            return [], reset
+        self.offset += len(chunk)
+        lines = (self.pending + chunk).split(b"\n")
+        self.pending = lines.pop()
+        events: List[TelemetryEvent] = []
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line.decode("utf-8"))
+                events.append(TelemetryEvent.from_dict(data))
+            except ValueError:  # incl. UnicodeDecodeError
+                self.invalid += 1
+        return events, reset
+
+    def _replaced(self) -> bool:
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            return False  # vanished: keep reading what we hold
+        held = os.fstat(self._fh.fileno()).st_ino
+        return st.st_ino != held or st.st_size < self.offset
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
 @dataclass
 class LedgerRead:
     """Outcome of :func:`read_events`: valid events + damage accounting."""
 
     events: List[TelemetryEvent] = field(default_factory=list)
-    torn: int = 0      # truncated tail record(s) — a writer died mid-append
+    torn: int = 0      # truncated tail record — a writer died mid-append
     invalid: int = 0   # undecodable / wrong-schema lines elsewhere
-    files: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.torn == 0 and self.invalid == 0
 
 
-def _read_ledger_file(path: str, out: LedgerRead) -> None:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except FileNotFoundError:
-        return
-    except OSError as exc:
-        logger.warning("event ledger %s is unreadable (%s); skipping", path, exc)
-        out.invalid += 1
-        return
-    out.files.append(path)
-    if not raw:
-        return
-    lines = raw.split(b"\n")
-    # A complete file ends with a newline, leaving one empty trailing
-    # chunk; a non-empty final chunk is a torn append unless it happens
-    # to parse (writer cut exactly before the newline).
-    tail_torn = bool(lines and lines[-1])
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        is_tail = tail_torn and position == len(lines) - 1
-        try:
-            data = json.loads(line.decode("utf-8"))
-            out.events.append(TelemetryEvent.from_dict(data))
-        except (ValueError, UnicodeDecodeError):
-            if is_tail:
-                out.torn += 1
-            else:
-                out.invalid += 1
-
-
-def read_events(path: str, include_rotated: bool = True) -> LedgerRead:
-    """Read a ledger without ever raising for damage.
+def read_events(path: str) -> LedgerRead:
+    """Read a whole ledger without ever raising for damage.
 
     A missing file is a normal state (empty read), a torn tail — the one
-    record a dying writer half-appended — is counted, skipped, and never
-    kills the reader, and undecodable mid-file lines are counted
-    separately so callers can distinguish "writer died" from "file
-    corrupted".
+    record a dying writer half-appended, with no newline after it — is
+    counted, skipped, and never kills the reader, and undecodable
+    complete lines are counted separately so callers can distinguish
+    "writer died" from "file corrupted".
     """
-    out = LedgerRead()
-    if include_rotated:
-        _read_ledger_file(rotated_path(path), out)
-    _read_ledger_file(path, out)
-    return out
-
-
-def _drain_lines(buffer: bytes) -> "tuple[List[TelemetryEvent], bytes]":
-    """Split complete lines off ``buffer`` and decode them as events."""
-    events: List[TelemetryEvent] = []
-    while b"\n" in buffer:
-        line, buffer = buffer.split(b"\n", 1)
-        if not line.strip():
-            continue
-        try:
-            events.append(
-                TelemetryEvent.from_dict(json.loads(line.decode("utf-8")))
-            )
-        except (ValueError, UnicodeDecodeError):
-            continue
-    return events, buffer
+    tail = LedgerTail(path)
+    try:
+        events, _reset = tail.read()
+    finally:
+        tail.close()
+    return LedgerRead(events=events, torn=tail.torn, invalid=tail.invalid)
 
 
 def follow_events(
@@ -401,64 +408,22 @@ def follow_events(
 ) -> Iterator[TelemetryEvent]:
     """Tail a ledger: yield complete appended records as they arrive.
 
-    Only whole lines are yielded (a torn tail stays buffered until its
-    writer finishes it or rotation resets the file).  ``duration`` bounds
-    the follow (None = until interrupted).
-
-    Rotation-safe: the follower holds the file *descriptor* open, so when
-    an appender rotates the ledger (``os.replace`` to ``<path>.1``) the
-    old inode is first drained to EOF — no record appended between the
-    last poll and the swap is ever lost — and only then does the follower
-    reopen ``path`` and continue from the head of the new file.  Rotation
-    is detected by comparing ``os.stat(path).st_ino`` against the open
-    descriptor's inode; in-place truncation (same inode, smaller size)
-    restarts from offset 0.
+    One :class:`LedgerTail` read per ``poll``: a torn tail stays pending
+    until its writer finishes the line, and a replaced or truncated file
+    is followed again from its head.  ``duration`` bounds the follow
+    (None = until interrupted).
     """
     deadline = None if duration is None else time.time() + duration
-    buffer = b""
-    fh = None
+    tail = LedgerTail(path)
     try:
         while True:
-            if fh is None:
-                try:
-                    fh = open(path, "rb")
-                    buffer = b""
-                except OSError:
-                    fh = None
-            rotated = False
-            if fh is not None:
-                # Reading the open descriptor reaches EOF of whatever
-                # inode we hold — including one already renamed away.
-                buffer += fh.read()
-                events, buffer = _drain_lines(buffer)
-                for event in events:
-                    yield event
-                try:
-                    st = os.stat(path)
-                    if st.st_ino != os.fstat(fh.fileno()).st_ino:
-                        rotated = True
-                    elif st.st_size < fh.tell():  # truncated in place
-                        fh.seek(0)
-                        buffer = b""
-                except OSError:
-                    rotated = True  # path vanished mid-rotation
-                if rotated:
-                    # Final drain of the old inode, then switch files
-                    # immediately (no sleep: the new file is already live).
-                    buffer += fh.read()
-                    events, _torn = _drain_lines(buffer)
-                    for event in events:
-                        yield event
-                    fh.close()
-                    fh = None
-                    buffer = b""
+            events, _reset = tail.read()
+            yield from events
             if deadline is not None and time.time() >= deadline:
                 return
-            if not rotated:
-                time.sleep(poll)
+            time.sleep(poll)
     finally:
-        if fh is not None:
-            fh.close()
+        tail.close()
 
 
 def event_matches(
@@ -500,7 +465,6 @@ def summarize_events(read: LedgerRead) -> Dict[str, Any]:
         "counts": counts,
         "torn": read.torn,
         "invalid": read.invalid,
-        "files": read.files,
         "first_ts": first,
         "last_ts": last,
     }
@@ -726,6 +690,36 @@ class StatusAggregator:
             age = max(0.0, now - state["last_seen"]) if state["last_seen"] else 0.0
             out.append([label, state["status"], state["attempt"], f"{age:.1f}s"])
         return out
+
+
+class LedgerStatus:
+    """A ledger's :class:`StatusAggregator`, kept current by one tail.
+
+    ``repro top`` and its metrics endpoint share one: each
+    :meth:`current` folds in only the events appended since the last
+    call (a fresh aggregator when the tail restarted), under a lock,
+    because the endpoint's scrapes run on concurrent threads.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.tail = LedgerTail(path)
+        self.status = StatusAggregator()
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def current(self) -> Iterator[StatusAggregator]:
+        """Catch up with the file; the caller reads under the lock."""
+        with self._lock:
+            events, reset = self.tail.read()
+            if reset:
+                self.status = StatusAggregator()
+            for event in events:
+                self.status.handle(event)
+            yield self.status
+
+    def close(self) -> None:
+        with self._lock:
+            self.tail.close()
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from a :class:`~repro.obs.events.StatusAggregator` — over plain
 * ``GET /metrics`` (or ``/``) — Prometheus text;
 * ``GET /healthz`` — liveness probe (``ok``).
 
-The one source is the run ledger: :func:`ledger_metrics_source`
-re-reads it on every scrape, so ``repro top LEDGER --metrics-port N``
-watches an evaluation that another process is still appending to (any
-run started with ``--events``).
+The one source is the run ledger: :func:`ledger_metrics_source` folds
+the bytes appended since the last scrape into the
+:class:`~repro.obs.events.LedgerStatus` it shares with ``repro top``'s
+refresh loop, so ``repro top LEDGER --metrics-port N`` watches an
+evaluation that another process is still appending to (any run started
+with ``--events``) and reads each ledger byte once.
 
 Zero-cost contract: imported only when a metrics port is requested.
 """
@@ -25,7 +27,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
-from repro.obs.events import StatusAggregator, read_events
+from repro.obs.events import LedgerStatus, StatusAggregator
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
@@ -66,21 +68,19 @@ def status_registry(status: StatusAggregator) -> MetricsRegistry:
     return registry
 
 
-def ledger_metrics_source(path: str) -> Callable[[], str]:
-    """Scrape source re-reading a ledger file on every request."""
+def ledger_metrics_source(ledger: LedgerStatus) -> Callable[[], str]:
+    """Scrape source catching ``ledger`` up with its file on each request."""
 
     def render() -> str:
-        read = read_events(path)
-        status = StatusAggregator()
-        for event in read.events:
-            status.handle(event)
-        registry = status_registry(status)
+        with ledger.current() as status:
+            registry = status_registry(status)
+            torn, invalid = ledger.tail.torn, ledger.tail.invalid
         registry.register(
-            "repro_events_torn", float(read.torn), kind="counter",
+            "repro_events_torn", float(torn), kind="counter",
             help="torn tail records tolerated by the ledger reader",
         )
         registry.register(
-            "repro_events_invalid", float(read.invalid), kind="counter",
+            "repro_events_invalid", float(invalid), kind="counter",
             help="undecodable ledger lines skipped by the reader",
         )
         return registry.to_prometheus_text()

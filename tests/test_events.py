@@ -1,10 +1,13 @@
 """Tests for the unified telemetry bus (repro.obs.events) and friends.
 
 Covers the event schema contract (versioned, round-trippable), the
-append-only JSONL run ledger (rotation, torn-tail tolerance, concurrent
-multi-process appenders), the crash flight recorder, the status
-aggregator, the stdlib metrics endpoint, the ``repro events`` /
-``repro top`` CLIs — and the two load-bearing integration properties:
+append-only JSONL run ledger (one unrotated file, torn-tail tolerance,
+concurrent multi-process appenders), its one incremental reader
+(``LedgerTail``: a reader fed the file chunk by chunk agrees with a
+fresh whole-file read, and ``repro top`` parses each byte once), the
+crash flight recorder, the status aggregator, the stdlib metrics
+endpoint, the ``repro events`` / ``repro top`` CLIs — and the two
+load-bearing integration properties:
 every engine occurrence appears in the ledger *exactly once*, and a run
 without telemetry never imports this machinery (the zero-cost contract,
 pinned with a subprocess) and stays bit-identical.
@@ -31,6 +34,8 @@ from repro.obs.events import (
     EventBus,
     EventLedger,
     FlightRecorder,
+    LedgerStatus,
+    LedgerTail,
     StatusAggregator,
     TelemetryEvent,
     event_matches,
@@ -38,7 +43,6 @@ from repro.obs.events import (
     follow_events,
     open_bus,
     read_events,
-    rotated_path,
     set_event_bus,
     summarize_events,
 )
@@ -170,55 +174,7 @@ class TestLedgerDurability:
 
     def test_missing_file_is_an_empty_read(self, tmp_path):
         read = read_events(str(tmp_path / "never_written.jsonl"))
-        assert read.ok and read.events == [] and read.files == []
-
-    def test_rotation_keeps_both_files_readable(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
-        ledger = EventLedger(path, max_bytes=400)
-        for i in range(1, 21):
-            ledger.append(TelemetryEvent(type="heartbeat", seq=i))
-        ledger.close()
-        assert ledger.rotations >= 1
-        assert os.path.exists(rotated_path(path))
-        read = read_events(path)
-        # Rotation drops at most the pre-`.1` generations, never records
-        # within a file; the surviving stream is contiguous and ordered.
-        seqs = [e.seq for e in read.events]
-        assert seqs == sorted(seqs) and seqs[-1] == 20
-        assert set(read.files) == {rotated_path(path), path}
-
-    def test_follow_survives_rotation_mid_follow(self, tmp_path):
-        """Regression: ``repro events --follow`` used to go silent when
-        an appender rotated the ledger (the follower kept polling the
-        renamed-away ``.1`` inode).  The follower must drain the old
-        inode to EOF — including records appended *between its last poll
-        and the swap* — then reopen the new file, losing nothing."""
-        path = str(tmp_path / "ledger.jsonl")
-
-        def append(seq):
-            with open(path, "a") as fh:
-                fh.write(TelemetryEvent(type="heartbeat", seq=seq)
-                         .to_json_line() + "\n")
-
-        append(1)
-        append(2)
-        gen = follow_events(path, duration=60.0, poll=0.01)
-        try:
-            assert next(gen).seq == 1
-            assert next(gen).seq == 2
-            # Rotation mid-follow: one more record lands on the old
-            # inode, then the swap, then new records on the new inode.
-            append(3)
-            os.replace(path, rotated_path(path))
-            append(4)
-            append(5)
-            assert [next(gen).seq for _ in range(3)] == [3, 4, 5]
-            # A second rotation on the same follow: still no loss.
-            os.replace(path, rotated_path(path))
-            append(6)
-            assert next(gen).seq == 6
-        finally:
-            gen.close()
+        assert read.ok and read.events == []
 
     def test_follow_survives_in_place_truncation(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
@@ -242,8 +198,7 @@ class TestLedgerDurability:
             gen.close()
 
     def test_follow_waits_out_vanished_path(self, tmp_path):
-        """A rotation's tiny window where ``path`` does not exist (or a
-        late-starting follower) must not kill the follow."""
+        """A follower started before the ledger exists waits for it."""
         path = str(tmp_path / "ledger.jsonl")
         gen = follow_events(path, duration=60.0, poll=0.01)
         try:
@@ -292,6 +247,189 @@ def _append_worker(path, writer, n_records):
             payload={"writer": writer, "i": i, "pad": "x" * 64},
         ))
     ledger.close()
+
+
+def _write_lines(path, *seqs):
+    with open(path, "a") as fh:
+        for seq in seqs:
+            fh.write(TelemetryEvent(type="heartbeat", seq=seq).to_json_line()
+                     + "\n")
+
+
+class TestLedgerTail:
+    """The one incremental reader behind ``repro events``/``top``/metrics."""
+
+    @staticmethod
+    def _fresh(path):
+        """Status line, rows, metrics samples and torn count of a fresh
+        whole-file ``read_events`` replay."""
+        from repro.obs.exporthttp import status_registry
+
+        read = read_events(path)
+        status = StatusAggregator()
+        for event in read.events:
+            status.handle(event)
+        samples = _samples(status_registry(status).to_prometheus_text())
+        samples["repro_events_torn"] = str(read.torn)
+        samples["repro_events_invalid"] = str(read.invalid)
+        return status.status_line(), status.rows(), samples, read.torn
+
+    def test_chunked_ledger_matches_fresh_replay(self, tmp_path, monkeypatch):
+        """A fault-injected ``jobs=2`` suite ledger, appended in chunks
+        that cut lines in half: after every chunk, the incremental
+        ``top`` view and metrics equal a fresh replay of the prefix."""
+        from repro.obs.exporthttp import ledger_metrics_source
+
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:0.5:all")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
+        monkeypatch.setenv("REPRO_TASK_BACKOFF", "0.01")
+        recorded = str(tmp_path / "recorded.jsonl")
+        run_suite(
+            [SPEC_A, SPEC_B], ["no", "next_line"],
+            warmup_instructions=WARMUP, include_baseline=False, jobs=2,
+            cache=None, checkpoint=None, events_path=recorded,
+        )
+        with open(recorded, "rb") as fh:
+            data = fh.read()
+        n_chunks = 9
+        bounds = [len(data) * i // n_chunks for i in range(1, n_chunks + 1)]
+        assert any(data[b - 1:b] != b"\n" for b in bounds[:-1])
+        path = str(tmp_path / "growing.jsonl")
+        ledger = LedgerStatus(path)
+        render = ledger_metrics_source(ledger)
+        torn_seen = start = 0
+        try:
+            for bound in bounds:
+                with open(path, "ab") as fh:
+                    fh.write(data[start:bound])
+                start = bound
+                with ledger.current() as status:
+                    line, rows = status.status_line(), status.rows()
+                metrics = _samples(render())
+                fresh_line, fresh_rows, fresh_metrics, torn = self._fresh(path)
+                assert line == fresh_line
+                assert rows == fresh_rows
+                assert metrics == fresh_metrics
+                torn_seen += torn
+        finally:
+            ledger.close()
+        assert torn_seen >= 1  # some prefix did end mid-line
+        assert metrics["repro_events_torn"] == "0"
+        assert int(metrics['repro_events_total{type="quarantined"}']) >= 1
+        assert metrics["repro_engine_suites_finished"] == "1"
+
+    def test_ledger_past_old_rotation_size_replays_whole(self, tmp_path,
+                                                        capsys):
+        """Regression: the ledger used to rotate at 16 MiB into a single
+        ``<path>.1``, so a second rotation dropped the head and a replay
+        lost ``suite_started`` (``22/0 done`` for a 100/100 run)."""
+        from repro.cli import main
+
+        path = str(tmp_path / "ev.jsonl")
+        bus = open_bus(path)
+        n_tasks = 100
+        pad = "x" * (340 * 1024)  # 100 heartbeats: past 2 x 16 MiB
+        bus.emit("suite_started", payload={"n_tasks": n_tasks, "jobs": 1})
+        for i in range(n_tasks):
+            label = f"no/w{i}"
+            bus.emit("task_started", label=label, attempt=1)
+            bus.emit("heartbeat", label=label, attempt=1,
+                     payload={"pad": pad})
+            bus.emit("task_finished", label=label, attempt=1)
+        bus.emit("suite_finished",
+                 payload={"completed": n_tasks, "quarantined": 0})
+        bus.close()
+        assert os.path.getsize(path) > 2 * 16 * 1024 * 1024
+        assert os.listdir(tmp_path) == ["ev.jsonl"]
+        read = read_events(path)
+        assert read.ok and len(read.events) == 3 * n_tasks + 2
+        assert read.events[0].type == "suite_started"
+        replay = StatusAggregator()
+        for event in read.events:
+            replay.handle(event)
+        assert replay.status_line() == bus.status.status_line()
+        assert main(["top", path, "--once"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"status: {n_tasks}/{n_tasks} done"
+        )
+
+    def test_top_parses_each_ledger_byte_once(self, tmp_path, monkeypatch,
+                                              capsys):
+        """``repro top --metrics-port``: its refreshes and the scrapes in
+        between share one tail, so every record is decoded exactly once
+        however often the ledger is read."""
+        from repro.cli import main
+
+        path = str(tmp_path / "ev.jsonl")
+        ledger = EventLedger(path)
+        seqs = iter(range(1, 100))
+
+        def append(type_, **fields):
+            ledger.append(TelemetryEvent(type=type_, seq=next(seqs),
+                                         ts=time.time(), **fields))
+
+        append("suite_started", payload={"n_tasks": 3})
+        decoded = []
+        original = TelemetryEvent.from_dict.__func__
+
+        def counting(cls, data):
+            decoded.append(data.get("seq"))
+            return original(cls, data)
+
+        monkeypatch.setattr(TelemetryEvent, "from_dict", classmethod(counting))
+        url = []
+        scrapes = []
+
+        def refresh_pause(seconds):
+            """Two scrapes, then one more finished task, per refresh."""
+            if not url:
+                err = capsys.readouterr().err
+                url.append(re.search(r"http://\S+", err).group(0))
+            task = len(scrapes) // 2
+            for _ in range(2):
+                scrapes.append(_samples(
+                    urllib.request.urlopen(url[0], timeout=10).read().decode()
+                ))
+            if task == 3:
+                raise KeyboardInterrupt
+            append("task_started", config="no", workload=f"w{task}")
+            append("task_finished", config="no", workload=f"w{task}")
+
+        monkeypatch.setattr(time, "sleep", refresh_pause)
+        try:
+            assert main(["top", path, "--metrics-port", "0",
+                         "--interval", "0.01"]) == 0
+        finally:
+            ledger.close()
+        assert sorted(decoded) == list(range(1, 8))
+        assert [s["repro_engine_done"] for s in scrapes] == [
+            "0", "0", "1", "1", "2", "2", "3", "3"
+        ]
+        status = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("status:")]
+        assert status[-1].startswith("status: 3/3 done")
+
+    def test_replaced_file_restarts_from_head(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        _write_lines(path, 1, 2, 3)
+        tail = LedgerTail(path)
+        ledger = LedgerStatus(path)
+        try:
+            events, reset = tail.read()
+            assert [e.seq for e in events] == [1, 2, 3] and not reset
+            with ledger.current() as status:
+                assert status.counts == {"heartbeat": 3}
+            # Written while the old file exists, so it is a new inode.
+            _write_lines(path + ".new", 7)
+            os.replace(path + ".new", path)
+            events, reset = tail.read()
+            assert reset and [e.seq for e in events] == [7]
+            assert tail.read() == ([], False)
+            with ledger.current() as status:
+                assert status.counts == {"heartbeat": 1}
+        finally:
+            tail.close()
+            ledger.close()
 
 
 class TestFlightRecorder:
@@ -690,7 +828,8 @@ class TestMetricsEndpoint:
         bus.emit("task_started", label="no/w")
         bus.emit("quarantined", label="no/w")
         bus.close()
-        server = MetricsHTTPServer(ledger_metrics_source(path), port=0)
+        ledger = LedgerStatus(path)
+        server = MetricsHTTPServer(ledger_metrics_source(ledger), port=0)
         server.start()
         try:
             body = self._scrape(server.url)
@@ -700,6 +839,7 @@ class TestMetricsEndpoint:
                 self._scrape(base + "/nope")
         finally:
             server.stop()
+            ledger.close()
         self._assert_prometheus_text(body)
         assert "repro_engine_failed 1" in body
         assert "repro_events_torn 0" in body

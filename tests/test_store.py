@@ -473,6 +473,25 @@ class TestEnvKnobs:
             ShardedRunStore(str(tmp_path))
 
 
+class TestStoreCLI:
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--max-bytes", "--max-age"])
+    def test_evict_rejects_non_positive_budget(self, tmp_path, capsys,
+                                               flag, value):
+        """Like ``REPRO_RUN_CACHE_MAX_BYTES=0`` ("no budget"), a zero or
+        negative flag is no budget: usage error, nothing evicted."""
+        from repro.cli import main
+
+        store = _store(tmp_path)
+        for i in range(3):
+            assert store.publish(_key(i), _payload(i))
+        with pytest.raises(SystemExit) as exc:
+            main(["store", str(tmp_path), "evict", flag, value])
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert all(os.path.exists(store.path_for(_key(i))) for i in range(3))
+
+
 class TestConcurrentWriters:
     def test_threaded_publish_load_never_garbage(self, tmp_path):
         """In-process analogue of the chaos harness: hammer publish/load
