@@ -193,11 +193,11 @@ def main() -> None:
         section("Table IV", render_tab4(energy_rows), t)
 
         t = time.time()
-        ablation = fig11_ablation(suite)
+        ablation = fig11_ablation(suite, jobs=jobs)
         section("Figure 11", render_fig11(ablation), t)
 
         t = time.time()
-        internals = figs12_to_15_internals(suite)
+        internals = figs12_to_15_internals(suite, jobs=jobs)
         section("Figures 12-15", render_figs12_to_15(internals), t)
 
         t = time.time()

@@ -8,7 +8,6 @@ from repro.analysis.experiments import (
     EvaluationResult,
     resolve_jobs,
     run_cached,
-    run_prefetcher_on_suite,
     run_single,
     run_suite,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "EvaluationResult",
     "resolve_jobs",
     "run_cached",
-    "run_prefetcher_on_suite",
     "run_single",
     "run_suite",
     "CheckpointManifest",

@@ -39,7 +39,7 @@ from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
 logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:
-    from repro.analysis.parallel import FaultReport, RetryPolicy
+    from repro.analysis.parallel import FaultReport, RetryPolicy, RunTask
 from repro.prefetchers.base import InstructionPrefetcher, NullPrefetcher
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.config import SimConfig
@@ -443,26 +443,6 @@ def run_cached(
     return result
 
 
-def run_prefetcher_on_suite(
-    specs: Sequence[WorkloadSpec],
-    config_name: str,
-    base_config: Optional[SimConfig] = None,
-    warmup_instructions: Optional[int] = None,
-    cache: CacheArg = DEFAULT_CACHE,
-) -> Dict[str, SimResult]:
-    """Run one configuration over a suite; fresh prefetcher per workload.
-
-    ``warmup_instructions=None`` warms up for ``WARMUP_FRACTION`` of each
-    trace; pass 0 to measure from a cold start.
-    """
-    return {
-        spec.name: run_cached(
-            spec, config_name, base_config, warmup_instructions, cache=cache
-        )
-        for spec in specs
-    }
-
-
 def _progress_stream(progress: Union[bool, Any, None]) -> Optional[Any]:
     """Resolve the ``progress`` argument to a stream (or None for off).
 
@@ -539,6 +519,7 @@ def run_suite(
         names.insert(0, "no")
     evaluation = EvaluationResult()
     evaluation.categories = {spec.name: spec.category for spec in specs}
+    evaluation.runs = {name: {} for name in names}
     n_jobs = resolve_jobs(jobs)
     active_checkpoint = _resolve_checkpoint(checkpoint)
 
@@ -556,10 +537,12 @@ def run_suite(
         if use_engine:
             from repro.analysis.parallel import RunTask, run_tasks_parallel
 
+            # Spec-major: a spec's configs run back to back, so its trace
+            # stays in the per-process memos however many specs follow.
             tasks = [
                 RunTask(spec, name, base_config, warmup_instructions)
-                for name in names
                 for spec in specs
+                for name in names
             ]
             outcome = run_tasks_parallel(
                 tasks,
@@ -569,15 +552,13 @@ def run_suite(
                 policy=retry_policy,
                 progress=stream,
             )
-            evaluation.runs = {name: {} for name in names}
             for task, result in zip(tasks, outcome.results):
                 if result is not None:  # else quarantined, reported
                     evaluation.runs[task.config_name][task.source.name] = result
             evaluation.faults = outcome.report
         else:
-            for name in names:
-                evaluation.runs[name] = {}
-                for spec in specs:
+            for spec in specs:
+                for name in names:
                     try:
                         evaluation.runs[name][spec.name] = run_cached(
                             spec, name, base_config, warmup_instructions,
@@ -608,6 +589,26 @@ def run_suite(
                             "quarantined %s/%s: %s", name, spec.name, exc
                         )
     return evaluation
+
+
+def run_batch(
+    tasks: Sequence["RunTask"], jobs: Optional[int] = None
+) -> List[Optional[SimResult]]:
+    """The figure and sweep drivers' path to the one scheduler: the
+    process run cache, the installed checkpoint, ``REPRO_EVENTS``,
+    ``REPRO_PROGRESS`` and ``jobs`` (None reads ``REPRO_JOBS``) apply as
+    in :func:`run_suite`.  One result per task, None where quarantined."""
+    from repro.analysis.parallel import run_tasks_parallel
+
+    stream = _progress_stream(None)
+    with telemetry_scope(live=stream is not None):
+        return run_tasks_parallel(
+            tasks,
+            jobs=resolve_jobs(jobs),
+            cache=get_run_cache(),
+            checkpoint=get_checkpoint(),
+            progress=stream,
+        ).results
 
 
 def default_suite(

@@ -16,9 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     EvaluationResult,
-    _cached_units,
     _cached_workload,
-    run_cached,
+    run_batch,
     run_suite,
 )
 from repro.analysis.metrics import (
@@ -28,13 +27,15 @@ from repro.analysis.metrics import (
     robust_geometric_mean,
 )
 from repro.analysis.oracle import OracleResult, run_oracle
+from repro.analysis.parallel import RunTask
 from repro.analysis.storage import prefetcher_storage_kb
 from repro.analysis.reporting import format_table
 from repro.core.compression import mode_table
-from repro.core.variants import ABLATION_NAMES, make_ablation
+from repro.core.entangling import EntanglingConfig
+from repro.core.variants import ABLATION_NAMES, ablation_config
 from repro.energy import EnergyModel
+from repro.prefetchers.registry import available_prefetchers
 from repro.sim.config import SimConfig
-from repro.sim.simulator import simulate
 from repro.workloads.generators import WorkloadSpec
 
 #: The prefetcher field of Figure 6, ordered by storage budget.
@@ -95,25 +96,27 @@ def fig1_fig2_oracle(
     ]
 
 
-def render_fig1(results: Sequence[OracleResult]) -> str:
+def _render_by_distance(
+    title: str, results: Sequence[OracleResult], field: str
+) -> str:
     headers = ["workload"] + [f"d={d}" for d in range(1, 11)]
     rows = [
-        [r.workload] + [r.timely_fraction.get(d, 0.0) for d in range(1, 11)]
+        [r.workload] + [getattr(r, field).get(d, 0.0) for d in range(1, 11)]
         for r in results
     ]
-    return "Fig 1 — fraction of timely prefetches vs look-ahead distance\n" + (
-        format_table(headers, rows, float_format="{:.3f}")
+    return title + "\n" + format_table(headers, rows, float_format="{:.3f}")
+
+
+def render_fig1(results: Sequence[OracleResult]) -> str:
+    return _render_by_distance(
+        "Fig 1 — fraction of timely prefetches vs look-ahead distance",
+        results, "timely_fraction",
     )
 
 
 def render_fig2(results: Sequence[OracleResult]) -> str:
-    headers = ["workload"] + [f"d={d}" for d in range(1, 11)]
-    rows = [
-        [r.workload] + [r.accuracy.get(d, 0.0) for d in range(1, 11)]
-        for r in results
-    ]
-    return "Fig 2 — prefetch accuracy vs look-ahead distance\n" + (
-        format_table(headers, rows, float_format="{:.3f}")
+    return _render_by_distance(
+        "Fig 2 — prefetch accuracy vs look-ahead distance", results, "accuracy"
     )
 
 
@@ -181,22 +184,19 @@ def per_workload_curves(
 ) -> Dict[str, List[float]]:
     """Sorted per-workload series per config for Figures 7 (ipc),
     8 (miss_ratio), 9 (coverage), 10 (accuracy)."""
-    curves: Dict[str, List[float]] = {}
-    for name in configs:
-        if name not in evaluation.runs:
-            continue
-        if metric == "ipc":
-            values = list(evaluation.normalized_ipc(name).values())
-        elif metric == "miss_ratio":
-            values = list(evaluation.miss_ratio(name).values())
-        elif metric == "coverage":
-            values = list(evaluation.coverage(name).values())
-        elif metric == "accuracy":
-            values = list(evaluation.accuracy(name).values())
-        else:
-            raise ValueError(f"unknown curve metric {metric!r}")
-        curves[name] = percentile_curve(values)
-    return curves
+    getters = {
+        "ipc": evaluation.normalized_ipc,
+        "miss_ratio": evaluation.miss_ratio,
+        "coverage": evaluation.coverage,
+        "accuracy": evaluation.accuracy,
+    }
+    if metric not in getters:
+        raise ValueError(f"unknown curve metric {metric!r}")
+    return {
+        name: percentile_curve(list(getters[metric](name).values()))
+        for name in configs
+        if name in evaluation.runs
+    }
 
 
 def render_curves(title: str, curves: Dict[str, List[float]]) -> str:
@@ -224,31 +224,15 @@ def tab4_energy(
         for name in all_configs
     }
     rows: List[List[object]] = []
-    base = reports["no"]
     for name in all_configs:
-        level_means = {
-            level: statistics.mean(r.per_level[level] for r in reports[name].values())
+        level_means = [
+            statistics.mean(r.per_level[level] for r in reports[name].values())
             for level in ("L1I", "L1D", "L2C", "LLC")
-        }
-        if name == "no":
-            norm = 1.0
-        else:
-            norm = geometric_mean(
-                [
-                    reports[name][w].total_nj / base[w].total_nj
-                    for w in reports[name]
-                ]
-            )
-        rows.append(
-            [
-                name,
-                level_means["L1I"],
-                level_means["L1D"],
-                level_means["L2C"],
-                level_means["LLC"],
-                norm,
-            ]
+        ]
+        norm = 1.0 if name == "no" else geometric_mean(
+            [reports[name][w].total_nj / reports["no"][w].total_nj for w in reports[name]]
         )
+        rows.append([name, *level_means, norm])
     return rows, evaluation
 
 
@@ -262,39 +246,55 @@ def render_tab4(rows: Sequence[Sequence[object]]) -> str:
 # -- Figure 11 (ablation) ------------------------------------------------------------------
 
 
+def _entangling_task(
+    spec: WorkloadSpec, config: EntanglingConfig, sim_config: SimConfig, name: str
+) -> RunTask:
+    """A task for ``config``: by registry name when it is ``entangling_<N>k``
+    (so Figure 6's stored result serves it), else the resolved pair."""
+    registry_name = f"entangling_{config.entries // 1024}k"
+    if (
+        config == EntanglingConfig(entries=config.entries)
+        and registry_name in available_prefetchers()
+    ):
+        return RunTask(spec, registry_name, sim_config)
+    return RunTask(spec, name, configs=(config, sim_config))
+
+
 def fig11_ablation(
     specs: Sequence[WorkloadSpec],
     sizes: Sequence[int] = (2048, 4096, 8192),
     config: Optional[SimConfig] = None,
+    jobs: Optional[int] = None,
 ) -> Dict[str, Dict[int, float]]:
-    """Geomean speedup per ablation variant and table size (Figure 11)."""
+    """Geomean speedup per ablation variant and table size (Figure 11):
+    one scheduler batch, spec-major, each spec's ``no`` baseline first."""
     sim_config = config or SimConfig()
-    # The no-prefetch baseline is shared with every run_suite figure: take
-    # it from the run cache instead of re-simulating once per figure.
-    baseline: Dict[str, float] = {
-        spec.name: run_cached(spec, "no", sim_config).stats.ipc for spec in specs
-    }
-
-    out: Dict[str, Dict[int, float]] = {name: {} for name in ABLATION_NAMES}
-    for variant in ABLATION_NAMES:
-        for size in sizes:
-            ratios = []
-            for spec in specs:
-                trace = _cached_workload(spec)
-                units = _cached_units(spec, sim_config.line_size)
-                warm = int(spec.n_instructions * 0.4)
-                stats = simulate(
-                    trace,
-                    make_ablation(variant, size),
-                    config=sim_config,
-                    units=units,
-                    warmup_instructions=warm,
-                ).stats
-                base_ipc = baseline[spec.name]
-                ratios.append(stats.ipc / base_ipc if base_ipc else 0.0)
-            out[variant][size] = robust_geometric_mean(
-                ratios, context=f"fig11[{variant}, {size}]"
+    cells = [(variant, size) for variant in ABLATION_NAMES for size in sizes]
+    tasks: List[RunTask] = []
+    for spec in specs:
+        tasks.append(RunTask(spec, "no", sim_config))
+        tasks.extend(
+            _entangling_task(
+                spec, ablation_config(variant, size), sim_config,
+                f"{variant}-{size // 1024}K",
             )
+            for variant, size in cells
+        )
+    results = iter(run_batch(tasks, jobs))
+    ratios: Dict[Tuple[str, int], List[float]] = {cell: [] for cell in cells}
+    for _spec in specs:
+        base = next(results)
+        for cell in cells:
+            result = next(results)
+            # A quarantined run or a zero-IPC baseline is skipped and
+            # flagged by the geomean.
+            ok = result is not None and base is not None and base.stats.ipc
+            ratios[cell].append(result.stats.ipc / base.stats.ipc if ok else 0.0)
+    out: Dict[str, Dict[int, float]] = {name: {} for name in ABLATION_NAMES}
+    for (variant, size), cell_ratios in ratios.items():
+        out[variant][size] = robust_geometric_mean(
+            cell_ratios, context=f"fig11[{variant}, {size}]"
+        )
     return out
 
 
@@ -325,50 +325,49 @@ def figs12_to_15_internals(
     specs: Sequence[WorkloadSpec],
     entries: int = 4096,
     config: Optional[SimConfig] = None,
+    jobs: Optional[int] = None,
 ) -> InternalsResult:
-    """Run Entangling and collect its internal statistics per category."""
-    from repro.core.variants import make_entangling
-
+    """Entangling's internal statistics per category, read from each
+    result's ``internals`` (quarantined workloads are left out)."""
     sim_config = config or SimConfig()
-    categories = {spec.name: spec.category for spec in specs}
-    per_workload_formats: Dict[str, Dict[int, int]] = {}
-    dests: Dict[str, float] = {}
-    src_bb: Dict[str, float] = {}
-    dst_bb: Dict[str, float] = {}
-    per_hit: Dict[str, float] = {}
-    for spec in specs:
-        prefetcher = make_entangling(entries)
-        simulate(
-            _cached_workload(spec),
-            prefetcher,
-            config=sim_config,
-            units=_cached_units(spec, sim_config.line_size),
-            warmup_instructions=int(spec.n_instructions * 0.4),
+    tasks = [
+        _entangling_task(
+            spec, EntanglingConfig(entries=entries), sim_config,
+            f"entangling-{entries}",
         )
-        per_workload_formats[spec.name] = dict(prefetcher.table.stats.format_bits)
-        dests[spec.name] = prefetcher.estats.avg_destinations_per_hit
-        src_bb[spec.name] = prefetcher.estats.avg_src_bb_size
-        dst_bb[spec.name] = prefetcher.estats.avg_dst_bb_size
-        per_hit[spec.name] = prefetcher.estats.avg_prefetches_per_hit
+        for spec in specs
+    ]
+    categories = {spec.name: spec.category for spec in specs}
+    internals = {
+        spec.name: result.internals
+        for spec, result in zip(specs, run_batch(tasks, jobs))
+        if result is not None
+    }
 
     format_fractions: Dict[str, Dict[int, float]] = {}
-    for name, counts in per_workload_formats.items():
-        cat = categories[name]
-        bucket = format_fractions.setdefault(cat, {})
+    for name, values in internals.items():
+        counts = dict(values["format_bits"])
+        bucket = format_fractions.setdefault(categories[name], {})
         total = sum(counts.values()) or 1
         for bits, count in counts.items():
             bucket[bits] = bucket.get(bits, 0.0) + count / total
     for cat, bucket in format_fractions.items():
-        n = sum(1 for name in categories if categories[name] == cat)
+        n = sum(1 for name in internals if categories[name] == cat)
         for bits in bucket:
             bucket[bits] /= n
 
+    def means(field: str) -> Dict[str, float]:
+        return category_means(
+            {name: values[field] for name, values in internals.items()},
+            categories,
+        )
+
     return InternalsResult(
         format_fractions=format_fractions,
-        avg_destinations=category_means(dests, categories),
-        avg_src_bb_size=category_means(src_bb, categories),
-        avg_dst_bb_size=category_means(dst_bb, categories),
-        avg_prefetches_per_hit=category_means(per_hit, categories),
+        avg_destinations=means("avg_destinations_per_hit"),
+        avg_src_bb_size=means("avg_src_bb_size"),
+        avg_dst_bb_size=means("avg_dst_bb_size"),
+        avg_prefetches_per_hit=means("avg_prefetches_per_hit"),
     )
 
 
@@ -400,16 +399,11 @@ def sec4e_physical(
     jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Geomean speedups for physically-trained Entangling (Section IV-E)."""
+    names = ["entangling_2k_phys", "entangling_4k_phys", "entangling_8k_phys"]
     evaluation = run_suite(
-        specs,
-        ["entangling_2k_phys", "entangling_4k_phys", "entangling_8k_phys"],
-        base_config=SimConfig().with_physical_addresses(),
-        jobs=jobs,
+        specs, names, base_config=SimConfig().with_physical_addresses(), jobs=jobs
     )
-    return {
-        name: evaluation.geomean_speedup(name)
-        for name in ("entangling_2k_phys", "entangling_4k_phys", "entangling_8k_phys")
-    }
+    return {name: evaluation.geomean_speedup(name) for name in names}
 
 
 def render_sec4e(speedups: Dict[str, float]) -> str:
@@ -445,12 +439,16 @@ def fig16_cloudsuite(
     return data, evaluation
 
 
-def render_fig16(data: Dict[str, Dict[str, float]]) -> str:
+def _render_per_workload(title: str, data: Dict[str, Dict[str, float]]) -> str:
     workloads = sorted(next(iter(data.values())))
     headers = ["config"] + workloads
     rows = [[name] + [series[w] for w in workloads] for name, series in data.items()]
-    return "Fig 16 — normalized IPC for CloudSuite applications\n" + format_table(
-        headers, rows, float_format="{:.3f}"
+    return title + "\n" + format_table(headers, rows, float_format="{:.3f}")
+
+
+def render_fig16(data: Dict[str, Dict[str, float]]) -> str:
+    return _render_per_workload(
+        "Fig 16 — normalized IPC for CloudSuite applications", data
     )
 
 
@@ -481,16 +479,10 @@ def fig_microservice(
         from repro.workloads.microservice import microservice_suite
 
         specs = microservice_suite()
-    evaluation = run_suite(specs, list(configs), jobs=jobs)
-    data = {name: evaluation.normalized_ipc(name) for name in configs}
-    return data, evaluation
+    return fig16_cloudsuite(specs, configs, jobs)
 
 
 def render_fig_microservice(data: Dict[str, Dict[str, float]]) -> str:
-    workloads = sorted(next(iter(data.values())))
-    headers = ["config"] + workloads
-    rows = [[name] + [series[w] for w in workloads] for name, series in data.items()]
-    return (
-        "Microservices — normalized IPC (single- and multi-tenant)\n"
-        + format_table(headers, rows, float_format="{:.3f}")
+    return _render_per_workload(
+        "Microservices — normalized IPC (single- and multi-tenant)", data
     )

@@ -8,9 +8,9 @@ fresh prefetcher, and the simulator touches no shared mutable state.
 a ``ProcessPoolExecutor`` and returns the results in task order, so
 ``jobs=N`` is bit-identical to ``jobs=1`` for every architectural
 counter.  It is the only scheduler: ``run_suite`` builds its
-(config, workload) product, ``repro tune`` sends genome batches, and
-``repro run`` and ``repro sweep`` send trace-file tasks, and every
-simulation runs in :func:`execute_task_attempt`.
+(config, workload) product, the Figure 11-15 and sweep drivers and
+``repro tune`` send batches, ``repro run`` and ``repro sweep`` send
+trace-file tasks, and every simulation runs in :func:`execute_task_attempt`.
 
 At the paper's full evaluation scale (959 traces x ~15 configurations) a
 single crashed or hung worker must not kill hours of simulation, so the
@@ -29,9 +29,8 @@ executor layer is fault tolerant:
   :class:`FaultReport`, never fatal — so ``run_suite`` always returns a
   complete or explicitly partial result.
 
-Workers return *detached* results (stats without the live prefetcher
-object); consumers that require the live object (e.g. the Figure 12-15
-internals driver) use the serial path.
+Workers return *detached* results: stats and the prefetcher's
+``internals`` (Figures 12-15 read them), no live prefetcher object.
 
 For testing, the worker entry point carries a fault-injection hook
 (``REPRO_FAULT_INJECT=mode:fraction[:scope]`` with modes ``crash`` /
@@ -607,7 +606,8 @@ class RunTask(NamedTuple):
     configuration is the registry name ``config_name`` resolved against
     ``base_config``, or, when ``configs`` is set, an already-resolved
     ``(EntanglingConfig, SimConfig)`` pair named ``config_name`` (a tune
-    genome, see :func:`repro.analysis.tune.genome_configs`).  A path
+    genome, a Figure 11 variant, a sweep point); the run key hashes the
+    pair, so the name is only a label.  A path
     task must give ``warmup_instructions``; for a spec, None means
     ``WARMUP_FRACTION`` of its trace.
     """
@@ -632,15 +632,13 @@ def task_key(task: RunTask) -> Optional[str]:
     spec = task.source
     if not isinstance(spec, WorkloadSpec):
         return None
-    if task.configs is not None:
-        sim_config = task.configs[1]
-    else:
-        sim_config = resolve_config(
-            task.config_name, task.base_config or SimConfig()
-        )[1]
+    entangling_config, sim_config = task.configs or (
+        None, resolve_config(task.config_name, task.base_config or SimConfig())[1]
+    )
     return run_key(
         spec, task.config_name, sim_config,
         resolve_warmup(spec, task.warmup_instructions),
+        entangling_config=entangling_config,
     )
 
 
@@ -733,9 +731,10 @@ def run_tasks_parallel(
 ) -> SuiteOutcome:
     """Evaluate ``tasks`` with ``jobs`` worker processes: the one scheduler.
 
-    ``run_suite`` (its config x workload product), ``repro tune`` (genome
-    batches), ``repro run`` and ``repro sweep`` (trace-file tasks,
-    ``cache=None``) all come through here, and every simulation runs in
+    ``run_suite`` (its config x workload product), the figure and sweep
+    batches (``run_batch``), ``repro tune`` (genome batches), ``repro
+    run`` and ``repro sweep`` (trace-file tasks, ``cache=None``) all come
+    through here, and every simulation runs in
     :func:`execute_task_attempt`.  Returns one result per task, in task
     order, plus the executor's :class:`FaultReport`; ``jobs=N`` is
     bit-identical to ``jobs=1``.  Run-keyed tasks already in ``cache``

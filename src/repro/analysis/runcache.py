@@ -7,14 +7,14 @@ configurations for energy, and every ``run_suite`` call re-simulates the
 ``no`` baseline.  Since traces are generated deterministically from a
 :class:`~repro.workloads.generators.WorkloadSpec` and the simulator is
 deterministic in (trace, configuration), a (spec, config name, resolved
-:class:`~repro.sim.config.SimConfig`, warm-up) tuple fully identifies a
-run: the :class:`RunCache` memoizes :class:`~repro.sim.simulator.SimResult`
-stats under a fingerprint of exactly that tuple.
+:class:`~repro.sim.config.SimConfig`, warm-up, resolved ``EntanglingConfig``
+if the task carries one) tuple fully identifies a run: the
+:class:`RunCache` memoizes :class:`~repro.sim.simulator.SimResult` stats
+under a fingerprint of exactly that tuple.
 
-Cached results are *detached* — they carry the full
-:class:`~repro.sim.stats.SimStats` but not the live prefetcher object —
-so every consumer that reads only stats (all figure drivers, reporting,
-export) works transparently.
+Cached results are *detached* — full stats and the prefetcher's
+``internals``, no live prefetcher object — so every figure driver,
+reporting and export works transparently.
 
 Disk entries are version-stamped and checksummed: a truncated file, a
 schema from another format version, or a flipped byte is detected on
@@ -32,6 +32,7 @@ repeated evaluations across processes skip finished simulations.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -41,6 +42,7 @@ import os
 from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.store import ShardedRunStore
+from repro.core.entangling import EntanglingConfig
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult
 from repro.sim.stats import SimStats
@@ -50,9 +52,11 @@ logger = logging.getLogger(__name__)
 
 #: Version of the *key derivation* (the hashed payload below).  Bumped
 #: whenever a change must produce new run keys (old entries become
-#: misses).  v3: WorkloadSpec gained trace_file/tenants.  The disk entry
-#: format is versioned separately, by ``store.STORE_FORMAT``.
-_KEY_FORMAT_VERSION = 3
+#: misses).  v3: WorkloadSpec gained trace_file/tenants.  v4: a task's
+#: resolved EntanglingConfig joins the payload, and entries carry
+#: ``internals``.  The disk entry format is versioned separately, by
+#: ``store.STORE_FORMAT``.
+_KEY_FORMAT_VERSION = 4
 
 
 def _canonical(value: Any) -> Any:
@@ -86,12 +90,15 @@ def run_key(
     config_name: str,
     sim_config: SimConfig,
     warmup_instructions: int,
+    entangling_config: Optional[EntanglingConfig] = None,
 ) -> str:
     """Stable fingerprint of one simulation's full identity.
 
     ``sim_config`` must be the *resolved* configuration (after
     ``resolve_config`` applied pseudo-config/physical adjustments) so the
     same name with different base configs never collides.
+    ``entangling_config`` is a task's already-resolved prefetcher config,
+    so two configs under one name never share a key.
 
     Keys hash a canonical sorted-JSON encoding of the explicit field
     values (not ``repr``), so they are stable across Python versions and
@@ -116,6 +123,8 @@ def run_key(
         "sim_config": config_fields,
         "warmup_instructions": warmup_instructions,
     }
+    if entangling_config is not None:
+        payload["entangling_config"] = _canonical(entangling_config)
     if spec.trace_file is not None:
         payload["trace_digest"] = _file_digest(spec.trace_file)
     text = _canonical_json(payload)
@@ -173,16 +182,7 @@ class RunCache:
         )
         self._publisher: Optional[Any] = None
         self._mem: Dict[str, SimResult] = {}
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.disk_hits = 0
-        self.disk_corrupt = 0
-        self.disk_stale = 0
-        self.lease_waits = 0
-        self.coalesced = 0
-        self.lease_steals = 0
-        self.wall_seconds_saved = 0.0
+        self.clear()
 
     @property
     def publisher(self) -> Optional[Any]:
@@ -237,12 +237,7 @@ class RunCache:
             self.misses += 1
             self._publish("cache_miss", key, label)
             return None
-        self.hits += 1
-        self.wall_seconds_saved += result.stats.wall_seconds
-        served = self._copy(result)
-        served.stats.from_cache = True
-        self._publish("cache_hit", key, label)
-        return served
+        return self._serve(key, result, label)
 
     def wait_probe(self, key: str, label: str = "") -> Optional[SimResult]:
         """Quiet disk probe for lease followers polling an in-flight key.
@@ -262,8 +257,12 @@ class RunCache:
             return None
         self._mem[key] = result
         self.disk_hits += 1
-        self.hits += 1
         self.coalesced += 1
+        return self._serve(key, result, label)
+
+    def _serve(self, key: str, result: SimResult, label: str) -> SimResult:
+        """Count a hit and return a ``from_cache``-stamped copy."""
+        self.hits += 1
         self.wall_seconds_saved += result.stats.wall_seconds
         served = self._copy(result)
         served.stats.from_cache = True
@@ -327,7 +326,7 @@ class RunCache:
             category=result.category,
             prefetcher_name=result.prefetcher_name,
             stats=SimStats.from_dict(result.stats.to_dict()),
-            prefetcher=None,
+            internals=copy.deepcopy(result.internals),
         )
 
     def _load_disk(self, key: str) -> Optional[SimResult]:
@@ -357,7 +356,7 @@ class RunCache:
                 category=data["category"],
                 prefetcher_name=data["prefetcher_name"],
                 stats=SimStats.from_dict(data["stats"]),
-                prefetcher=None,
+                internals=data["internals"],
             )
         except (KeyError, TypeError):
             self.disk_corrupt += 1
@@ -377,6 +376,7 @@ class RunCache:
                 "category": result.category,
                 "prefetcher_name": result.prefetcher_name,
                 "stats": result.stats.to_dict(),
+                "internals": result.internals,
             },
         )
 

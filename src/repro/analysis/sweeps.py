@@ -4,7 +4,9 @@ Helpers for sensitivity studies around the paper's fixed design points:
 sweep any :class:`~repro.sim.config.SimConfig` field (prefetch-queue
 size, MSHR count, FTQ depth, ...) or any
 :class:`~repro.core.entangling.EntanglingConfig` field for one workload
-suite and collect the headline metrics per point.
+suite and collect the headline metrics per point.  Each sweep is one
+batch for the one scheduler (:func:`~repro.analysis.experiments.run_batch`):
+the run store, ``jobs=N``, the ledger and quarantine all apply.
 
 The paper itself motivates one of these: "our prefetcher would benefit
 from a larger prefetch queue (32 entries employed in our evaluation), as
@@ -17,33 +19,28 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
+
+from repro.analysis.experiments import run_batch
+from repro.analysis.metrics import robust_geometric_mean
+from repro.analysis.parallel import RunTask, task_key
+from repro.core.entangling import EntanglingConfig
+from repro.sim.config import SimConfig
+from repro.sim.simulator import SimResult
+from repro.workloads.generators import WorkloadSpec
 
 logger = logging.getLogger(__name__)
-
-from repro.analysis.experiments import (
-    _cached_units,
-    _cached_workload,
-    resolve_warmup,
-    run_cached,
-)
-from repro.analysis.metrics import robust_geometric_mean
-from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
-from repro.prefetchers.base import InstructionPrefetcher
-from repro.sim.config import SimConfig
-from repro.sim.simulator import simulate
-from repro.workloads.generators import WorkloadSpec
 
 
 @dataclasses.dataclass
 class SweepPoint:
     """Aggregate metrics for one parameter value.
 
-    ``failures`` counts workloads that were skipped — either they raised
-    during simulation or they produced a zero-IPC baseline whose speedup
-    ratio is meaningless (the point aggregates over the survivors); a
-    long sensitivity sweep degrades per-workload instead of dying
-    wholesale.
+    ``failures`` counts workloads that were skipped — either a run was
+    quarantined by the scheduler or the baseline IPC is zero, so the
+    speedup ratio is meaningless (the point aggregates over the
+    survivors); a long sensitivity sweep degrades per-workload instead
+    of dying wholesale.
     """
 
     value: object
@@ -54,80 +51,79 @@ class SweepPoint:
     failures: int = 0
 
 
-def _evaluate_point(
+def _point(
+    value: object,
     specs: Sequence[WorkloadSpec],
-    make_prefetcher: Callable[[], InstructionPrefetcher],
-    sim_config: SimConfig,
+    legs: Sequence[Tuple[Optional[SimResult], Optional[SimResult]]],
 ) -> SweepPoint:
-    ratios: List[float] = []
-    coverages: List[float] = []
-    accuracies: List[float] = []
-    drops: List[float] = []
+    """Aggregate one point from its per-spec ``(baseline, run)`` results."""
+    rows: List[Tuple[float, float, float, float]] = []
     failures = 0
-    for spec in specs:
-        try:
-            trace = _cached_workload(spec)
-            units = _cached_units(spec, sim_config.line_size)
-            # Both legs of the comparison must share one warm-up window
-            # (resolve_warmup); a hardcoded fraction here would silently
-            # diverge from the cached `no` baselines if
-            # experiments.WARMUP_FRACTION ever changed.
-            warm = resolve_warmup(spec, None)
-            # The baseline repeats across sweep points (and across sweeps
-            # with the same SimConfig): serve it from the run cache.
-            base = run_cached(spec, "no", sim_config).stats
-            stats = simulate(
-                trace, make_prefetcher(), config=sim_config, units=units,
-                warmup_instructions=warm,
-            ).stats
-        except Exception as exc:  # noqa: BLE001 — skip, don't kill the sweep
+    for spec, (base, result) in zip(specs, legs):
+        if base is None or result is None or base.stats.ipc <= 0.0:
+            # Quarantined, or a zero-IPC baseline with no meaningful
+            # ratio: skip-and-flag instead of poisoning the geomean.
             failures += 1
-            logger.warning(
-                "sweep point skipped workload %s: %s: %s",
-                spec.name, type(exc).__name__, exc,
-            )
+            logger.warning("sweep point %s skipped workload %s", value, spec.name)
             continue
-        if base.ipc <= 0.0:
-            # A zero-IPC baseline (e.g. a degenerate or faulted run) has
-            # no meaningful speedup ratio: skip-and-flag like a raised
-            # workload instead of poisoning the strict geomean.
-            failures += 1
-            logger.warning(
-                "sweep point skipped workload %s: zero-IPC baseline",
-                spec.name,
-            )
-            continue
-        ratios.append(stats.ipc / base.ipc)
-        coverages.append(stats.coverage_vs(base))
-        accuracies.append(stats.accuracy)
-        drops.append(float(stats.prefetches_dropped_pq_full))
+        stats = result.stats
+        rows.append((
+            stats.ipc / base.stats.ipc, stats.coverage_vs(base.stats),
+            stats.accuracy, float(stats.prefetches_dropped_pq_full),
+        ))
+    ratios = [row[0] for row in rows]
     # robust_geometric_mean skips-and-warns non-positive ratios (a
     # zero-IPC prefetcher run against a healthy baseline); surface those
     # skips in the point's failure count too.
     failures += sum(1 for ratio in ratios if ratio <= 0.0)
-    n = max(1, len(ratios))
+    n = max(1, len(rows))
     return SweepPoint(
-        value=None,
+        value=value,
         geomean_speedup=(
-            robust_geometric_mean(ratios, context="sweep point")
-            if ratios
-            else 0.0
+            robust_geometric_mean(ratios, context="sweep point") if ratios else 0.0
         ),
-        mean_coverage=sum(coverages) / n,
-        mean_accuracy=sum(accuracies) / n,
-        mean_pq_drops=sum(drops) / n,
+        mean_coverage=sum(row[1] for row in rows) / n,
+        mean_accuracy=sum(row[2] for row in rows) / n,
+        mean_pq_drops=sum(row[3] for row in rows) / n,
         failures=failures,
     )
+
+
+def _sweep(
+    specs: Sequence[WorkloadSpec],
+    values: Sequence[object],
+    legs: Callable[[WorkloadSpec, object], Tuple[RunTask, RunTask]],
+    jobs: Optional[int],
+) -> List[SweepPoint]:
+    """One scheduler batch, spec-major, of each point's ``legs(spec,
+    value)``: its baseline and its run.  A baseline several points share
+    is sent once, and every task keeps the default warm-up, so both legs
+    of a ratio share one window."""
+    points = [[legs(spec, value) for spec in specs] for value in values]
+    unique = {
+        task_key(task): task
+        for i in range(len(specs))
+        for point in points
+        for task in point[i]
+    }
+    results = dict(zip(unique, run_batch(list(unique.values()), jobs)))
+    return [
+        _point(value, specs, [
+            (results[task_key(base)], results[task_key(run)]) for base, run in point
+        ])
+        for value, point in zip(values, points)
+    ]
 
 
 def sweep_sim_parameter(
     specs: Sequence[WorkloadSpec],
     field: str,
     values: Sequence[object],
-    make_prefetcher: Optional[Callable[[], InstructionPrefetcher]] = None,
+    config_name: str = "entangling_4k",
     base_config: Optional[SimConfig] = None,
+    jobs: Optional[int] = None,
 ) -> List[SweepPoint]:
-    """Sweep one :class:`SimConfig` field.
+    """Sweep one :class:`SimConfig` field for registry config ``config_name``.
 
     Raises:
         ValueError: the field does not exist on :class:`SimConfig`.
@@ -135,14 +131,12 @@ def sweep_sim_parameter(
     config = base_config or SimConfig()
     if not hasattr(config, field):
         raise ValueError(f"SimConfig has no field {field!r}")
-    factory = make_prefetcher or (lambda: EntanglingPrefetcher())
-    points: List[SweepPoint] = []
-    for value in values:
-        sim_config = dataclasses.replace(config, **{field: value})
-        point = _evaluate_point(specs, factory, sim_config)
-        point.value = value
-        points.append(point)
-    return points
+
+    def legs(spec: WorkloadSpec, value: object) -> Tuple[RunTask, RunTask]:
+        swept = dataclasses.replace(config, **{field: value})
+        return RunTask(spec, "no", swept), RunTask(spec, config_name, swept)
+
+    return _sweep(specs, values, legs, jobs)
 
 
 def sweep_entangling_parameter(
@@ -151,6 +145,7 @@ def sweep_entangling_parameter(
     values: Sequence[object],
     base_config: Optional[EntanglingConfig] = None,
     sim_config: Optional[SimConfig] = None,
+    jobs: Optional[int] = None,
 ) -> List[SweepPoint]:
     """Sweep one :class:`EntanglingConfig` field.
 
@@ -161,15 +156,14 @@ def sweep_entangling_parameter(
     if not hasattr(entangling_config, field):
         raise ValueError(f"EntanglingConfig has no field {field!r}")
     config = sim_config or SimConfig()
-    points: List[SweepPoint] = []
-    for value in values:
+
+    def legs(spec: WorkloadSpec, value: object) -> Tuple[RunTask, RunTask]:
         variant = dataclasses.replace(entangling_config, **{field: value})
-        point = _evaluate_point(
-            specs, lambda v=variant: EntanglingPrefetcher(v), config
+        return RunTask(spec, "no", config), RunTask(
+            spec, f"entangling[{field}={value}]", configs=(variant, config)
         )
-        point.value = value
-        points.append(point)
-    return points
+
+    return _sweep(specs, values, legs, jobs)
 
 
 def render_sweep(title: str, points: Sequence[SweepPoint]) -> str:

@@ -22,8 +22,8 @@ Every simulation goes through the suite scheduler
 (:func:`~repro.analysis.parallel.run_tasks_parallel`) as a
 :class:`~repro.analysis.parallel.RunTask` carrying the genome's resolved
 configs under a synthetic config name ``tuned:<hash>`` (``run_key``
-covers only the config *name* and the :class:`SimConfig`, so the
-entangling half of the genome must be folded into the name).  The tuner
+hashes the resolved configs too, so the name labels the genome in
+reports, ledgers and the front).  The tuner
 has no scheduler of its own: the run cache, cross-process lease
 coalescing, retries, quarantine, fault injection and telemetry are the
 suite's.  Duplicate genomes — common in genetic populations — and the
@@ -134,11 +134,11 @@ OBJECTIVES = {
 def genome_name(genome: Dict[str, object]) -> str:
     """Stable synthetic config name for one genome (``tuned:<hash>``).
 
-    The run cache keys on (spec, config name, SimConfig, warm-up);
-    entangling parameters are invisible to it, so they must be folded
-    into the name.  Hashing the canonical sorted-JSON encoding makes the
-    name stable across processes and Python versions — the property the
-    resume path depends on.
+    The name labels the genome's runs in the front, reports and ledger;
+    the run key hashes the resolved configs themselves.  Hashing the
+    canonical sorted-JSON encoding makes the name stable across
+    processes and Python versions, so a resumed search and the front
+    name each genome as before.
     """
     payload = {"format": _GENOME_FORMAT_VERSION, "genome": genome}
     text = _canonical_json(_canonical_payload(payload))

@@ -474,6 +474,15 @@ class EntanglingPrefetcher(InstructionPrefetcher):
         if isinstance(src_meta, tuple):
             self.table.decrease_confidence(src_meta[0], src_meta[1])
 
+    def internals(self) -> Dict[str, Any]:
+        """Figures 12-15's inputs: four averages and the destination formats
+        as sorted ``[bits, count]`` pairs (JSON has no int keys)."""
+        names = ("avg_destinations_per_hit", "avg_src_bb_size",
+                 "avg_dst_bb_size", "avg_prefetches_per_hit")
+        internals = {name: getattr(self.estats, name) for name in names}
+        internals["format_bits"] = sorted(map(list, self.table.stats.format_bits.items()))
+        return internals
+
     # -- storage (paper Section III-C3) --------------------------------------------------
 
     def storage_bits(self) -> int:

@@ -19,7 +19,15 @@ from typing import Dict, List
 
 from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
 
-ABLATION_NAMES = ("BB", "BBEnt", "BBEntBB", "Ent", "BBEntBB-Merge")
+#: Each Figure 11 variant and the EntanglingConfig switches it turns off.
+_ABLATION_OFF = {
+    "BB": ("prefetch_dsts", "prefetch_dst_bb", "merge_blocks"),
+    "BBEnt": ("prefetch_dst_bb", "merge_blocks"),
+    "BBEntBB": ("merge_blocks",),
+    "Ent": ("track_basic_blocks", "prefetch_src_bb", "prefetch_dst_bb", "merge_blocks"),
+    "BBEntBB-Merge": (),
+}
+ABLATION_NAMES = tuple(_ABLATION_OFF)
 
 
 def make_entangling(
@@ -30,29 +38,19 @@ def make_entangling(
     return EntanglingPrefetcher(config)
 
 
-def make_ablation(variant: str, entries: int = 4096) -> EntanglingPrefetcher:
-    """One of the Figure 11 ablation variants."""
-    base = EntanglingConfig(entries=entries)
-    if variant == "BB":
-        config = replace(base, prefetch_dsts=False, prefetch_dst_bb=False, merge_blocks=False)
-    elif variant == "BBEnt":
-        config = replace(base, prefetch_dst_bb=False, merge_blocks=False)
-    elif variant == "BBEntBB":
-        config = replace(base, merge_blocks=False)
-    elif variant == "Ent":
-        config = replace(
-            base,
-            track_basic_blocks=False,
-            prefetch_src_bb=False,
-            prefetch_dst_bb=False,
-            merge_blocks=False,
-        )
-    elif variant == "BBEntBB-Merge":
-        config = base
-    else:
+def ablation_config(variant: str, entries: int = 4096) -> EntanglingConfig:
+    """The config of one Figure 11 ablation variant: the full design with
+    the variant's mechanisms switched off."""
+    if variant not in _ABLATION_OFF:
         raise ValueError(f"unknown ablation variant {variant!r}; "
                          f"choose from {ABLATION_NAMES}")
-    prefetcher = EntanglingPrefetcher(config)
+    off = dict.fromkeys(_ABLATION_OFF[variant], False)
+    return replace(EntanglingConfig(entries=entries), **off)
+
+
+def make_ablation(variant: str, entries: int = 4096) -> EntanglingPrefetcher:
+    """One of the Figure 11 ablation variants."""
+    prefetcher = EntanglingPrefetcher(ablation_config(variant, entries))
     prefetcher.name = f"{variant}-{entries // 1024}K"
     return prefetcher
 

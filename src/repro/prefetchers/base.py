@@ -23,7 +23,7 @@ with the source-entangled fields) and hands it back in feedback events.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.workloads.trace import BranchType
 
@@ -108,6 +108,10 @@ class InstructionPrefetcher:
     @property
     def storage_kb(self) -> float:
         return self.storage_bits() / 8192.0
+
+    def internals(self) -> Dict[str, Any]:
+        """JSON-ready internal statistics, carried in ``SimResult.internals``."""
+        return {}
 
     def on_demand_access(
         self, line_addr: int, hit: bool, cycle: int

@@ -64,8 +64,9 @@ class SimResult:
 
     ``prefetcher`` is the live prefetcher object when the simulation ran in
     this process; results that crossed a process boundary or came out of
-    the run cache carry ``None`` (all figure-level consumers read only the
-    stats).
+    the run cache carry ``None``.  ``internals`` is the prefetcher's
+    JSON-ready ``internals()`` at the end of the run (Figures 12-15 read
+    it); it crosses workers and the store, outside ``stats.signature()``.
     """
 
     trace_name: str
@@ -73,6 +74,7 @@ class SimResult:
     prefetcher_name: str
     stats: SimStats
     prefetcher: Optional[InstructionPrefetcher] = None
+    internals: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -640,4 +642,5 @@ def simulate(
         prefetcher_name=prefetcher.name,
         stats=stats,
         prefetcher=prefetcher,
+        internals=prefetcher.internals(),
     )

@@ -80,6 +80,7 @@ def _scrape_top(path):
     finally:
         proc.kill()
         proc.wait(timeout=30)
+        proc.stderr.close()
 
 
 def _samples(text):

@@ -9,7 +9,6 @@ from repro.analysis.experiments import (
     EvaluationResult,
     default_suite,
     resolve_config,
-    run_prefetcher_on_suite,
     run_suite,
 )
 from repro.analysis.figures import (
@@ -83,10 +82,12 @@ class TestRunSuite:
         ev = run_suite(TINY_SUITE, ["entangling_2k"])
         assert ev.geomean_speedup("entangling_2k") > 0.9
 
-    def test_run_prefetcher_on_suite_returns_results(self):
-        results = run_prefetcher_on_suite(TINY_SUITE, "no", warmup_instructions=0)
+    def test_baseline_only_suite_returns_results(self):
+        """A suite of the baseline alone, measured from a cold start."""
+        ev = run_suite(TINY_SUITE, ["no"], warmup_instructions=0)
+        assert ev.configs() == ["no"]
         for spec in TINY_SUITE:
-            assert results[spec.name].stats.instructions == spec.n_instructions
+            assert ev.stats("no", spec.name).instructions == spec.n_instructions
 
     def test_bad_workload_is_quarantined_not_fatal(self):
         suite = TINY_SUITE[:1] + [

@@ -50,7 +50,7 @@ class TestRunKeyCanonical:
         )
         assert (
             run_key(spec, "next_line", SimConfig(), 20_000)
-            == "caabd219ce55b3f435ade75e223883d6"
+            == "2aa7406c3a371cb8aa077d6482dbe39a"
         )
 
     def test_key_distinguishes_every_component(self):
@@ -74,6 +74,52 @@ class TestRunKeyCanonical:
         text = _canonical_json(mixed)
         assert text == _canonical_json({"b": 2, 10: "c", 1: "a"})
         assert json.loads(text) == {"1": "a", "10": "c", "b": 2}
+
+
+class TestEntanglingConfigKeys:
+    """Two configs under one name are two runs, not one cached result."""
+
+    def _tasks(self):
+        from repro.analysis.parallel import RunTask
+        from repro.core.entangling import EntanglingConfig
+
+        return [
+            RunTask(SPEC, "variant", configs=(config, SimConfig()))
+            for config in (EntanglingConfig(), EntanglingConfig(history_size=4))
+        ]
+
+    def test_task_keys_differ(self):
+        from repro.analysis.parallel import task_key
+
+        first, second = self._tasks()
+        assert task_key(first) != task_key(second)
+        assert task_key(first) == task_key(self._tasks()[0])
+
+    def test_second_config_is_simulated_not_served(self, tmp_path):
+        from repro.analysis.parallel import run_tasks_parallel
+
+        cache = RunCache(disk_dir=str(tmp_path))
+        first, second = (
+            run_tasks_parallel([task], jobs=1, cache=cache).results[0]
+            for task in self._tasks()
+        )
+        assert cache.stores == 2 and cache.hits == 0
+        assert not second.stats.from_cache
+        assert second.stats.signature() != first.stats.signature()
+
+
+class TestInternals:
+    def test_store_round_trips_internals(self, tmp_path):
+        result = run_cached(SPEC, "entangling_4k", cache=RunCache())
+        assert result.internals["format_bits"]
+        writer = RunCache(disk_dir=str(tmp_path))
+        writer.put("k" * 32, result)
+        served = RunCache(disk_dir=str(tmp_path)).get("k" * 32)
+        assert served.internals == result.internals
+        assert served.stats.signature() == result.stats.signature()
+
+    def test_baseline_internals_are_empty(self):
+        assert run_cached(SPEC, "no", cache=RunCache()).internals == {}
 
 
 class TestFromCacheStamp:
@@ -195,6 +241,20 @@ class TestDiskIntegrity:
         del data["stats"]
         del data["checksum"]
         data["checksum"] = entry_checksum(data)  # checksum passes, key absent
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        reader = RunCache(disk_dir=str(tmp_path))
+        assert reader.get("k" * 32) is None
+        assert reader.disk_corrupt == 1
+
+    def test_missing_internals_key_is_a_miss(self, tmp_path):
+        """An entry written before results carried ``internals``."""
+        _writer, path = self._seed_entry(tmp_path)
+        with open(path) as fh:
+            data = json.load(fh)
+        del data["internals"]
+        del data["checksum"]
+        data["checksum"] = entry_checksum(data)
         with open(path, "w") as fh:
             json.dump(data, fh)
         reader = RunCache(disk_dir=str(tmp_path))

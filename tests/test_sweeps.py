@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.runcache import RunCache, get_run_cache, set_run_cache
 from repro.analysis.sweeps import (
     render_sweep,
     sweep_entangling_parameter,
@@ -28,12 +29,12 @@ class TestSimSweep:
         assert points[0].mean_pq_drops >= points[1].mean_pq_drops
 
     def test_custom_prefetcher_factory(self):
-        from repro.prefetchers import NextLinePrefetcher
-
+        """Any registry configuration can be swept, not only Entangling."""
         points = sweep_sim_parameter(
-            TINY, "l1i_mshrs", [8], make_prefetcher=NextLinePrefetcher
+            TINY, "l1i_mshrs", [8], config_name="next_line"
         )
         assert len(points) == 1
+        assert points[0].failures == 0
 
 
 class TestEntanglingSweep:
@@ -53,31 +54,37 @@ class TestEntanglingSweep:
         assert "speedup=" in text
 
 
+@pytest.fixture
+def fresh_cache():
+    """An empty process run cache for the test, so nothing is served."""
+    previous = set_run_cache(RunCache())
+    yield get_run_cache()
+    set_run_cache(previous)
+
+
 class TestEvaluateRobustness:
-    def test_zero_ipc_baseline_skipped_and_flagged(self, monkeypatch):
+    def test_zero_ipc_baseline_skipped_and_flagged(self, monkeypatch, fresh_cache):
         """A degenerate baseline must not poison the geomean (or crash)."""
-        import repro.analysis.sweeps as sweeps_mod
+        import repro.analysis.parallel as parallel_mod
 
-        class _DeadStats:
-            ipc = 0.0
+        real = parallel_mod.run_single
 
-        class _DeadResult:
-            stats = _DeadStats()
+        def dead_baseline(source, config_name, *args, **kwargs):
+            result = real(source, config_name, *args, **kwargs)
+            if config_name == "no":
+                result.stats.cycles = 0  # ipc == 0.0
+            return result
 
-        monkeypatch.setattr(
-            sweeps_mod, "run_cached", lambda *a, **kw: _DeadResult()
-        )
+        monkeypatch.setattr(parallel_mod, "run_single", dead_baseline)
         points = sweep_sim_parameter(TINY, "prefetch_queue_size", [16])
         assert points[0].failures == len(TINY)
         assert points[0].geomean_speedup == 0.0
 
-    def test_raising_workload_skipped_and_flagged(self, monkeypatch):
-        import repro.analysis.sweeps as sweeps_mod
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected baseline fault")
-
-        monkeypatch.setattr(sweeps_mod, "run_cached", boom)
+    def test_raising_workload_skipped_and_flagged(self, monkeypatch, fresh_cache):
+        """Every run raises: the scheduler quarantines them, and each
+        workload counts as one failure instead of killing the sweep."""
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0:all")
+        monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
         points = sweep_sim_parameter(TINY, "prefetch_queue_size", [16])
         assert points[0].failures == len(TINY)
         assert points[0].geomean_speedup == 0.0
@@ -86,16 +93,19 @@ class TestEvaluateRobustness:
         """Both sweep legs must share resolve_warmup's window, not a
         hardcoded fraction that could drift from the cached baselines."""
         import repro.analysis.sweeps as sweeps_mod
-        from repro.analysis.experiments import resolve_warmup
 
-        calls = []
+        batches = []
 
-        def spy(spec, warmup_instructions):
-            calls.append((spec.name, warmup_instructions))
-            return resolve_warmup(spec, warmup_instructions)
+        def spy(tasks, jobs=None):
+            batches.append(list(tasks))
+            return [None] * len(tasks)
 
-        monkeypatch.setattr(sweeps_mod, "resolve_warmup", spy)
+        monkeypatch.setattr(sweeps_mod, "run_batch", spy)
         sweep_sim_parameter(TINY, "prefetch_queue_size", [16, 32])
-        # One resolution per (point, workload), always deferring to the
-        # suite-wide default (None).
-        assert calls == [(spec.name, None) for _ in range(2) for spec in TINY]
+        sweep_entangling_parameter(TINY, "history_size", [8])
+        # One batch per sweep: a baseline and a run per (point, workload),
+        # all deferring to the suite-wide default warm-up (None).
+        assert [len(batch) for batch in batches] == [4 * len(TINY), 2 * len(TINY)]
+        assert {
+            task.warmup_instructions for batch in batches for task in batch
+        } == {None}
