@@ -739,10 +739,11 @@ def run_tasks_parallel(
     order, plus the executor's :class:`FaultReport`; ``jobs=N`` is
     bit-identical to ``jobs=1``.  Run-keyed tasks already in ``cache``
     are served locally; only misses are dispatched, and their results
-    are stored back.  Completed run-keyed tasks are recorded in
-    ``checkpoint`` (if given) so an interrupted evaluation can be
-    resumed; tasks that fail every attempt are quarantined (None, listed
-    in the report) rather than fatal.
+    are stored back.  Tasks with equal run keys are simulated once per
+    call, and every position gets that one result.  Completed run-keyed
+    tasks are recorded in ``checkpoint`` (if given) so an interrupted
+    evaluation can be resumed; tasks that fail every attempt are
+    quarantined (None, listed in the report) rather than fatal.
 
     The installed process bus (see
     :func:`~repro.analysis.experiments.telemetry_scope`), if any,
@@ -863,6 +864,10 @@ def run_tasks_parallel(
             )
             drain.start()
         pending: List[int] = []
+        # Equal run keys in one batch are simulated once: each later
+        # position is served its first position's result.
+        first_of: Dict[str, int] = {}
+        copies: List[Tuple[int, int]] = []
         keyed = (
             cache is not None
             or checkpoint is not None
@@ -873,6 +878,10 @@ def run_tasks_parallel(
             keys[idx] = key
             if key is not None:
                 label_keys[labels[idx]] = key
+                if key in first_of:
+                    copies.append((idx, first_of[key]))
+                    continue
+                first_of[key] = idx
             if cache is not None and key is not None:
                 hit = cache.get(key, label=labels[idx])
                 if hit is not None:
@@ -940,6 +949,9 @@ def run_tasks_parallel(
                 finally:
                     store.release(lease)
                 break
+
+        for idx, first in copies:
+            results[idx] = results[first]
 
         if events_observer is not None:
             # Final verdicts + crash post-mortems: one quarantined event

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import run_batch
 from repro.analysis.metrics import robust_geometric_mean
-from repro.analysis.parallel import RunTask, task_key
+from repro.analysis.parallel import RunTask
 from repro.core.entangling import EntanglingConfig
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult
@@ -96,22 +96,16 @@ def _sweep(
     jobs: Optional[int],
 ) -> List[SweepPoint]:
     """One scheduler batch, spec-major, of each point's ``legs(spec,
-    value)``: its baseline and its run.  A baseline several points share
-    is sent once, and every task keeps the default warm-up, so both legs
-    of a ratio share one window."""
+    value)``: its baseline and its run.  The scheduler simulates a
+    baseline several points share once, and every task keeps the default
+    warm-up, so both legs of a ratio share one window."""
     points = [[legs(spec, value) for spec in specs] for value in values]
-    unique = {
-        task_key(task): task
-        for i in range(len(specs))
-        for point in points
-        for task in point[i]
-    }
-    results = dict(zip(unique, run_batch(list(unique.values()), jobs)))
+    cells = [(p, i) for i in range(len(specs)) for p in range(len(values))]
+    results = iter(run_batch([t for p, i in cells for t in points[p][i]], jobs))
+    legs_of = {cell: (next(results), next(results)) for cell in cells}
     return [
-        _point(value, specs, [
-            (results[task_key(base)], results[task_key(run)]) for base, run in point
-        ])
-        for value, point in zip(values, points)
+        _point(value, specs, [legs_of[p, i] for i in range(len(specs))])
+        for p, value in enumerate(values)
     ]
 
 

@@ -22,23 +22,21 @@ with the source-entangled fields) and hands it back in feedback events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, NamedTuple, Optional
 
 from repro.workloads.trace import BranchType
 
 
-@dataclass(frozen=True, slots=True)
-class PrefetchRequest:
-    """A prefetch for one instruction-cache line."""
+class PrefetchRequest(NamedTuple):
+    """A prefetch for one instruction-cache line (an immutable value)."""
 
     line_addr: int
     src_meta: Any = None
 
 
-@dataclass(frozen=True, slots=True)
-class FillInfo:
-    """Timing metadata delivered with an L1I fill (from the MSHR entry).
+class FillInfo(NamedTuple):
+    """Timing metadata delivered with an L1I fill (from the MSHR entry);
+    an immutable value, built positionally on the simulators' hot paths.
 
     Attributes:
         line_addr: the filled line.
@@ -95,10 +93,9 @@ class InstructionPrefetcher:
     #: Ideal prefetchers make every L1I access hit (simulator support).
     is_ideal: bool = False
     #: Passive prefetchers never request anything and keep no state: every
-    #: hook is a no-op returning ().  The staged simulator core may skip
-    #: hook dispatch entirely for passive prefetchers (its passive streak
-    #: loop relies on this), so only set it when *all* hooks are inherited
-    #: no-ops.
+    #: hook is a no-op returning ().  The staged core's guarded stages skip
+    #: hook dispatch entirely for passive prefetchers, so only set it when
+    #: *all* hooks are inherited no-ops.
     is_passive: bool = False
 
     def storage_bits(self) -> int:

@@ -10,7 +10,7 @@ and lets every prefetcher configuration reuse the same preprocessed list.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.trace import (
     BRANCH_TYPES,
@@ -56,6 +56,17 @@ class FetchUnit:
             f"FetchUnit(line=0x{self.line_addr:x}, n={self.n_instrs}, "
             f"branch={self.branch is not None})"
         )
+
+
+class PlannedUnits(tuple):
+    """Fetch units that also hold the front-end plans built from them
+    (:mod:`repro.sim.stages.plan`, one per plan key), so a memoized plan
+    lives exactly as long as its memoized units."""
+
+    def __new__(cls, units: Sequence[FetchUnit]) -> "PlannedUnits":
+        self = super().__new__(cls, units)
+        self.plans: Dict[Tuple[Any, ...], Any] = {}
+        return self
 
 
 def build_fetch_units(trace: Trace, line_size: int = 64) -> List[FetchUnit]:

@@ -6,8 +6,9 @@ DESIGN.md §11):
 * ``"reference"`` — the original per-cycle
   :class:`~repro.sim.simulator.Simulator`; the correctness anchor.
 * ``"staged"`` — :class:`~repro.sim.stages.core.StagedSimulator`: stage
-  modules over array-of-struct state, event-skipping, and monolithic
-  passive/active streak loops.
+  modules over array-of-struct state, event-skipping, and one monolithic
+  streak loop driven by each trace's
+  :func:`~repro.sim.stages.plan.front_end_plan`.
 
 Both backends produce bit-identical
 :meth:`~repro.sim.stats.SimStats.signature` results; only wall-clock
@@ -24,10 +25,13 @@ from typing import Optional, Tuple, Type
 from repro.sim.config import BACKENDS
 
 from repro.sim.stages.core import StagedSimulator
+from repro.sim.stages.plan import FrontEndPlan, front_end_plan
 from repro.sim.stages.state import FastCache, FastLine, FastMetaCache
 
 __all__ = [
     "StagedSimulator",
+    "FrontEndPlan",
+    "front_end_plan",
     "FastCache",
     "FastLine",
     "FastMetaCache",

@@ -4,30 +4,36 @@ Same architecture model, different engine.  The reference
 :class:`~repro.sim.simulator.Simulator` dispatches four bound methods per
 cycle over per-object structures; this core:
 
-* keeps the FTQ as **parallel arrays** (``fq_line`` / ``fq_remaining`` /
-  ``fq_ready`` / ``fq_penalty`` / ``fq_data`` plus a ``fq_head`` cursor)
-  so the hot loop reads plain list slots instead of chasing
-  ``_FtqBlock`` attributes, and blocks are addressed by index;
 * uses the dict-ordered caches of :mod:`repro.sim.stages.state` (O(1)
   eviction instead of a ``min()`` scan per insertion — the reference's
   single hottest operation);
-* runs an **event-skipping loop**: each stage call is guarded by a cheap
-  precondition (fill heap peeked, PQ non-empty, predict unblocked, FTQ
-  head ready) that is exact — a skipped call is one that would have
-  returned without side effects — and idle spans jump straight to the
-  next event supplied by the MSHR's fill heap;
-* batches passive-prefetcher stretches through one monolithic loop
-  (:meth:`StagedSimulator._run_passive`) with every structure hoisted
-  into locals and counters accumulated out-of-band.
+* runs unobserved, virtually addressed, non-ideal simulations through
+  one monolithic **streak loop** (:meth:`StagedSimulator._run_active`,
+  also bound as ``_run_passive``) with every structure hoisted into
+  locals and counters accumulated out-of-band.  It reads each unit's
+  branch verdict and L1D traffic from the trace's
+  :class:`~repro.sim.stages.plan.FrontEndPlan` instead of running the
+  predictors and the L1D, its FTQ slots are unit indices, and it skips
+  the prefetcher hooks that are inherited no-ops;
+* runs every other simulation through a guarded **per-cycle stage
+  loop** over live predictors, a live L1D and an FTQ of parallel arrays
+  (``fq_line`` / ``fq_remaining`` / ``fq_ready`` / ``fq_penalty`` /
+  ``fq_data`` plus a ``fq_head`` cursor).  Each stage call is guarded by
+  a cheap precondition (fill heap peeked, PQ non-empty, predict
+  unblocked, FTQ head ready) that is exact — a skipped call is one that
+  would have returned without side effects — and idle spans jump
+  straight to the next event supplied by the MSHR's fill heap.
 
 Bit-identity with the reference is the contract (enforced across every
 workload family x config by ``tests/test_backends.py``): every
 architectural counter, including per-cache read/write counts, matches
-exactly.  Observability keeps working: a ``tracer`` sees the identical
-event stream (the guarded stage path emits at the same points), a
-``profiler`` gets all four ``SIM_PHASES`` registered with per-call
-timings of the non-skipped calls, and a ``checker`` gets the same
-``attach`` / ``check_fill`` / ``final_check`` hooks (the facade exposes
+exactly.  Only :class:`~repro.sim.stats.SimStats` is the contract: a
+streak run leaves the live predictor and L1D objects untouched.
+Observability keeps working: a ``tracer`` sees the identical event
+stream (the guarded stage path emits at the same points), a ``profiler``
+gets all four ``SIM_PHASES`` registered with per-call timings of the
+non-skipped calls, and a ``checker`` gets the same ``attach`` /
+``check_fill`` / ``final_check`` hooks on either path (the facade exposes
 ``l1i`` / ``mshr`` / ``pq`` / ``stats`` / ``cycle`` like the reference).
 """
 
@@ -37,31 +43,41 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.prefetchers.base import FillInfo
+from repro.prefetchers.base import FillInfo, InstructionPrefetcher
 from repro.sim.branch_predictor import make_direction_predictor
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.config import SimConfig
 from repro.sim.fetchunits import FetchUnit, build_fetch_units
 from repro.sim.indirect import IndirectTargetCache
-from repro.sim.memory import MemoryHierarchy, PageMapper
+from repro.sim.memory import PageMapper
 from repro.sim.mshr import MshrFile
 from repro.sim.prefetch_queue import PrefetchQueue
 from repro.sim.ras import ReturnAddressStack
 from repro.sim.stats import SimStats
-from repro.workloads.trace import BranchType, Trace
+from repro.workloads.trace import Trace
 
-from repro.sim.stages.state import FastCache, FastMetaCache, install_fast_hierarchy
+from repro.sim.stages.state import FastCache, FastHierarchy, FastMetaCache
 from repro.sim.stages.fills import run_fills
 from repro.sim.stages.predict import run_predict
 from repro.sim.stages.issue import collect, run_issue
+from repro.sim.stages.plan import FrontEndPlan, front_end_plan
 from repro.sim.stages.retire import run_retire
 
 __all__ = ["StagedSimulator"]
 
-#: Compact the FTQ arrays once the consumed prefix exceeds this length.
-#: MSHR waiters and the blocked-branch marker hold absolute indices, so
-#: compaction only runs when neither is outstanding.
+#: Compact the guarded path's FTQ arrays once the consumed prefix exceeds
+#: this length.  MSHR waiters and the blocked-branch marker hold absolute
+#: indices, so compaction only runs when neither is outstanding.
 _COMPACT_THRESHOLD = 1 << 16
+
+
+def _own_hook(prefetcher: Any, name: str) -> Optional[Any]:
+    """The prefetcher's bound hook ``name``, or None when it is the
+    inherited no-op.  An instance-level wrapper always counts as its own."""
+    hook = getattr(prefetcher, name)
+    if getattr(hook, "__func__", None) is getattr(InstructionPrefetcher, name):
+        return None
+    return hook
 
 
 class StagedSimulator:
@@ -97,8 +113,7 @@ class StagedSimulator:
         self.l1d = FastCache(self.config.l1d_sets, self.config.l1d_ways)
         self.mshr = MshrFile(self.config.l1i_mshrs)
         self.pq = PrefetchQueue(self.config.prefetch_queue_size)
-        self.memory = MemoryHierarchy(self.config, self.stats)
-        install_fast_hierarchy(self.memory, self.config)
+        self.memory = FastHierarchy(self.config, self.stats)
         self.gshare = make_direction_predictor(
             self.config.branch_predictor,
             self.config.gshare_bits,
@@ -116,7 +131,9 @@ class StagedSimulator:
             )
 
         self.cycle = 0
-        # Array-of-struct FTQ: parallel lists plus a consumed-head cursor.
+        # The guarded path's FTQ: parallel lists plus a consumed-head
+        # cursor.  The streak loop uses unit indices as FTQ slots instead
+        # (``fq_head`` is then the head unit).
         self.fq_line: List[int] = []
         self.fq_remaining: List[int] = []
         self.fq_ready: List[Optional[int]] = []
@@ -142,6 +159,78 @@ class StagedSimulator:
     def run(self, warmup_instructions: int = 0) -> SimStats:
         """Simulate the whole trace; returns the (post-warmup) statistics."""
         started = time.perf_counter()
+        if (
+            self.tracer is None
+            and self.profiler is None
+            and self.mapper is None
+            and not self.prefetcher.is_ideal
+        ):
+            self._run_streaks(warmup_instructions)
+        else:
+            self._run_guarded(warmup_instructions)
+        stats = self.stats
+        stats.cycles = self.cycle - self._measure_start_cycle
+        stats.instructions = self._retired - self._measure_start_retired
+        stats.wall_seconds = time.perf_counter() - started
+        if self.profiler is not None:
+            stats.phase_seconds = self.profiler.snapshot()
+        if self.checker is not None:
+            self.checker.final_check(self)
+        return stats
+
+    _measure_start_cycle = 0
+    _measure_start_retired = 0
+
+    def _reset_stats_for_measurement(self, start_cycle: int) -> None:
+        """End of warm-up: zero the counters, keep all structures warm."""
+        self.stats.reset()
+        self._refresh_counter_refs()
+        self._measure_start_cycle = start_cycle
+        self._measure_start_retired = self._retired
+        if self.tracer is not None:
+            self.tracer.clear()
+
+    def _run_streaks(self, warmup_instructions: int) -> None:
+        """A plan-driven run: one streak up to the warm-up crossing, one to
+        the end of the trace.
+
+        A streak stops right after the cycle in which ``_retired``
+        reached its limit.  That cycle retired, so it advanced the clock
+        by exactly one and attributed no stall: measurement starts at it,
+        as it does when the guarded loop crosses the boundary.
+        """
+        units = self.units
+        self._plan: FrontEndPlan = front_end_plan(units, self.config)
+        self._ready: List[Optional[int]] = [None] * len(units)
+        self._head_remaining = units[0].n_instrs if units else 0
+        streak = self._run_passive if self.prefetcher.is_passive else self._run_active
+        if warmup_instructions > 0:
+            streak(warmup_instructions)
+            if self._retired < warmup_instructions:
+                return  # the trace ended inside the warm-up
+            self._reset_stats_for_measurement(self.cycle - 1)
+        streak(sys.maxsize)
+
+    def _charge_plan(self, pred_start: int, head_start: int) -> None:
+        """Charge the plan's branch and L1D counts of the units a streak
+        predicted (from ``pred_start``) and retired (from ``head_start``)."""
+        plan = self._plan
+        stats = self.stats
+        branches, mispredicts, redirects = plan.branch_counts(
+            pred_start, self._pred_idx
+        )
+        stats.branches += branches
+        stats.branch_mispredictions += mispredicts
+        stats.btb_miss_redirects += redirects
+        reads, writes = plan.l1d_counts(head_start, self.fq_head)
+        self._l1d_counts.reads += reads
+        self._l1d_counts.writes += writes
+
+    # -- the guarded per-cycle loop ------------------------------------------
+
+    def _run_guarded(self, warmup_instructions: int) -> None:
+        """Run the four stages cycle by cycle over live predictors and a
+        live L1D: traced, profiled, ideal and physically addressed runs."""
         warm_pending = warmup_instructions > 0
         total_units = len(self.units)
         fills = run_fills
@@ -160,31 +249,8 @@ class StagedSimulator:
         pq_queue = self.pq._queue
         mshr_heap = self.mshr._heap
         ftq_size = self.config.ftq_size
-        retire_width = self.config.retire_width
         stats = self.stats
-        # The monolithic streak loops handle everything themselves
-        # (fills, misses, branches, stalls — plus prefetcher hooks and
-        # PQ issue on the active variant) when no tracer/profiler can
-        # observe the run and addresses are virtual.
-        streak = None
-        if self.tracer is None and self.profiler is None and self.mapper is None:
-            if not self.prefetcher.is_ideal:
-                streak = (
-                    self._run_passive
-                    if self.prefetcher.is_passive
-                    else self._run_active
-                )
         while self._pred_idx < total_units or self.fq_head < len(fq_line):
-            if streak is not None:
-                limit = (
-                    warmup_instructions - retire_width if warm_pending else sys.maxsize
-                )
-                if self._retired < limit:
-                    # Runs whole cycles until the warm-up margin or the
-                    # end of the trace; the per-cycle loop below then
-                    # crosses the warm-up boundary exactly.
-                    streak(limit)
-                    continue
             cycle = self.cycle
             progress = False
             if mshr_heap and mshr_heap[0][0] <= cycle:
@@ -206,7 +272,7 @@ class StagedSimulator:
 
             if warm_pending and self._retired >= warmup_instructions:
                 warm_pending = False
-                self._reset_stats_for_measurement()
+                self._reset_stats_for_measurement(cycle)
                 stats = self.stats
 
             next_cycle = (
@@ -220,26 +286,6 @@ class StagedSimulator:
                     stats.ftq_empty_cycles += span
             self.cycle = next_cycle
             self._maybe_compact()
-        stats.cycles = self.cycle - self._measure_start_cycle
-        stats.instructions = self._retired - self._measure_start_retired
-        stats.wall_seconds = time.perf_counter() - started
-        if self.profiler is not None:
-            stats.phase_seconds = self.profiler.snapshot()
-        if self.checker is not None:
-            self.checker.final_check(self)
-        return stats
-
-    _measure_start_cycle = 0
-    _measure_start_retired = 0
-
-    def _reset_stats_for_measurement(self) -> None:
-        """End of warm-up: zero the counters, keep all structures warm."""
-        self.stats.reset()
-        self._refresh_counter_refs()
-        self._measure_start_cycle = self.cycle
-        self._measure_start_retired = self._retired
-        if self.tracer is not None:
-            self.tracer.clear()
 
     def _next_event_cycle(self) -> int:
         """Earliest cycle at which anything can happen, without allocating."""
@@ -280,402 +326,54 @@ class StagedSimulator:
             del self.fq_data[:head]
             self.fq_head = 0
 
-    # -- the monolithic passive-prefetcher loop ------------------------------
-
-    def _run_passive(self, limit: int) -> None:
-        """Batch-run cycles for a passive prefetcher with no observers.
-
-        Preconditions (established by ``run``): no tracer, no profiler,
-        ``prefetcher.is_passive`` (every hook a no-op returning ()), not
-        ideal, virtual addressing.  Under those, the PQ stays empty, no
-        prefetch ever enters the MSHR or the L1I, and no hook needs to
-        see a cycle number — so fills, demand accesses, branches, and
-        retire can run in one loop with every structure in a local and
-        the hot counters accumulated out-of-band (flushed on exit).
-
-        Processes whole cycles until the trace is done or ``_retired``
-        reaches ``limit`` (the warm-up *margin*: ``run`` crosses the
-        exact boundary with per-cycle steps).  The sanitizer's
-        ``check_fill`` still fires per fill; it reads structure state,
-        never counters, so the out-of-band accumulation is invisible to
-        it.  Cold paths (fills, miss allocation) go through the real
-        ``MshrFile`` / ``FastMetaCache`` methods; only the dominant hit
-        and retire paths are inlined.
-        """
-        config = self.config
-        stats = self.stats
-        units = self.units
-        total = len(units)
-        mshr = self.mshr
-        mshr_entries = mshr._entries
-        mshr_heap = mshr._heap
-        mshr_capacity = mshr.capacity
-        mshr_pop_ready = mshr.pop_ready
-        mshr_allocate = mshr.allocate
-        request_instruction = self.memory.request_instruction
-        checker = self.checker
-        check_fill = checker.check_fill if checker is not None else None
-        l1i = self.l1i
-        l1i_sets = l1i._sets
-        l1i_nsets = l1i.sets
-        l1i_lru = l1i._lru
-        l1i_insert = l1i.insert
-        l1d = self.l1d
-        l1d_sets = l1d._sets
-        l1d_nsets = l1d.sets
-        l1d_ways = l1d.ways
-        l1i_counts = self._l1i_counts
-        l1d_counts = self._l1d_counts
-        # The L2 -> LLC -> DRAM walk is inlined below (same accounting as
-        # ``MemoryHierarchy._access``); hoist the fast caches' internals.
-        l2 = self.memory.l2
-        llc = self.memory.llc
-        l2_sets = l2._sets
-        l2_nsets = l2.sets
-        l2_ways = l2.ways
-        llc_sets = llc._sets
-        llc_nsets = llc.sets
-        llc_ways = llc.ways
-        waiting = self._waiting
-        fq_line = self.fq_line
-        fq_remaining = self.fq_remaining
-        fq_ready = self.fq_ready
-        fq_penalty = self.fq_penalty
-        fq_data = self.fq_data
-        head = self.fq_head
-        gshare_predict = self.gshare.predict
-        gshare_update = self.gshare.update
-        btb_lookup = self.btb.lookup
-        btb_update = self.btb.update
-        itc_predict = self.itc.predict
-        itc_update = self.itc.update
-        ras_pop = self.ras.pop
-        ras_push = self.ras.push
-        latency = config.l1i_latency
-        fetch_width = config.fetch_lines_per_cycle
-        ftq_size = config.ftq_size
-        retire_width = config.retire_width
-        decode_penalty = config.decode_redirect_penalty
-        exec_penalty = config.exec_redirect_penalty
-        CONDITIONAL = BranchType.CONDITIONAL
-        DIRECT_JUMP = BranchType.DIRECT_JUMP
-        DIRECT_CALL = BranchType.DIRECT_CALL
-        INDIRECT_JUMP = BranchType.INDIRECT_JUMP
-        INDIRECT_CALL = BranchType.INDIRECT_CALL
-        RETURN = BranchType.RETURN
-
-        cycle = self.cycle
-        pred_idx = self._pred_idx
-        stall_until = self._pred_stall_until
-        blocked_idx = self._pred_blocked_idx
-        retired_total = self._retired
-
-        # Out-of-band counter accumulation (flushed on exit).
-        demand_accesses = 0
-        demand_hits = 0
-        demand_misses = 0
-        merges = 0
-        l1i_reads = 0
-        l1i_writes = 0
-        l1d_reads = 0
-        l1d_writes = 0
-        l2_reads = 0
-        l2_writes = 0
-        llc_reads = 0
-        llc_writes = 0
-        branches = 0
-        mispredicts = 0
-        btb_redirects = 0
-        mshr_full_events = 0
-        useful = 0
-        wrong = 0
-        late = 0
-        fetch_stall = 0
-        ftq_empty = 0
-
-        while pred_idx < total or head < len(fq_line):
-            if retired_total >= limit:
-                break
-            progress = False
-
-            # -- phase 1: fills
-            if mshr_heap and mshr_heap[0][0] <= cycle:
-                ready_at = cycle + latency
-                for entry in mshr_pop_ready(cycle):
-                    line_addr = entry.line_addr
-                    victim = l1i_insert(line_addr)
-                    l1i_writes += 1
-                    if victim is not None and victim.prefetched:
-                        # Unreachable for a passive prefetcher (no
-                        # prefetch ever fills); kept for the exact
-                        # reference accounting.
-                        wrong += 1
-                    line = l1i_sets[line_addr % l1i_nsets][line_addr]
-                    line.prefetched = not entry.is_demand
-                    line.src_meta = entry.src_meta
-                    if check_fill is not None:
-                        check_fill(self, line_addr)
-                    waiters = waiting.pop(line_addr, None)
-                    if waiters:
-                        for w in waiters:
-                            fq_ready[w] = ready_at
-                    progress = True
-
-            # -- phase 3: predict (phase 2, issue, is a no-op: the PQ
-            # stays empty under a passive prefetcher)
-            if blocked_idx is None and cycle >= stall_until and pred_idx < total:
-                for _ in range(fetch_width):
-                    if pred_idx >= total or len(fq_line) - head >= ftq_size:
-                        break
-                    unit = units[pred_idx]
-                    line_addr = unit.line_addr
-                    cache_set = l1i_sets[line_addr % l1i_nsets]
-                    line = cache_set.get(line_addr)
-                    if line is not None:
-                        if l1i_lru:
-                            del cache_set[line_addr]
-                            cache_set[line_addr] = line
-                        l1i_reads += 1
-                        demand_accesses += 1
-                        demand_hits += 1
-                        if line.prefetched:
-                            line.prefetched = False
-                            useful += 1
-                        ready_val: Optional[int] = cycle + latency
-                    else:
-                        in_flight = mshr_entries.get(line_addr)
-                        if in_flight is None and len(mshr_entries) >= mshr_capacity:
-                            # MSHR full: retry the same unit next cycle.
-                            mshr_full_events += 1
-                            break
-                        l1i_reads += 1
-                        demand_accesses += 1
-                        demand_misses += 1
-                        if in_flight is not None:
-                            if not in_flight.is_demand:
-                                in_flight.mark_demanded(cycle)
-                                late += 1
-                            else:
-                                merges += 1
-                        else:
-                            fill_ready = request_instruction(line_addr, cycle + latency)
-                            mshr_allocate(line_addr, cycle, fill_ready, True, None)
-                        ready_val = None
-                    idx = len(fq_line)
-                    fq_line.append(line_addr)
-                    fq_remaining.append(unit.n_instrs)
-                    fq_ready.append(ready_val)
-                    fq_penalty.append(0)
-                    fq_data.append(unit.data_lines)
-                    if ready_val is None:
-                        waiting.setdefault(line_addr, []).append(idx)
-                    progress = True
-                    pred_idx += 1
-                    branch = unit.branch
-                    if branch is not None:
-                        pc, branch_type, taken, target = branch
-                        branches += 1
-                        penalty = 0
-                        if branch_type == CONDITIONAL:
-                            predicted_taken = gshare_predict(pc)
-                            gshare_update(pc, taken)
-                            if predicted_taken != taken:
-                                penalty = exec_penalty
-                                mispredicts += 1
-                            elif taken:
-                                if btb_lookup(pc) is None:
-                                    penalty = decode_penalty
-                                    btb_redirects += 1
-                                btb_update(pc, target)
-                        elif branch_type == DIRECT_JUMP or branch_type == DIRECT_CALL:
-                            if btb_lookup(pc) is None:
-                                penalty = decode_penalty
-                                btb_redirects += 1
-                            btb_update(pc, target)
-                        elif (
-                            branch_type == INDIRECT_JUMP
-                            or branch_type == INDIRECT_CALL
-                        ):
-                            if itc_predict(pc) != target:
-                                penalty = exec_penalty
-                                mispredicts += 1
-                            itc_update(pc, target)
-                        elif branch_type == RETURN:
-                            if ras_pop() != target:
-                                penalty = exec_penalty
-                                mispredicts += 1
-                        if branch_type == DIRECT_CALL or branch_type == INDIRECT_CALL:
-                            ras_push(pc + 4)
-                        if penalty:
-                            fq_penalty[idx] = penalty
-                            blocked_idx = idx
-                            break
-
-            # -- phase 4: retire
-            retired_now = 0
-            tail = len(fq_line)
-            if head < tail:
-                head_ready = fq_ready[head]
-                if head_ready is not None and head_ready <= cycle:
-                    budget = retire_width
-                    while budget > 0 and head < tail:
-                        head_ready = fq_ready[head]
-                        if head_ready is None or head_ready > cycle:
-                            break
-                        remaining = fq_remaining[head]
-                        if remaining <= budget:
-                            budget -= remaining
-                            retired_now += remaining
-                            penalty = fq_penalty[head]
-                            if penalty:
-                                stall_until = cycle + penalty
-                                if blocked_idx == head:
-                                    blocked_idx = None
-                            data_lines = fq_data[head]
-                            if data_lines:
-                                for data_line, is_store in data_lines:
-                                    if is_store:
-                                        l1d_writes += 1
-                                    else:
-                                        l1d_reads += 1
-                                    data_set = l1d_sets[data_line % l1d_nsets]
-                                    if data_line in data_set:
-                                        del data_set[data_line]
-                                        data_set[data_line] = True
-                                    else:
-                                        # Inline L2 -> LLC -> DRAM walk
-                                        # (``MemoryHierarchy._access``);
-                                        # the completion cycle is unused
-                                        # on the data side.
-                                        l2_reads += 1
-                                        l2_set = l2_sets[data_line % l2_nsets]
-                                        if data_line in l2_set:
-                                            del l2_set[data_line]
-                                            l2_set[data_line] = True
-                                        else:
-                                            llc_reads += 1
-                                            llc_set = llc_sets[
-                                                data_line % llc_nsets
-                                            ]
-                                            if data_line in llc_set:
-                                                del llc_set[data_line]
-                                                llc_set[data_line] = True
-                                            else:
-                                                if len(llc_set) >= llc_ways:
-                                                    del llc_set[next(iter(llc_set))]
-                                                llc_set[data_line] = True
-                                                llc_writes += 1
-                                            if len(l2_set) >= l2_ways:
-                                                del l2_set[next(iter(l2_set))]
-                                            l2_set[data_line] = True
-                                            l2_writes += 1
-                                        if len(data_set) >= l1d_ways:
-                                            del data_set[next(iter(data_set))]
-                                        data_set[data_line] = True
-                                        l1d_writes += 1
-                                fq_data[head] = ()  # release; the block is done
-                            head += 1
-                        else:
-                            fq_remaining[head] = remaining - budget
-                            retired_now += budget
-                            budget = 0
-                    retired_total += retired_now
-
-            # -- cycle advance + stall attribution
-            if progress or retired_now:
-                next_cycle = cycle + 1
-            else:
-                best = mshr_heap[0][0] if mshr_heap else None
-                if (
-                    stall_until > cycle
-                    and blocked_idx is None
-                    and (best is None or stall_until < best)
-                ):
-                    best = stall_until
-                if head < len(fq_line):
-                    head_ready = fq_ready[head]
-                    if (
-                        head_ready is not None
-                        and head_ready > cycle
-                        and (best is None or head_ready < best)
-                    ):
-                        best = head_ready
-                next_cycle = best if (best is not None and best > cycle) else cycle + 1
-            if retired_now == 0:
-                span = next_cycle - cycle
-                if head < len(fq_line):
-                    fetch_stall += span
-                else:
-                    ftq_empty += span
-            cycle = next_cycle
-
-            if head >= _COMPACT_THRESHOLD and not waiting and blocked_idx is None:
-                del fq_line[:head]
-                del fq_remaining[:head]
-                del fq_ready[:head]
-                del fq_penalty[:head]
-                del fq_data[:head]
-                head = 0
-
-        # -- flush locals back into the shared state
-        self.cycle = cycle
-        self._pred_idx = pred_idx
-        self._pred_stall_until = stall_until
-        self._pred_blocked_idx = blocked_idx
-        self._retired = retired_total
-        self.fq_head = head
-        stats.l1i_demand_accesses += demand_accesses
-        stats.l1i_demand_hits += demand_hits
-        stats.l1i_demand_misses += demand_misses
-        stats.l1i_mshr_merges += merges
-        stats.useful_prefetches += useful
-        stats.late_prefetches += late
-        stats.wrong_prefetches += wrong
-        stats.branches += branches
-        stats.branch_mispredictions += mispredicts
-        stats.btb_miss_redirects += btb_redirects
-        stats.mshr_full_events += mshr_full_events
-        stats.fetch_stall_cycles += fetch_stall
-        stats.ftq_empty_cycles += ftq_empty
-        l1i_counts.reads += l1i_reads
-        l1i_counts.writes += l1i_writes
-        l1d_counts.reads += l1d_reads
-        l1d_counts.writes += l1d_writes
-        l2_counts = stats.cache_accesses["L2C"]
-        l2_counts.reads += l2_reads
-        l2_counts.writes += l2_writes
-        llc_counts = stats.cache_accesses["LLC"]
-        llc_counts.reads += llc_reads
-        llc_counts.writes += llc_writes
-
-    # -- the monolithic active-prefetcher loop -------------------------------
+    # -- the monolithic streak loop -------------------------------------------
 
     def _run_active(self, limit: int) -> None:
-        """Batch-run cycles for an *active* prefetcher with no observers.
+        """Batch-run cycles with no observers: the one streak loop.
 
-        Same contract as :meth:`_run_passive` plus the hook traffic an
-        active prefetcher generates: ``on_fill`` / ``on_demand_access``
-        / ``on_branch`` / ``on_prefetch_useful`` / ``on_prefetch_late``
-        / ``on_evict_unused`` fire at the reference call sites with the
-        live cycle, returned requests go through the shared
-        :func:`~repro.sim.stages.issue.collect` admission filter
-        (skipped for empty returns — a no-op in the reference too), and
-        the PQ issue phase runs inline, including the demand-reserve
-        MSHR limit.  Counters this loop owns are accumulated out-of-band
-        and flushed on exit; the counters ``collect`` updates go through
-        ``stats`` directly, so the two sets never overlap.
+        Preconditions (established by ``run``): no tracer, no profiler,
+        not ideal, virtual addressing.  Fills, prefetch issue, demand
+        accesses, branches and retire run in one loop with every
+        structure in a local and the hot counters accumulated
+        out-of-band (flushed on exit); the counters the shared
+        :func:`~repro.sim.stages.issue.collect` admission filter updates
+        go through ``stats`` directly, so the two sets never overlap.
+
+        Processes whole cycles until the trace is done or ``_retired``
+        reaches ``limit`` (the warm-up: ``run`` resets the counters
+        there and calls again).  FTQ slots are unit indices: the FTQ
+        holds units ``[fq_head, _pred_idx)``, ``_ready`` their ready
+        cycles and ``_head_remaining`` the head's unretired
+        instructions.  Branch verdicts and L1D traffic come from the
+        plan; only the L1D misses walk the live L2/LLC.
+
+        Prefetcher hooks fire at the reference call sites with the live
+        cycle, except those that are the inherited no-ops: they are
+        skipped, and so is building a ``FillInfo`` nobody reads.  A
+        passive prefetcher (every hook inherited) therefore runs this
+        loop as :meth:`_run_passive` with no hook traffic at all, and
+        its PQ stays empty.  The sanitizer's ``check_fill`` still fires
+        per fill; it reads structure state, never counters, so the
+        out-of-band accumulation is invisible to it.  Cold paths (fills,
+        miss allocation) go through the real ``MshrFile`` /
+        ``FastMetaCache`` methods; only the dominant hit and retire
+        paths are inlined.
         """
         config = self.config
         stats = self.stats
         units = self.units
         total = len(units)
+        plan = self._plan
+        verdict = plan.verdict
+        misses = plan.misses
+        ready = self._ready
         prefetcher = self.prefetcher
-        on_fill = prefetcher.on_fill
-        on_demand_access = prefetcher.on_demand_access
-        on_branch = prefetcher.on_branch
-        on_prefetch_useful = prefetcher.on_prefetch_useful
-        on_prefetch_late = prefetcher.on_prefetch_late
-        on_evict_unused = prefetcher.on_evict_unused
+        on_fill = _own_hook(prefetcher, "on_fill")
+        on_demand_access = _own_hook(prefetcher, "on_demand_access")
+        on_branch = _own_hook(prefetcher, "on_branch")
+        on_prefetch_useful = _own_hook(prefetcher, "on_prefetch_useful")
+        on_prefetch_late = _own_hook(prefetcher, "on_prefetch_late")
+        on_evict_unused = _own_hook(prefetcher, "on_evict_unused")
         mshr = self.mshr
         mshr_entries = mshr._entries
         mshr_heap = mshr._heap
@@ -695,12 +393,7 @@ class StagedSimulator:
         l1i_nsets = l1i.sets
         l1i_lru = l1i._lru
         l1i_insert = l1i.insert
-        l1d = self.l1d
-        l1d_sets = l1d._sets
-        l1d_nsets = l1d.sets
-        l1d_ways = l1d.ways
         l1i_counts = self._l1i_counts
-        l1d_counts = self._l1d_counts
         l2 = self.memory.l2
         llc = self.memory.llc
         l2_sets = l2._sets
@@ -710,35 +403,19 @@ class StagedSimulator:
         llc_nsets = llc.sets
         llc_ways = llc.ways
         waiting = self._waiting
-        fq_line = self.fq_line
-        fq_remaining = self.fq_remaining
-        fq_ready = self.fq_ready
-        fq_penalty = self.fq_penalty
-        fq_data = self.fq_data
-        head = self.fq_head
-        gshare_predict = self.gshare.predict
-        gshare_update = self.gshare.update
-        btb_lookup = self.btb.lookup
-        btb_update = self.btb.update
-        itc_predict = self.itc.predict
-        itc_update = self.itc.update
-        ras_pop = self.ras.pop
-        ras_push = self.ras.push
         latency = config.l1i_latency
         fetch_width = config.fetch_lines_per_cycle
         ftq_size = config.ftq_size
         retire_width = config.retire_width
-        decode_penalty = config.decode_redirect_penalty
-        exec_penalty = config.exec_redirect_penalty
-        CONDITIONAL = BranchType.CONDITIONAL
-        DIRECT_JUMP = BranchType.DIRECT_JUMP
-        DIRECT_CALL = BranchType.DIRECT_CALL
-        INDIRECT_JUMP = BranchType.INDIRECT_JUMP
-        INDIRECT_CALL = BranchType.INDIRECT_CALL
-        RETURN = BranchType.RETURN
+        # Redirect penalty by verdict (none, predicted, execute, decode).
+        penalty_of = (
+            0, 0, config.exec_redirect_penalty, config.decode_redirect_penalty
+        )
 
         cycle = self.cycle
-        pred_idx = self._pred_idx
+        pred_idx = pred_start = self._pred_idx
+        head = head_start = self.fq_head
+        remaining = self._head_remaining
         stall_until = self._pred_stall_until
         blocked_idx = self._pred_blocked_idx
         retired_total = self._retired
@@ -749,15 +426,10 @@ class StagedSimulator:
         merges = 0
         l1i_reads = 0
         l1i_writes = 0
-        l1d_reads = 0
-        l1d_writes = 0
         l2_reads = 0
         l2_writes = 0
         llc_reads = 0
         llc_writes = 0
-        branches = 0
-        mispredicts = 0
-        btb_redirects = 0
         mshr_full_events = 0
         useful = 0
         wrong = 0
@@ -768,7 +440,7 @@ class StagedSimulator:
         fetch_stall = 0
         ftq_empty = 0
 
-        while pred_idx < total or head < len(fq_line):
+        while pred_idx < total or head < pred_idx:
             if retired_total >= limit:
                 break
             progress = False
@@ -782,39 +454,42 @@ class StagedSimulator:
                     l1i_writes += 1
                     if victim is not None and victim.prefetched:
                         wrong += 1
-                        on_evict_unused(victim.line_addr, victim.src_meta, cycle)
+                        if on_evict_unused is not None:
+                            on_evict_unused(victim.line_addr, victim.src_meta, cycle)
                     line = l1i_sets[line_addr % l1i_nsets][line_addr]
                     is_demand = entry.is_demand
                     line.prefetched = not is_demand
                     line.src_meta = entry.src_meta
-                    reqs = on_fill(
-                        FillInfo(
-                            line_addr=line_addr,
-                            fill_cycle=cycle,
-                            issue_cycle=entry.issue_cycle,
-                            is_demand=is_demand,
-                            was_prefetch=entry.was_prefetch,
-                            demand_cycle=entry.demand_cycle,
-                            src_meta=entry.src_meta,
+                    if on_fill is not None:
+                        reqs = on_fill(
+                            FillInfo(
+                                line_addr,
+                                cycle,
+                                entry.issue_cycle,
+                                is_demand,
+                                entry.was_prefetch,
+                                entry.demand_cycle,
+                                entry.src_meta,
+                            )
                         )
-                    )
-                    if reqs:
-                        collect(self, reqs)
+                        if reqs:
+                            collect(self, reqs)
                     if check_fill is not None:
                         check_fill(self, line_addr)
                     waiters = waiting.pop(line_addr, None)
                     if waiters:
                         for w in waiters:
-                            fq_ready[w] = ready_at
+                            ready[w] = ready_at
                     progress = True
 
-            # -- phase 3: predict (demand accesses + branch prediction,
-            # with on_demand_access / on_branch hooks)
+            # -- phase 3: predict (demand accesses with on_demand_access;
+            # planned branches with on_branch)
             if blocked_idx is None and cycle >= stall_until and pred_idx < total:
                 for _ in range(fetch_width):
-                    if pred_idx >= total or len(fq_line) - head >= ftq_size:
+                    if pred_idx >= total or pred_idx - head >= ftq_size:
                         break
-                    unit = units[pred_idx]
+                    idx = pred_idx
+                    unit = units[idx]
                     line_addr = unit.line_addr
                     cache_set = l1i_sets[line_addr % l1i_nsets]
                     line = cache_set.get(line_addr)
@@ -828,11 +503,13 @@ class StagedSimulator:
                         if line.prefetched:
                             line.prefetched = False
                             useful += 1
-                            on_prefetch_useful(line_addr, line.src_meta, cycle)
-                        reqs = on_demand_access(line_addr, True, cycle)
-                        if reqs:
-                            collect(self, reqs)
-                        ready_val: Optional[int] = cycle + latency
+                            if on_prefetch_useful is not None:
+                                on_prefetch_useful(line_addr, line.src_meta, cycle)
+                        if on_demand_access is not None:
+                            reqs = on_demand_access(line_addr, True, cycle)
+                            if reqs:
+                                collect(self, reqs)
+                        ready[idx] = cycle + latency
                     else:
                         in_flight = mshr_entries.get(line_addr)
                         if in_flight is None and len(mshr_entries) >= mshr_capacity:
@@ -846,9 +523,10 @@ class StagedSimulator:
                             if not in_flight.is_demand:
                                 in_flight.mark_demanded(cycle)
                                 late += 1
-                                on_prefetch_late(
-                                    line_addr, in_flight.src_meta, cycle
-                                )
+                                if on_prefetch_late is not None:
+                                    on_prefetch_late(
+                                        line_addr, in_flight.src_meta, cycle
+                                    )
                             else:
                                 merges += 1
                         else:
@@ -856,60 +534,21 @@ class StagedSimulator:
                                 line_addr, cycle + latency
                             )
                             mshr_allocate(line_addr, cycle, fill_ready, True, None)
-                        reqs = on_demand_access(line_addr, False, cycle)
-                        if reqs:
-                            collect(self, reqs)
-                        ready_val = None
-                    idx = len(fq_line)
-                    fq_line.append(line_addr)
-                    fq_remaining.append(unit.n_instrs)
-                    fq_ready.append(ready_val)
-                    fq_penalty.append(0)
-                    fq_data.append(unit.data_lines)
-                    if ready_val is None:
+                        if on_demand_access is not None:
+                            reqs = on_demand_access(line_addr, False, cycle)
+                            if reqs:
+                                collect(self, reqs)
                         waiting.setdefault(line_addr, []).append(idx)
                     progress = True
                     pred_idx += 1
-                    branch = unit.branch
-                    if branch is not None:
-                        pc, branch_type, taken, target = branch
-                        branches += 1
-                        penalty = 0
-                        if branch_type == CONDITIONAL:
-                            predicted_taken = gshare_predict(pc)
-                            gshare_update(pc, taken)
-                            if predicted_taken != taken:
-                                penalty = exec_penalty
-                                mispredicts += 1
-                            elif taken:
-                                if btb_lookup(pc) is None:
-                                    penalty = decode_penalty
-                                    btb_redirects += 1
-                                btb_update(pc, target)
-                        elif branch_type == DIRECT_JUMP or branch_type == DIRECT_CALL:
-                            if btb_lookup(pc) is None:
-                                penalty = decode_penalty
-                                btb_redirects += 1
-                            btb_update(pc, target)
-                        elif (
-                            branch_type == INDIRECT_JUMP
-                            or branch_type == INDIRECT_CALL
-                        ):
-                            if itc_predict(pc) != target:
-                                penalty = exec_penalty
-                                mispredicts += 1
-                            itc_update(pc, target)
-                        elif branch_type == RETURN:
-                            if ras_pop() != target:
-                                penalty = exec_penalty
-                                mispredicts += 1
-                        if branch_type == DIRECT_CALL or branch_type == INDIRECT_CALL:
-                            ras_push(pc + 4)
-                        reqs = on_branch(pc, branch_type, taken, target, cycle)
-                        if reqs:
-                            collect(self, reqs)
-                        if penalty:
-                            fq_penalty[idx] = penalty
+                    outcome = verdict[idx]
+                    if outcome:
+                        if on_branch is not None:
+                            pc, branch_type, taken, target = unit.branch
+                            reqs = on_branch(pc, branch_type, taken, target, cycle)
+                            if reqs:
+                                collect(self, reqs)
+                        if penalty_of[outcome]:
                             blocked_idx = idx
                             break
 
@@ -939,70 +578,54 @@ class StagedSimulator:
 
             # -- phase 4: retire
             retired_now = 0
-            tail = len(fq_line)
-            if head < tail:
-                head_ready = fq_ready[head]
+            if head < pred_idx:
+                head_ready = ready[head]
                 if head_ready is not None and head_ready <= cycle:
                     budget = retire_width
-                    while budget > 0 and head < tail:
-                        head_ready = fq_ready[head]
+                    while True:
+                        if remaining > budget:
+                            remaining -= budget
+                            retired_now += budget
+                            break
+                        budget -= remaining
+                        retired_now += remaining
+                        penalty = penalty_of[verdict[head]]
+                        if penalty:
+                            stall_until = cycle + penalty
+                            if blocked_idx == head:
+                                blocked_idx = None
+                        missed = misses[head]
+                        if missed:
+                            for data_line in missed:
+                                # Inline L2 -> LLC -> DRAM walk
+                                # (``MemoryHierarchy._access``).
+                                l2_reads += 1
+                                l2_set = l2_sets[data_line % l2_nsets]
+                                if data_line in l2_set:
+                                    del l2_set[data_line]
+                                    l2_set[data_line] = True
+                                    continue
+                                llc_reads += 1
+                                llc_set = llc_sets[data_line % llc_nsets]
+                                if data_line in llc_set:
+                                    del llc_set[data_line]
+                                else:
+                                    if len(llc_set) >= llc_ways:
+                                        del llc_set[next(iter(llc_set))]
+                                    llc_writes += 1
+                                llc_set[data_line] = True
+                                if len(l2_set) >= l2_ways:
+                                    del l2_set[next(iter(l2_set))]
+                                l2_set[data_line] = True
+                                l2_writes += 1
+                        head += 1
+                        if head < total:
+                            remaining = units[head].n_instrs
+                        if not budget or head >= pred_idx:
+                            break
+                        head_ready = ready[head]
                         if head_ready is None or head_ready > cycle:
                             break
-                        remaining = fq_remaining[head]
-                        if remaining <= budget:
-                            budget -= remaining
-                            retired_now += remaining
-                            penalty = fq_penalty[head]
-                            if penalty:
-                                stall_until = cycle + penalty
-                                if blocked_idx == head:
-                                    blocked_idx = None
-                            data_lines = fq_data[head]
-                            if data_lines:
-                                for data_line, is_store in data_lines:
-                                    if is_store:
-                                        l1d_writes += 1
-                                    else:
-                                        l1d_reads += 1
-                                    data_set = l1d_sets[data_line % l1d_nsets]
-                                    if data_line in data_set:
-                                        del data_set[data_line]
-                                        data_set[data_line] = True
-                                    else:
-                                        # Inline L2 -> LLC -> DRAM walk
-                                        # (``MemoryHierarchy._access``).
-                                        l2_reads += 1
-                                        l2_set = l2_sets[data_line % l2_nsets]
-                                        if data_line in l2_set:
-                                            del l2_set[data_line]
-                                            l2_set[data_line] = True
-                                        else:
-                                            llc_reads += 1
-                                            llc_set = llc_sets[
-                                                data_line % llc_nsets
-                                            ]
-                                            if data_line in llc_set:
-                                                del llc_set[data_line]
-                                                llc_set[data_line] = True
-                                            else:
-                                                if len(llc_set) >= llc_ways:
-                                                    del llc_set[next(iter(llc_set))]
-                                                llc_set[data_line] = True
-                                                llc_writes += 1
-                                            if len(l2_set) >= l2_ways:
-                                                del l2_set[next(iter(l2_set))]
-                                            l2_set[data_line] = True
-                                            l2_writes += 1
-                                        if len(data_set) >= l1d_ways:
-                                            del data_set[next(iter(data_set))]
-                                        data_set[data_line] = True
-                                        l1d_writes += 1
-                                fq_data[head] = ()  # release; the block is done
-                            head += 1
-                        else:
-                            fq_remaining[head] = remaining - budget
-                            retired_now += budget
-                            budget = 0
                     retired_total += retired_now
 
             # -- cycle advance + stall attribution
@@ -1016,8 +639,8 @@ class StagedSimulator:
                     and (best is None or stall_until < best)
                 ):
                     best = stall_until
-                if head < len(fq_line):
-                    head_ready = fq_ready[head]
+                if head < pred_idx:
+                    head_ready = ready[head]
                     if (
                         head_ready is not None
                         and head_ready > cycle
@@ -1027,19 +650,11 @@ class StagedSimulator:
                 next_cycle = best if (best is not None and best > cycle) else cycle + 1
             if retired_now == 0:
                 span = next_cycle - cycle
-                if head < len(fq_line):
+                if head < pred_idx:
                     fetch_stall += span
                 else:
                     ftq_empty += span
             cycle = next_cycle
-
-            if head >= _COMPACT_THRESHOLD and not waiting and blocked_idx is None:
-                del fq_line[:head]
-                del fq_remaining[:head]
-                del fq_ready[:head]
-                del fq_penalty[:head]
-                del fq_data[:head]
-                head = 0
 
         # -- flush locals back into the shared state
         self.cycle = cycle
@@ -1048,6 +663,8 @@ class StagedSimulator:
         self._pred_blocked_idx = blocked_idx
         self._retired = retired_total
         self.fq_head = head
+        self._head_remaining = remaining
+        self._charge_plan(pred_start, head_start)
         stats.l1i_demand_accesses += demand_accesses
         stats.l1i_demand_hits += demand_hits
         stats.l1i_demand_misses += demand_misses
@@ -1055,9 +672,6 @@ class StagedSimulator:
         stats.useful_prefetches += useful
         stats.late_prefetches += late
         stats.wrong_prefetches += wrong
-        stats.branches += branches
-        stats.branch_mispredictions += mispredicts
-        stats.btb_miss_redirects += btb_redirects
         stats.mshr_full_events += mshr_full_events
         stats.prefetches_stale_in_cache += stale_in_cache
         stats.prefetches_stale_in_flight += stale_in_flight
@@ -1066,11 +680,13 @@ class StagedSimulator:
         stats.ftq_empty_cycles += ftq_empty
         l1i_counts.reads += l1i_reads
         l1i_counts.writes += l1i_writes
-        l1d_counts.reads += l1d_reads
-        l1d_counts.writes += l1d_writes
         l2_counts = stats.cache_accesses["L2C"]
         l2_counts.reads += l2_reads
         l2_counts.writes += l2_writes
         llc_counts = stats.cache_accesses["LLC"]
         llc_counts.reads += llc_reads
         llc_counts.writes += llc_writes
+
+    #: A passive prefetcher's runs, under their own name: the same loop,
+    #: which then calls no hook.
+    _run_passive = _run_active

@@ -1,10 +1,11 @@
 """Stage 2 of the staged core: prefetch issue (PQ -> memory hierarchy).
 
 Also home of :func:`collect`, the PQ admission filter every stage that
-receives prefetcher requests shares.  Both functions are line-for-line
-equivalent to the reference ``Simulator._do_prefetch_issue`` /
-``Simulator._collect``, operating on the staged core's fast structures;
-tracer emissions and counter updates happen in the identical order.
+receives prefetcher requests shares.  Both functions are equivalent to
+the reference ``Simulator._do_prefetch_issue`` / ``Simulator._collect``,
+operating on the staged core's fast structures: tracer emissions happen
+in the identical order, and ``collect`` counts locally and adds its
+counts to ``stats`` once per call.
 """
 
 from __future__ import annotations
@@ -70,38 +71,37 @@ def collect(sim: Any, requests: Iterable) -> None:
     Requests for lines already resident or already in flight are
     filtered here so they do not occupy PQ slots.
     """
-    stats = sim.stats
-    l1i = sim.l1i
-    mshr = sim.mshr
-    pq = sim.pq
+    l1i_sets = sim.l1i._sets
+    l1i_nsets = sim.l1i.sets
+    mshr_entries = sim.mshr._entries
+    pq_push = sim.pq.push
     tracer = sim.tracer
-    cycle = sim.cycle
-    for request in requests:
-        stats.prefetches_requested += 1
-        line_addr = request.line_addr
+    requested = in_cache = in_flight = enqueued = pq_full = 0
+    for line_addr, src_meta in requests:
+        requested += 1
         if tracer is not None:
-            tracer.emit("pf_requested", cycle, line_addr, request.src_meta)
-        if l1i.contains(line_addr):
-            stats.prefetches_dropped_in_cache += 1
+            tracer.emit("pf_requested", sim.cycle, line_addr, src_meta)
+        if line_addr in l1i_sets[line_addr % l1i_nsets]:
+            in_cache += 1
             if tracer is not None:
-                tracer.emit(
-                    "pf_dropped", cycle, line_addr, request.src_meta, "in_cache"
-                )
+                tracer.emit("pf_dropped", sim.cycle, line_addr, src_meta, "in_cache")
             continue
-        if mshr.lookup(line_addr) is not None:
-            stats.prefetches_dropped_in_flight += 1
+        if line_addr in mshr_entries:
+            in_flight += 1
             if tracer is not None:
-                tracer.emit(
-                    "pf_dropped", cycle, line_addr, request.src_meta, "in_flight"
-                )
+                tracer.emit("pf_dropped", sim.cycle, line_addr, src_meta, "in_flight")
             continue
-        if pq.push(line_addr, request.src_meta):
-            stats.prefetches_enqueued += 1
+        if pq_push(line_addr, src_meta):
+            enqueued += 1
             if tracer is not None:
-                tracer.emit("pf_enqueued", cycle, line_addr, request.src_meta)
+                tracer.emit("pf_enqueued", sim.cycle, line_addr, src_meta)
         else:
-            stats.prefetches_dropped_pq_full += 1
+            pq_full += 1
             if tracer is not None:
-                tracer.emit(
-                    "pf_dropped", cycle, line_addr, request.src_meta, "pq_full"
-                )
+                tracer.emit("pf_dropped", sim.cycle, line_addr, src_meta, "pq_full")
+    stats = sim.stats
+    stats.prefetches_requested += requested
+    stats.prefetches_dropped_in_cache += in_cache
+    stats.prefetches_dropped_in_flight += in_flight
+    stats.prefetches_enqueued += enqueued
+    stats.prefetches_dropped_pq_full += pq_full

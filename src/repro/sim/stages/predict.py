@@ -13,20 +13,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.workloads.trace import BranchType
-
 from repro.sim.stages.issue import collect
+from repro.sim.stages.plan import DECODE_REDIRECT, EXEC_REDIRECT, branch_verdict
 
 __all__ = ["run_predict", "demand_access", "handle_branch"]
 
 _RETRY = "retry"
-
-_CONDITIONAL = BranchType.CONDITIONAL
-_DIRECT_JUMP = BranchType.DIRECT_JUMP
-_DIRECT_CALL = BranchType.DIRECT_CALL
-_INDIRECT_JUMP = BranchType.INDIRECT_JUMP
-_INDIRECT_CALL = BranchType.INDIRECT_CALL
-_RETURN = BranchType.RETURN
 
 
 def run_predict(sim: Any) -> bool:
@@ -156,46 +148,19 @@ def demand_access(sim: Any, line_addr: int):
 
 def handle_branch(sim: Any, unit: Any, idx: int) -> bool:
     """Predict the unit's terminating branch; returns True on stall."""
-    pc, branch_type, taken, target = unit.branch
-    sim.stats.branches += 1
+    outcome = branch_verdict(unit.branch, sim.gshare, sim.btb, sim.itc, sim.ras)
+    stats = sim.stats
+    stats.branches += 1
     penalty = 0
-
-    if branch_type == _CONDITIONAL:
-        predicted_taken = sim.gshare.predict(pc)
-        sim.gshare.update(pc, taken)
-        if predicted_taken != taken:
-            penalty = sim.config.exec_redirect_penalty
-            sim.stats.branch_mispredictions += 1
-        elif taken:
-            if sim.btb.lookup(pc) is None:
-                penalty = sim.config.decode_redirect_penalty
-                sim.stats.btb_miss_redirects += 1
-            sim.btb.update(pc, target)
-    elif branch_type == _DIRECT_JUMP or branch_type == _DIRECT_CALL:
-        if sim.btb.lookup(pc) is None:
-            penalty = sim.config.decode_redirect_penalty
-            sim.stats.btb_miss_redirects += 1
-        sim.btb.update(pc, target)
-    elif branch_type == _INDIRECT_JUMP or branch_type == _INDIRECT_CALL:
-        predicted = sim.itc.predict(pc)
-        if predicted != target:
-            penalty = sim.config.exec_redirect_penalty
-            sim.stats.branch_mispredictions += 1
-        sim.itc.update(pc, target)
-    elif branch_type == _RETURN:
-        predicted = sim.ras.pop()
-        if predicted != target:
-            penalty = sim.config.exec_redirect_penalty
-            sim.stats.branch_mispredictions += 1
-
-    if branch_type == _DIRECT_CALL or branch_type == _INDIRECT_CALL:
-        sim.ras.push(pc + 4)
+    if outcome == EXEC_REDIRECT:
+        penalty = sim.config.exec_redirect_penalty
+        stats.branch_mispredictions += 1
+    elif outcome == DECODE_REDIRECT:
+        penalty = sim.config.decode_redirect_penalty
+        stats.btb_miss_redirects += 1
 
     if not sim.prefetcher.is_passive:
-        collect(
-            sim,
-            sim.prefetcher.on_branch(pc, branch_type, taken, target, sim.cycle),
-        )
+        collect(sim, sim.prefetcher.on_branch(*unit.branch, sim.cycle))
 
     if penalty:
         sim.fq_penalty[idx] = penalty

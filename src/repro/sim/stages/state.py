@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-__all__ = ["FastLine", "FastMetaCache", "FastCache", "install_fast_hierarchy"]
+from repro.sim.memory import MemoryHierarchy
+
+__all__ = ["FastLine", "FastMetaCache", "FastCache", "FastHierarchy"]
 
 
 class FastLine:
@@ -166,13 +168,18 @@ class FastCache:
         return sum(len(s) for s in self._sets)
 
 
-def install_fast_hierarchy(memory: Any, config: Any) -> None:
-    """Swap a ``MemoryHierarchy``'s L2/LLC for dict-ordered caches.
+class FastHierarchy(MemoryHierarchy):
+    """A ``MemoryHierarchy`` whose L2/LLC are dict-ordered caches, built
+    directly (never the reference caches first).
 
     ``MemoryHierarchy._access`` only calls ``lookup``/``insert`` and
     ignores eviction results, so the fast caches are drop-in; the walk
     logic (and its counter updates) stays the single shared
     implementation.
     """
-    memory.l2 = FastCache(config.l2_sets, config.l2_ways)
-    memory.llc = FastCache(config.llc_sets, config.llc_ways)
+
+    def __init__(self, config: Any, stats: Any) -> None:
+        self.config = config
+        self.stats = stats
+        self.l2 = FastCache(config.l2_sets, config.l2_ways)
+        self.llc = FastCache(config.llc_sets, config.llc_ways)

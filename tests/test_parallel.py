@@ -89,6 +89,39 @@ class TestRunCache:
         assert cache.hits == unique
         assert cache.wall_seconds_saved > 0.0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equal_keys_in_one_batch_simulated_once(self, jobs, monkeypatch):
+        import repro.analysis.experiments as experiments
+        import repro.analysis.parallel as parallel
+
+        dispatched = []
+        simulated = []
+        map_resilient = parallel.map_resilient
+        simulate = experiments.simulate
+
+        def counting_map(fn, tasks, *args, **kwargs):
+            dispatched.extend(tasks)
+            return map_resilient(fn, tasks, *args, **kwargs)
+
+        def counting_simulate(*args, **kwargs):
+            simulated.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "map_resilient", counting_map)
+        monkeypatch.setattr(experiments, "simulate", counting_simulate)
+        task = parallel.RunTask(
+            WorkloadSpec(name="dup", category="int", seed=3, n_instructions=4_000),
+            "next_line",
+        )
+        cache = RunCache()
+        outcome = parallel.run_tasks_parallel([task, task], jobs=jobs, cache=cache)
+        assert len(dispatched) == 1
+        if jobs == 1:
+            assert len(simulated) == 1  # in-process: the count is visible here
+        assert cache.stores == 1
+        first, second = outcome.results
+        assert first.stats.signature() == second.stats.signature()
+
     def test_get_returns_independent_copies(self):
         spec = SMALL_SUITE[0]
         cache = RunCache()
