@@ -6,41 +6,20 @@ implicit claim that 16 entries suffice (the source search is bounded by
 timestamps, not by capacity, once the L1I miss latency is covered).
 """
 
-from repro.analysis.experiments import _cached_units, _cached_workload
-from repro.analysis.metrics import geometric_mean
-from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
-from repro.prefetchers import NullPrefetcher
-from repro.sim import simulate
-
-
-def _evaluate(suite):
-    out = {}
-    for history_size in (4, 16, 64, 256):
-        ratios = []
-        for spec in suite:
-            trace = _cached_workload(spec)
-            units = _cached_units(spec, 64)
-            warm = int(spec.n_instructions * 0.4)
-            base = simulate(trace, NullPrefetcher(), units=units,
-                            warmup_instructions=warm).stats
-            stats = simulate(
-                trace,
-                EntanglingPrefetcher(EntanglingConfig(history_size=history_size)),
-                units=units,
-                warmup_instructions=warm,
-            ).stats
-            ratios.append(stats.ipc / base.ipc)
-        out[history_size] = geometric_mean(ratios)
-    return out
+from repro.analysis.sweeps import render_sweep, sweep_entangling_parameter
 
 
 def test_ext_history_size(benchmark, suite):
-    data = benchmark.pedantic(_evaluate, args=(suite,), rounds=1, iterations=1)
+    points = benchmark.pedantic(
+        sweep_entangling_parameter,
+        args=(suite, "history_size", [4, 16, 64, 256]),
+        rounds=1,
+        iterations=1,
+    )
     print()
-    print("Extension — History-buffer size sweep")
-    for size, speedup in sorted(data.items()):
-        print(f"  {size:4d} entries: geomean speedup {speedup:.3f}")
+    print(render_sweep("Extension — History-buffer size sweep", points))
 
+    data = {p.value: p.geomean_speedup for p in points}
     # 16 entries capture nearly all the benefit of much larger histories.
     assert data[16] >= data[256] - 0.02
     # Every size still improves on the no-prefetch baseline.

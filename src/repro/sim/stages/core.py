@@ -28,7 +28,8 @@ Bit-identity with the reference is the contract (enforced across every
 workload family x config by ``tests/test_backends.py``): every
 architectural counter, including per-cache read/write counts, matches
 exactly.  Only :class:`~repro.sim.stats.SimStats` is the contract: a
-streak run leaves the live predictor and L1D objects untouched.
+streak run never builds the live predictors and L1D (the guarded loop
+builds them when it starts).
 Observability keeps working: a ``tracer`` sees the identical event
 stream (the guarded stage path emits at the same points), a ``profiler``
 gets all four ``SIM_PHASES`` registered with per-call timings of the
@@ -110,18 +111,9 @@ class StagedSimulator:
             self.config.l1i_ways,
             replacement=self.config.l1i_replacement,
         )
-        self.l1d = FastCache(self.config.l1d_sets, self.config.l1d_ways)
         self.mshr = MshrFile(self.config.l1i_mshrs)
         self.pq = PrefetchQueue(self.config.prefetch_queue_size)
         self.memory = FastHierarchy(self.config, self.stats)
-        self.gshare = make_direction_predictor(
-            self.config.branch_predictor,
-            self.config.gshare_bits,
-            self.config.gshare_history,
-        )
-        self.btb = BranchTargetBuffer(self.config.btb_sets, self.config.btb_ways)
-        self.ras = ReturnAddressStack(self.config.ras_size)
-        self.itc = IndirectTargetCache(self.config.itc_bits, self.config.itc_history)
         self.mapper: Optional[PageMapper] = None
         if self.config.physical_addresses:
             self.mapper = PageMapper(
@@ -230,7 +222,16 @@ class StagedSimulator:
 
     def _run_guarded(self, warmup_instructions: int) -> None:
         """Run the four stages cycle by cycle over live predictors and a
-        live L1D: traced, profiled, ideal and physically addressed runs."""
+        live L1D: traced, profiled, ideal and physically addressed runs.
+        Only this loop reads them, so only it builds them."""
+        config = self.config
+        self.l1d = FastCache(config.l1d_sets, config.l1d_ways)
+        self.gshare = make_direction_predictor(
+            config.branch_predictor, config.gshare_bits, config.gshare_history
+        )
+        self.btb = BranchTargetBuffer(config.btb_sets, config.btb_ways)
+        self.ras = ReturnAddressStack(config.ras_size)
+        self.itc = IndirectTargetCache(config.itc_bits, config.itc_history)
         warm_pending = warmup_instructions > 0
         total_units = len(self.units)
         fills = run_fills

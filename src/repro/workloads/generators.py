@@ -29,6 +29,7 @@ knobs reproduce the properties the paper reports:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -244,13 +245,21 @@ def _build_functions(
     """
     random_ = rng.random
     bits = rng.getrandbits
-    choices = rng.choices
     number = shape.number
     utils = [number[name] for name in shape.utils]
     internals = [number[name] for name in shape.internals]
     util_cum = list(accumulate(_zipf_weights(len(utils), params.zipf_s)))
+    # ``rng.choices(utils, cum_weights=util_cum)[0]``, as CPython draws it.
+    util_total = util_cum[-1] + 0.0 if utils else 0.0
+    util_hi = len(utils) - 1
+    # ``randint(bits, lo, hi)`` is inlined below: redraw n.bit_length()
+    # bits while the value is >= n, for n = hi - lo + 1.
     blocks_lo, blocks_hi = params.blocks_per_func
+    blocks_n = blocks_hi - blocks_lo + 1
+    blocks_k = blocks_n.bit_length()
     instrs_lo, instrs_hi = params.instrs_per_block
+    instrs_n = instrs_hi - instrs_lo + 1
+    instrs_k = instrs_n.bit_length()
     loop_prob = params.loop_prob
     loop_taken_prob = params.loop_taken_prob
     cond_prob = params.cond_prob
@@ -273,13 +282,18 @@ def _build_functions(
         chosen: List[int] = []
         seen = {caller}
         attempts = 0
+        pool = segment or internals or utils or [caller]
+        pool_n = len(pool)
+        pool_k = pool_n.bit_length()
         while len(chosen) < k and attempts < 40:
             attempts += 1
             if utils and random_() < 0.35:
-                cand = choices(utils, cum_weights=util_cum)[0]
+                cand = utils[bisect_right(util_cum, random_() * util_total, 0, util_hi)]
             else:
-                pool = segment or internals or utils or [caller]
-                cand = pool[randint(bits, 0, len(pool) - 1)]
+                r = bits(pool_k)
+                while r >= pool_n:
+                    r = bits(pool_k)
+                cand = pool[r]
             if cand in seen:
                 continue
             seen.add(cand)
@@ -295,10 +309,16 @@ def _build_functions(
         if segment is None:
             segment = segments[id(names)] = [number[n] for n in names]
         draft.function(name)
-        n_blocks = randint(bits, blocks_lo, blocks_hi)
+        r = bits(blocks_k)
+        while r >= blocks_n:
+            r = bits(blocks_k)
+        n_blocks = blocks_lo + r
         last = n_blocks - 1
         for b in range(n_blocks):
-            add_size(randint(bits, instrs_lo, instrs_hi))
+            r = bits(instrs_k)
+            while r >= instrs_n:
+                r = bits(instrs_k)
+            add_size(instrs_lo + r)
             if b == last:
                 add_kind(K_RETURN)
                 add_target(0)

@@ -132,6 +132,11 @@ class CfgInterpreter:
         max_depth = self.max_call_depth
         random_ = self.rng.random
         bits = self.rng.getrandbits
+        # The data-address draws inline ``randint(bits, 0, n - 1)``.
+        own_n = DATA_REGION_SIZE
+        own_k = own_n.bit_length()
+        shared_n = _SHARED_REGION_SIZE
+        shared_k = shared_n.bit_length()
         b = self._block
         while len(pcs) < n_instructions:
             kind = kinds[b]
@@ -151,11 +156,15 @@ class CfgInterpreter:
                 is_load = roll < load_frac
                 if is_load or roll < mem_frac:
                     if random_() < 0.8:
-                        addr = region + randint(bits, 0, DATA_REGION_SIZE - 1)
+                        r = bits(own_k)
+                        while r >= own_n:
+                            r = bits(own_k)
+                        addr = region + r
                     else:
-                        addr = _SHARED_REGION_BASE + randint(
-                            bits, 0, _SHARED_REGION_SIZE - 1
-                        )
+                        r = bits(shared_k)
+                        while r >= shared_n:
+                            r = bits(shared_k)
+                        addr = _SHARED_REGION_BASE + r
                     data[i] = addr & ~0x7
                     flags[i] = FLAG_LOAD if is_load else FLAG_STORE
             if kind == K_FALLTHROUGH:
