@@ -443,15 +443,17 @@ class TestLedgerRendersSameTrace:
         attempts = _executor_attempts(written)
         # Every executed attempt is one paired span (serial fallback
         # reuses attempt numbers), and every pooled one was failed by
-        # the pool break.
+        # the pool break.  Each worker runs one task at a time, so the
+        # break fails one task per worker (the first of each trace);
+        # the other two first run in the serial fallback.
         assert len(attempts) == faults.attempts
         broken = [e for e in attempts if e["args"]["status"] == "error"]
-        assert len(broken) == 4
+        assert len(broken) == 2
         assert all(e["args"]["error"].startswith("process pool broke")
                    for e in broken)
         assert all(e["dur"] >= 0 for e in attempts)
         tasks = _complete(written, "task")
-        assert [e["args"]["attempts"] for e in tasks] == [2, 2, 2, 2]
+        assert sorted(e["args"]["attempts"] for e in tasks) == [1, 1, 2, 2]
 
 
 class TestSweepTrace:
