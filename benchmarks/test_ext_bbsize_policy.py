@@ -6,40 +6,21 @@ false positives", Section III-A1).  This bench quantifies the trade-off
 against the tighter *latest*-size policy.
 """
 
-import statistics
-
-from repro.analysis.experiments import _cached_units, _cached_workload
-from repro.analysis.metrics import geometric_mean
-from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
-from repro.prefetchers import NullPrefetcher
-from repro.sim import simulate
+from repro.analysis.sweeps import sweep_entangling_parameter
 
 
 def _evaluate(suite):
-    out = {}
-    for policy in ("max", "latest"):
-        ratios, coverages, accuracies = [], [], []
-        for spec in suite:
-            trace = _cached_workload(spec)
-            units = _cached_units(spec, 64)
-            warm = int(spec.n_instructions * 0.4)
-            base = simulate(trace, NullPrefetcher(), units=units,
-                            warmup_instructions=warm).stats
-            stats = simulate(
-                trace,
-                EntanglingPrefetcher(EntanglingConfig(bb_size_policy=policy)),
-                units=units,
-                warmup_instructions=warm,
-            ).stats
-            ratios.append(stats.ipc / base.ipc)
-            coverages.append(stats.coverage_vs(base))
-            accuracies.append(stats.accuracy)
-        out[policy] = {
-            "speedup": geometric_mean(ratios),
-            "coverage": statistics.mean(coverages),
-            "accuracy": statistics.mean(accuracies),
+    """One scheduler batch: per spec, its ``no`` baseline and one
+    ``EntanglingConfig(bb_size_policy=...)`` run per policy."""
+    points = sweep_entangling_parameter(suite, "bb_size_policy", ["max", "latest"])
+    return {
+        point.value: {
+            "speedup": point.geomean_speedup,
+            "coverage": point.mean_coverage,
+            "accuracy": point.mean_accuracy,
         }
-    return out
+        for point in points
+    }
 
 
 def test_ext_bbsize_policy(benchmark, suite):

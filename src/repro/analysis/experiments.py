@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 from repro.prefetchers.base import InstructionPrefetcher, NullPrefetcher
 from repro.prefetchers.registry import make_prefetcher
 from repro.sim.config import SimConfig
-from repro.sim.fetchunits import FetchUnit, PlannedUnits, build_fetch_units
+from repro.sim.fetchunits import FetchUnits, build_fetch_units
 from repro.sim.simulator import SimResult, simulate
 from repro.sim.stats import SimStats
 from repro.workloads.generators import WorkloadSpec, cvp_suite, make_workload
@@ -143,16 +143,16 @@ def _trace_memo(source: TraceSource, stamp: Any) -> Trace:
     )
 
 
-def _cached_units(source: TraceSource, line_size: int) -> Tuple[FetchUnit, ...]:
+def _cached_units(source: TraceSource, line_size: int) -> FetchUnits:
     return _units_memo(source, _stamp(source), line_size)
 
 
 @lru_cache(maxsize=256)
-def _units_memo(source: TraceSource, stamp: Any, line_size: int) -> Tuple[FetchUnit, ...]:
+def _units_memo(source: TraceSource, stamp: Any, line_size: int) -> FetchUnits:
     # The units carry their front-end plans (one per plan key), so a
     # plan is built once per trace and key in each process and is
     # dropped with its units.
-    return PlannedUnits(build_fetch_units(_trace_memo(source, stamp), line_size))
+    return build_fetch_units(_trace_memo(source, stamp), line_size)
 
 
 def installed_event_bus() -> Optional[Any]:

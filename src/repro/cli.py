@@ -76,7 +76,6 @@ from repro.analysis.experiments import (
 from repro.analysis.reporting import format_table
 from repro.check import TraceError, sanitize_mode_from_env
 from repro.sim.config import BACKENDS, SimConfig
-from repro.sim.fetchunits import build_fetch_units
 from repro.sim.simulator import simulate
 from repro.workloads.generators import (
     ALL_CATEGORIES,
@@ -443,11 +442,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     source = _trace_source(args)
     trace = _cached_workload(source)
     prefetcher, sim_config = resolve_config(args.prefetcher, SimConfig())
-    units = build_fetch_units(trace, sim_config.line_size)
     tracer = PrefetchTracer(capacity=args.capacity, sample=args.sample)
     profiler = PhaseProfiler() if args.profile else None
     result = simulate(
-        trace, prefetcher, config=sim_config, units=units,
+        trace, prefetcher, config=sim_config,
         warmup_instructions=args.warmup, tracer=tracer, profiler=profiler,
     )
     stats = result.stats

@@ -18,7 +18,7 @@ from repro.sim.branch_predictor import GsharePredictor
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.ras import ReturnAddressStack
 from repro.sim.indirect import IndirectTargetCache
-from repro.sim.fetchunits import FetchUnit, build_fetch_units
+from repro.sim.fetchunits import FetchUnit, FetchUnits, build_fetch_units
 from repro.sim.simulator import SimResult, Simulator, simulate
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "ReturnAddressStack",
     "IndirectTargetCache",
     "FetchUnit",
+    "FetchUnits",
     "build_fetch_units",
     "SimResult",
     "Simulator",

@@ -28,14 +28,14 @@ import dataclasses
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 from repro.prefetchers.base import FillInfo, InstructionPrefetcher, PrefetchRequest
 from repro.sim.branch_predictor import make_direction_predictor
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import SetAssociativeCache
 from repro.sim.config import SimConfig
-from repro.sim.fetchunits import FetchUnit, build_fetch_units
+from repro.sim.fetchunits import FetchUnits, build_fetch_units
 from repro.sim.indirect import IndirectTargetCache
 from repro.sim.memory import MemoryHierarchy, PageMapper
 from repro.sim.mshr import MshrFile
@@ -96,7 +96,7 @@ class Simulator:
         trace: Trace,
         prefetcher: InstructionPrefetcher,
         config: Optional[SimConfig] = None,
-        units: Optional[Sequence[FetchUnit]] = None,
+        units: Optional[FetchUnits] = None,
         tracer: Optional[Any] = None,
         profiler: Optional[Any] = None,
         checker: Optional[Any] = None,
@@ -115,7 +115,7 @@ class Simulator:
         self.tracer = tracer
         self.profiler = profiler
         self.checker = checker
-        self.units: Sequence[FetchUnit] = (
+        self.units: FetchUnits = (
             units if units is not None else build_fetch_units(trace, self.config.line_size)
         )
         self.stats = SimStats()
@@ -374,7 +374,7 @@ class Simulator:
                 break
             if len(ftq) >= ftq_size:
                 break
-            unit = units[pred_idx]
+            unit = pred_idx
             block = enqueue_unit(unit)
             if block is None:
                 # MSHR full: retry the same unit next cycle.
@@ -383,13 +383,15 @@ class Simulator:
             advanced = True
             pred_idx += 1
             self._pred_idx = pred_idx
-            if unit.branch is not None and self._handle_branch(unit, block):
+            branch = units.branch_of(unit)
+            if branch is not None and self._handle_branch(branch, block):
                 break  # mispredicted: stall until resolution
         return advanced
 
-    def _enqueue_unit(self, unit: FetchUnit) -> Optional[_FtqBlock]:
-        line_addr = self._iline(unit.line_addr)
-        block = _FtqBlock(line_addr, unit.n_instrs, unit.data_lines)
+    def _enqueue_unit(self, unit: int) -> Optional[_FtqBlock]:
+        units = self.units
+        line_addr = self._iline(units.line_addr[unit])
+        block = _FtqBlock(line_addr, units.n_instrs[unit], units.data_lines(unit))
         ready = self._demand_access(line_addr, block)
         if ready == "retry":
             return None
@@ -465,9 +467,10 @@ class Simulator:
     def _wait_on(self, line_addr: int, block: _FtqBlock) -> None:
         self._waiting.setdefault(line_addr, []).append(block)
 
-    def _handle_branch(self, unit: FetchUnit, block: _FtqBlock) -> bool:
-        """Predict the unit's terminating branch; returns True on stall."""
-        pc, branch_type, taken, target = unit.branch
+    def _handle_branch(self, branch: Any, block: _FtqBlock) -> bool:
+        """Predict a unit's terminating ``(pc, branch_type, taken,
+        target)``; returns True on stall."""
+        pc, branch_type, taken, target = branch
         self.stats.branches += 1
         penalty = 0
 
@@ -605,7 +608,7 @@ def simulate(
     trace: Trace,
     prefetcher: InstructionPrefetcher,
     config: Optional[SimConfig] = None,
-    units: Optional[Sequence[FetchUnit]] = None,
+    units: Optional[FetchUnits] = None,
     warmup_instructions: int = 0,
     tracer: Optional[Any] = None,
     profiler: Optional[Any] = None,

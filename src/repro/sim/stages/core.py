@@ -18,7 +18,7 @@ cycle over per-object structures; this core:
 * runs every other simulation through a guarded **per-cycle stage
   loop** over live predictors, a live L1D and an FTQ of parallel arrays
   (``fq_line`` / ``fq_remaining`` / ``fq_ready`` / ``fq_penalty`` /
-  ``fq_data`` plus a ``fq_head`` cursor).  Each stage call is guarded by
+  ``fq_unit`` plus a ``fq_head`` cursor).  Each stage call is guarded by
   a cheap precondition (fill heap peeked, PQ non-empty, predict
   unblocked, FTQ head ready) that is exact — a skipped call is one that
   would have returned without side effects — and idle spans jump
@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.prefetchers.base import FillInfo, InstructionPrefetcher
 from repro.sim.branch_predictor import make_direction_predictor
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.config import SimConfig
-from repro.sim.fetchunits import FetchUnit, build_fetch_units
+from repro.sim.fetchunits import BRANCH_FIELDS, FetchUnits, build_fetch_units
 from repro.sim.indirect import IndirectTargetCache
 from repro.sim.memory import PageMapper
 from repro.sim.mshr import MshrFile
@@ -91,7 +91,7 @@ class StagedSimulator:
         trace: Trace,
         prefetcher: Any,
         config: Optional[SimConfig] = None,
-        units: Optional[Sequence[FetchUnit]] = None,
+        units: Optional[FetchUnits] = None,
         tracer: Optional[Any] = None,
         profiler: Optional[Any] = None,
         checker: Optional[Any] = None,
@@ -102,7 +102,7 @@ class StagedSimulator:
         self.tracer = tracer
         self.profiler = profiler
         self.checker = checker
-        self.units: Sequence[FetchUnit] = (
+        self.units: FetchUnits = (
             units if units is not None else build_fetch_units(trace, self.config.line_size)
         )
         self.stats = SimStats()
@@ -130,7 +130,7 @@ class StagedSimulator:
         self.fq_remaining: List[int] = []
         self.fq_ready: List[Optional[int]] = []
         self.fq_penalty: List[int] = []
-        self.fq_data: List[Any] = []
+        self.fq_unit: List[int] = []
         self.fq_head = 0
         self._waiting: Dict[int, List[int]] = {}
         self._pred_idx = 0
@@ -194,7 +194,7 @@ class StagedSimulator:
         units = self.units
         self._plan: FrontEndPlan = front_end_plan(units, self.config)
         self._ready: List[Optional[int]] = [None] * len(units)
-        self._head_remaining = units[0].n_instrs if units else 0
+        self._head_remaining = units.n_instrs[0] if len(units) else 0
         streak = self._run_passive if self.prefetcher.is_passive else self._run_active
         if warmup_instructions > 0:
             streak(warmup_instructions)
@@ -324,7 +324,7 @@ class StagedSimulator:
             del self.fq_remaining[:head]
             del self.fq_ready[:head]
             del self.fq_penalty[:head]
-            del self.fq_data[:head]
+            del self.fq_unit[:head]
             self.fq_head = 0
 
     # -- the monolithic streak loop -------------------------------------------
@@ -345,7 +345,8 @@ class StagedSimulator:
         there and calls again).  FTQ slots are unit indices: the FTQ
         holds units ``[fq_head, _pred_idx)``, ``_ready`` their ready
         cycles and ``_head_remaining`` the head's unretired
-        instructions.  Branch verdicts and L1D traffic come from the
+        instructions.  A unit's line and length are read from the
+        units' columns, its branch verdict and L1D traffic from the
         plan; only the L1D misses walk the live L2/LLC.
 
         Prefetcher hooks fire at the reference call sites with the live
@@ -364,9 +365,16 @@ class StagedSimulator:
         stats = self.stats
         units = self.units
         total = len(units)
+        unit_line = units.line_addr
+        unit_instrs = units.n_instrs
+        unit_branch = units.branch
+        trace_pc = units.trace.pc
+        trace_flags = units.trace.flags
+        trace_target = units.trace.target
         plan = self._plan
         verdict = plan.verdict
         misses = plan.misses
+        miss_start = plan.miss_start
         ready = self._ready
         prefetcher = self.prefetcher
         on_fill = _own_hook(prefetcher, "on_fill")
@@ -417,6 +425,7 @@ class StagedSimulator:
         pred_idx = pred_start = self._pred_idx
         head = head_start = self.fq_head
         remaining = self._head_remaining
+        miss_at = miss_start[head]
         stall_until = self._pred_stall_until
         blocked_idx = self._pred_blocked_idx
         retired_total = self._retired
@@ -490,8 +499,7 @@ class StagedSimulator:
                     if pred_idx >= total or pred_idx - head >= ftq_size:
                         break
                     idx = pred_idx
-                    unit = units[idx]
-                    line_addr = unit.line_addr
+                    line_addr = unit_line[idx]
                     cache_set = l1i_sets[line_addr % l1i_nsets]
                     line = cache_set.get(line_addr)
                     if line is not None:
@@ -545,8 +553,13 @@ class StagedSimulator:
                     outcome = verdict[idx]
                     if outcome:
                         if on_branch is not None:
-                            pc, branch_type, taken, target = unit.branch
-                            reqs = on_branch(pc, branch_type, taken, target, cycle)
+                            # FetchUnits.branch_of, inlined.
+                            at = unit_branch[idx]
+                            branch_type, taken = BRANCH_FIELDS[trace_flags[at]]
+                            reqs = on_branch(
+                                trace_pc[at], branch_type, taken, trace_target[at],
+                                cycle,
+                            )
                             if reqs:
                                 collect(self, reqs)
                         if penalty_of[outcome]:
@@ -595,9 +608,10 @@ class StagedSimulator:
                             stall_until = cycle + penalty
                             if blocked_idx == head:
                                 blocked_idx = None
-                        missed = misses[head]
-                        if missed:
-                            for data_line in missed:
+                        head += 1
+                        miss_end = miss_start[head]
+                        if miss_end != miss_at:
+                            for data_line in misses[miss_at:miss_end]:
                                 # Inline L2 -> LLC -> DRAM walk
                                 # (``MemoryHierarchy._access``).
                                 l2_reads += 1
@@ -619,9 +633,9 @@ class StagedSimulator:
                                     del l2_set[next(iter(l2_set))]
                                 l2_set[data_line] = True
                                 l2_writes += 1
-                        head += 1
+                            miss_at = miss_end
                         if head < total:
-                            remaining = units[head].n_instrs
+                            remaining = unit_instrs[head]
                         if not budget or head >= pred_idx:
                             break
                         head_ready = ready[head]

@@ -21,10 +21,11 @@ mispredict or BTB redirect, but blocks nothing), so they are not part of
 from __future__ import annotations
 
 from array import array
-from typing import Any, Sequence, Tuple
+from typing import Any, Tuple
 
 from repro.sim.branch_predictor import make_direction_predictor
 from repro.sim.btb import BranchTargetBuffer
+from repro.sim.fetchunits import BRANCH_FIELDS, FetchUnits
 from repro.sim.indirect import IndirectTargetCache
 from repro.sim.ras import ReturnAddressStack
 from repro.workloads.trace import BranchType
@@ -71,22 +72,29 @@ class FrontEndPlan:
             a taken branch).
         l1d_reads / l1d_writes: cumulative L1D loads, and stores plus
             fills, of the units before each index (``n + 1`` entries).
-        misses: per unit, the ordered L1D-miss lines that go on to L2.
+        misses / miss_start: the L1D-miss lines that go on to L2, in
+            order, as one flat array; unit ``i``'s are
+            ``misses[miss_start[i]:miss_start[i + 1]]``.
     """
 
-    __slots__ = ("verdict", "l1d_reads", "l1d_writes", "misses")
+    __slots__ = (
+        "verdict", "l1d_reads", "l1d_writes", "misses", "miss_start",
+        "__weakref__",
+    )
 
     def __init__(
         self,
         verdict: bytes,
         l1d_reads: "array[int]",
         l1d_writes: "array[int]",
-        misses: Sequence[Tuple[int, ...]],
+        misses: "array[int]",
+        miss_start: "array[int]",
     ) -> None:
         self.verdict = verdict
         self.l1d_reads = l1d_reads
         self.l1d_writes = l1d_writes
         self.misses = misses
+        self.miss_start = miss_start
 
     def branch_counts(self, start: int, stop: int) -> Tuple[int, int, int]:
         """(branches, mispredictions, BTB redirects) of units [start, stop)."""
@@ -105,13 +113,10 @@ class FrontEndPlan:
         )
 
 
-def front_end_plan(units: Sequence[Any], config: Any) -> FrontEndPlan:
-    """The plan of ``units`` under ``config``: memoized on
-    :class:`~repro.sim.fetchunits.PlannedUnits`, built afresh for any
-    other sequence."""
-    plans = getattr(units, "plans", None)
-    if plans is None:
-        return build_plan(units, config)
+def front_end_plan(units: FetchUnits, config: Any) -> FrontEndPlan:
+    """The plan of ``units`` under ``config``, memoized on the units
+    (at most :data:`_PLANS_PER_UNITS` of them, oldest dropped first)."""
+    plans = units.plans
     key = tuple(getattr(config, name) for name in PLAN_FIELDS)
     plan = plans.get(key)
     if plan is None:
@@ -121,34 +126,34 @@ def front_end_plan(units: Sequence[Any], config: Any) -> FrontEndPlan:
     return plan
 
 
-def build_plan(units: Sequence[Any], config: Any) -> FrontEndPlan:
+def build_plan(units: FetchUnits, config: Any) -> FrontEndPlan:
     """Run fresh predictors and a fresh L1D over ``units`` in trace order.
 
     Same decisions, in the same order, as the guarded stages make with
-    :func:`branch_verdict` and ``retire.finish_block``.
+    :func:`branch_verdict` and ``retire.finish_block``.  The predictors
+    and the L1D share no state, so each is one pass over its columns.
     """
-    gshare = make_direction_predictor(
-        config.branch_predictor, config.gshare_bits, config.gshare_history
-    )
-    btb = BranchTargetBuffer(config.btb_sets, config.btb_ways)
-    itc = IndirectTargetCache(config.itc_bits, config.itc_history)
-    ras = ReturnAddressStack(config.ras_size)
     l1d_nsets = config.l1d_sets
     l1d_ways = config.l1d_ways
     l1d_sets = [dict() for _ in range(l1d_nsets)]
-
-    verdict = bytearray(len(units))
-    reads = array("q", [0])
-    writes = array("q", [0])
-    misses = []
+    data = units.data
+    reads = array("I", [0])
+    writes = array("I", [0])
+    misses = array("Q")
+    miss_start = array("I", [0])
+    add_read = reads.append
+    add_write = writes.append
+    add_miss = misses.append
+    add_start = miss_start.append
     n_reads = 0
     n_writes = 0
-    for idx, unit in enumerate(units):
-        data_lines = unit.data_lines
-        missed: Tuple[int, ...] = ()
-        if data_lines:
-            for data_line, is_store in data_lines:
-                if is_store:
+    n_missed = 0
+    lo = 0
+    for hi in units.data_start[1:]:
+        if hi != lo:
+            for packed in data[lo:hi]:
+                data_line = packed >> 1
+                if packed & 1:
                     n_writes += 1
                 else:
                     n_reads += 1
@@ -159,14 +164,32 @@ def build_plan(units: Sequence[Any], config: Any) -> FrontEndPlan:
                     if len(data_set) >= l1d_ways:
                         del data_set[next(iter(data_set))]
                     n_writes += 1
-                    missed += (data_line,)
+                    n_missed += 1
+                    add_miss(data_line)
                 data_set[data_line] = True
-        misses.append(missed)
-        reads.append(n_reads)
-        writes.append(n_writes)
-        if unit.branch is not None:
-            verdict[idx] = branch_verdict(unit.branch, gshare, btb, itc, ras)
-    return FrontEndPlan(bytes(verdict), reads, writes, misses)
+            lo = hi
+        add_read(n_reads)
+        add_write(n_writes)
+        add_start(n_missed)
+
+    gshare = make_direction_predictor(
+        config.branch_predictor, config.gshare_bits, config.gshare_history
+    )
+    btb = BranchTargetBuffer(config.btb_sets, config.btb_ways)
+    itc = IndirectTargetCache(config.itc_bits, config.itc_history)
+    ras = ReturnAddressStack(config.ras_size)
+    verdict = bytearray(len(units))
+    trace = units.trace
+    pcs = trace.pc
+    flags = trace.flags
+    targets = trace.target
+    for idx, at in enumerate(units.branch):
+        if at >= 0:
+            # FetchUnits.branch_of, inlined.
+            branch_type, taken = BRANCH_FIELDS[flags[at]]
+            branch = (pcs[at], branch_type, taken, targets[at])
+            verdict[idx] = branch_verdict(branch, gshare, btb, itc, ras)
+    return FrontEndPlan(bytes(verdict), reads, writes, misses, miss_start)
 
 
 def branch_verdict(branch: Any, gshare: Any, btb: Any, itc: Any, ras: Any) -> int:

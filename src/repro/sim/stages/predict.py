@@ -41,7 +41,7 @@ def run_predict(sim: Any) -> bool:
             break
         if len(fq_line) - sim.fq_head >= ftq_size:
             break
-        unit = units[pred_idx]
+        unit = pred_idx
         idx = enqueue_unit(sim, unit)
         if idx is None:
             # MSHR full: retry the same unit next cycle.
@@ -50,26 +50,28 @@ def run_predict(sim: Any) -> bool:
         advanced = True
         pred_idx += 1
         sim._pred_idx = pred_idx
-        if unit.branch is not None and handle_branch(sim, unit, idx):
+        if units.branch[unit] >= 0 and handle_branch(sim, unit, idx):
             break  # mispredicted: stall until resolution
     return advanced
 
 
-def enqueue_unit(sim: Any, unit: Any) -> Optional[int]:
-    """Append one fetch unit to the FTQ arrays; None on MSHR-full retry."""
+def enqueue_unit(sim: Any, unit: int) -> Optional[int]:
+    """Append fetch unit ``unit`` to the FTQ arrays; None on MSHR-full
+    retry."""
+    units = sim.units
+    line_addr = units.line_addr[unit]
     mapper = sim.mapper
-    line_addr = (
-        unit.line_addr if mapper is None else mapper.translate_line(unit.line_addr)
-    )
+    if mapper is not None:
+        line_addr = mapper.translate_line(line_addr)
     ready = demand_access(sim, line_addr)
     if ready is _RETRY:
         return None
     idx = len(sim.fq_line)
     sim.fq_line.append(line_addr)
-    sim.fq_remaining.append(unit.n_instrs)
+    sim.fq_remaining.append(units.n_instrs[unit])
     sim.fq_ready.append(ready)
     sim.fq_penalty.append(0)
-    sim.fq_data.append(unit.data_lines)
+    sim.fq_unit.append(unit)
     if ready is None:
         sim._waiting.setdefault(line_addr, []).append(idx)
     return idx
@@ -146,9 +148,11 @@ def demand_access(sim: Any, line_addr: int):
     return None
 
 
-def handle_branch(sim: Any, unit: Any, idx: int) -> bool:
-    """Predict the unit's terminating branch; returns True on stall."""
-    outcome = branch_verdict(unit.branch, sim.gshare, sim.btb, sim.itc, sim.ras)
+def handle_branch(sim: Any, unit: int, idx: int) -> bool:
+    """Predict fetch unit ``unit``'s terminating branch (FTQ slot
+    ``idx``); returns True on stall."""
+    branch = sim.units.branch_of(unit)
+    outcome = branch_verdict(branch, sim.gshare, sim.btb, sim.itc, sim.ras)
     stats = sim.stats
     stats.branches += 1
     penalty = 0
@@ -160,7 +164,7 @@ def handle_branch(sim: Any, unit: Any, idx: int) -> bool:
         stats.btb_miss_redirects += 1
 
     if not sim.prefetcher.is_passive:
-        collect(sim, sim.prefetcher.on_branch(*unit.branch, sim.cycle))
+        collect(sim, sim.prefetcher.on_branch(*branch, sim.cycle))
 
     if penalty:
         sim.fq_penalty[idx] = penalty

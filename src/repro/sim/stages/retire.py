@@ -55,8 +55,12 @@ def finish_block(sim: Any, idx: int) -> None:
         sim._pred_stall_until = sim.cycle + penalty
         if sim._pred_blocked_idx == idx:
             sim._pred_blocked_idx = None
-    data_lines = sim.fq_data[idx]
-    if not data_lines:
+    units = sim.units
+    unit = sim.fq_unit[idx]
+    start = units.data_start
+    lo = start[unit]
+    hi = start[unit + 1]
+    if lo == hi:
         return
     # The L1D -> L2 -> LLC -> DRAM walk of ``Simulator._l1d_access``,
     # inlined over the dict-ordered caches with the counters hoisted (the
@@ -75,10 +79,11 @@ def finish_block(sim: Any, idx: int) -> None:
     llc_nsets = llc.sets
     llc_ways = llc.ways
     l1d_reads = l1d_writes = l2_reads = l2_writes = llc_reads = llc_writes = 0
-    for data_line, is_store in data_lines:
+    for packed in units.data[lo:hi]:
+        data_line = packed >> 1
         if mapper is not None:
             data_line = mapper.translate_line(data_line)
-        if is_store:
+        if packed & 1:
             l1d_writes += 1
         else:
             l1d_reads += 1
@@ -117,4 +122,3 @@ def finish_block(sim: Any, idx: int) -> None:
     cache_accesses["L2C"].writes += l2_writes
     cache_accesses["LLC"].reads += llc_reads
     cache_accesses["LLC"].writes += llc_writes
-    sim.fq_data[idx] = ()  # release the tuple; the block is done

@@ -71,7 +71,7 @@ class TestUnitSplitting:
             idx += unit.n_instrs
 
     def test_empty_trace(self):
-        assert build_fetch_units(Trace("t", [])) == []
+        assert len(build_fetch_units(Trace("t", []))) == 0
 
 
 class TestDataLines:

@@ -10,15 +10,21 @@ sanitized run, and that a sweep builds one plan per trace.
 
 import dataclasses
 import sys
+import weakref
 
 import pytest
 
 import repro.analysis.experiments as experiments
 import repro.sim.stages.plan as plan_module
-from repro.analysis.experiments import _cached_units, run_single, run_suite
+from repro.analysis.experiments import (
+    _cached_units,
+    _cached_workload,
+    run_single,
+    run_suite,
+)
 from repro.sim.config import SimConfig
 from repro.sim.stages.core import StagedSimulator
-from repro.sim.fetchunits import PlannedUnits
+from repro.sim.fetchunits import FetchUnits, build_fetch_units
 from repro.sim.stages.plan import PLAN_FIELDS
 from repro.workloads.generators import WorkloadSpec
 
@@ -168,8 +174,22 @@ def test_a_sweep_builds_one_plan_per_trace(monkeypatch):
 
 def test_plans_are_memoized_with_their_units():
     units = _cached_units(SPEC, 64)
-    assert isinstance(units, PlannedUnits)
+    assert isinstance(units, FetchUnits)
     config = SimConfig()
     first = plan_module.front_end_plan(units, config)
     assert plan_module.front_end_plan(units, dataclasses.replace(config, ftq_size=8)) is first
-    assert plan_module.front_end_plan(list(units), config) is not first
+    fresh = build_fetch_units(_cached_workload(SPEC))
+    assert plan_module.front_end_plan(fresh, config) is not first
+
+
+def test_a_plan_lives_exactly_as_long_as_its_units():
+    units = build_fetch_units(_cached_workload(SPEC))
+    plans = [
+        weakref.ref(plan_module.front_end_plan(units, SimConfig(gshare_history=h)))
+        for h in range(1, 11)
+    ]
+    # At most 8 plans per units: the two oldest are dropped (and freed).
+    assert len(units.plans) == 8
+    assert [plan() is not None for plan in plans] == [False] * 2 + [True] * 8
+    del units
+    assert all(plan() is None for plan in plans)
