@@ -6,34 +6,34 @@ storage.  The paper conjectures the split is "likely beneficial for
 low-storage configurations"; this bench quantifies it on our workloads.
 """
 
-from repro.analysis.experiments import _cached_units, _cached_workload
+from repro.analysis.experiments import run_batch
 from repro.analysis.metrics import geometric_mean
-from repro.core.split_table import make_split_entangling
-from repro.core.variants import make_entangling
-from repro.prefetchers import NullPrefetcher
-from repro.sim import simulate
+from repro.analysis.parallel import RunTask
+from repro.analysis.storage import prefetcher_storage_kb
+
+#: registry name -> row label
+DESIGNS = {
+    "entangling_2k": "unified-2K",
+    "entangling_split_1k": "split-1K+2Ksz",
+    "entangling_split_2k": "split-2K+4Ksz",
+}
 
 
 def _evaluate(suite):
-    rows = {}
-    for make, label in (
-        (lambda: make_entangling(2048), "unified-2K"),
-        (lambda: make_split_entangling(1024, 2048), "split-1K+2Ksz"),
-        (lambda: make_split_entangling(2048, 4096), "split-2K+4Ksz"),
-    ):
-        ratios = []
-        storage = make().storage_kb
-        for spec in suite:
-            trace = _cached_workload(spec)
-            units = _cached_units(spec, 64)
-            warm = int(spec.n_instructions * 0.4)
-            base = simulate(trace, NullPrefetcher(), units=units,
-                            warmup_instructions=warm).stats
-            stats = simulate(trace, make(), units=units,
-                             warmup_instructions=warm).stats
-            ratios.append(stats.ipc / base.ipc)
-        rows[label] = (storage, geometric_mean(ratios))
-    return rows
+    """One scheduler batch: per spec, its ``no`` baseline and each design."""
+    tasks = [
+        RunTask(spec, name) for spec in suite for name in ("no", *DESIGNS)
+    ]
+    results = iter(run_batch(tasks))
+    ratios = {name: [] for name in DESIGNS}
+    for _spec in suite:
+        base = next(results)
+        for name in DESIGNS:
+            ratios[name].append(next(results).stats.ipc / base.stats.ipc)
+    return {
+        label: (prefetcher_storage_kb(name), geometric_mean(ratios[name]))
+        for name, label in DESIGNS.items()
+    }
 
 
 def test_ext_split_table(benchmark, suite):

@@ -12,42 +12,60 @@ Quick start::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
+
+Package exports are lazy (PEP 562): every package's ``__init__`` maps
+each exported name to its defining module in a ``_LAZY`` table, and the
+module is imported on the name's first use.  So a process loads only the
+modules it executes, and ``import repro`` loads nothing else.
 """
 
-from repro.core import (
-    EntanglingConfig,
-    EntanglingPrefetcher,
-    make_ablation,
-    make_entangling,
-    make_epi,
-)
-from repro.prefetchers import (
-    InstructionPrefetcher,
-    NullPrefetcher,
-    available_prefetchers,
-    make_prefetcher,
-)
-from repro.sim import SimConfig, SimResult, Simulator, simulate
-from repro.workloads import Trace, cvp_suite, make_workload
+import importlib
+import sys
+from typing import Any, Callable, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EntanglingConfig",
-    "EntanglingPrefetcher",
-    "make_ablation",
-    "make_entangling",
-    "make_epi",
-    "InstructionPrefetcher",
-    "NullPrefetcher",
-    "available_prefetchers",
-    "make_prefetcher",
-    "SimConfig",
-    "SimResult",
-    "Simulator",
-    "simulate",
-    "Trace",
-    "cvp_suite",
-    "make_workload",
-    "__version__",
-]
+
+def _lazy_exports(
+    package: str, table: Dict[str, str]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """The module ``__getattr__`` and ``__dir__`` of a package whose
+    exports ``table`` maps to their defining modules.  A resolved name
+    is cached in the package, so only its first use pays the lookup."""
+
+    def __getattr__(name: str) -> Any:
+        module_name = table.get(name)
+        if module_name is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module_name), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(table))
+
+    return __getattr__, __dir__
+
+
+_LAZY = {
+    "EntanglingConfig": "repro.core.entangling",
+    "EntanglingPrefetcher": "repro.core.entangling",
+    "make_ablation": "repro.core.variants",
+    "make_entangling": "repro.core.variants",
+    "make_epi": "repro.core.variants",
+    "InstructionPrefetcher": "repro.prefetchers.base",
+    "NullPrefetcher": "repro.prefetchers.base",
+    "available_prefetchers": "repro.prefetchers.registry",
+    "make_prefetcher": "repro.prefetchers.registry",
+    "SimConfig": "repro.sim.config",
+    "SimResult": "repro.sim.simulator",
+    "Simulator": "repro.sim.simulator",
+    "simulate": "repro.sim.simulator",
+    "Trace": "repro.workloads.trace",
+    "cvp_suite": "repro.workloads.generators",
+    "make_workload": "repro.workloads.generators",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

@@ -1,98 +1,57 @@
 """Analysis layer: metrics, the look-ahead oracle, experiment drivers, and
-text reporting for every table and figure in the paper's evaluation."""
+text reporting for every table and figure in the paper's evaluation.
 
-from repro.analysis.metrics import geometric_mean, normalized_ipc, percentile_curve
-from repro.analysis.storage import prefetcher_storage_kb, storage_table
-from repro.analysis.oracle import LookaheadOracle, OracleObserver, run_oracle
-from repro.analysis.experiments import (
-    EvaluationResult,
-    resolve_jobs,
-    run_cached,
-    run_single,
-    run_suite,
-)
-from repro.analysis.checkpoint import (
-    CheckpointManifest,
-    get_checkpoint,
-    set_checkpoint,
-)
-from repro.analysis.parallel import (
-    FaultInjector,
-    FaultReport,
-    RetryPolicy,
-    map_resilient,
-)
-from repro.analysis.runcache import RunCache, get_run_cache, set_run_cache
-from repro.analysis.reporting import format_table, format_timing_table
-from repro.analysis.export import (
-    export_curves_csv,
-    export_evaluation_csv,
-    export_pareto_csv,
-    export_series_csv,
-)
-from repro.analysis.sweeps import (
-    SweepPoint,
-    sweep_entangling_parameter,
-    sweep_sim_parameter,
-)
-from repro.analysis.pareto import (
-    crowding_distances,
-    dominates,
-    nondominated_sort,
-    pareto_front_indices,
-)
-from repro.analysis.tune import (
-    GeneticTuner,
-    GridTuner,
-    RandomTuner,
-    TunableParam,
-    TuneResult,
-    Tuner,
-    make_tuner,
-)
+Exports resolve lazily (see :mod:`repro`): ``run_suite`` loads the
+engine, not the tuner, the oracle or the exporters."""
 
-__all__ = [
-    "geometric_mean",
-    "normalized_ipc",
-    "percentile_curve",
-    "prefetcher_storage_kb",
-    "storage_table",
-    "LookaheadOracle",
-    "OracleObserver",
-    "run_oracle",
-    "EvaluationResult",
-    "resolve_jobs",
-    "run_cached",
-    "run_single",
-    "run_suite",
-    "CheckpointManifest",
-    "get_checkpoint",
-    "set_checkpoint",
-    "FaultInjector",
-    "FaultReport",
-    "RetryPolicy",
-    "map_resilient",
-    "RunCache",
-    "get_run_cache",
-    "set_run_cache",
-    "format_table",
-    "format_timing_table",
-    "export_curves_csv",
-    "export_evaluation_csv",
-    "export_pareto_csv",
-    "export_series_csv",
-    "SweepPoint",
-    "sweep_entangling_parameter",
-    "sweep_sim_parameter",
-    "crowding_distances",
-    "dominates",
-    "nondominated_sort",
-    "pareto_front_indices",
-    "GeneticTuner",
-    "GridTuner",
-    "RandomTuner",
-    "TunableParam",
-    "TuneResult",
-    "Tuner",
-    "make_tuner",
-]
+from repro import _lazy_exports
+
+_LAZY = {
+    "geometric_mean": "repro.analysis.metrics",
+    "normalized_ipc": "repro.analysis.metrics",
+    "percentile_curve": "repro.analysis.metrics",
+    "prefetcher_storage_kb": "repro.analysis.storage",
+    "storage_table": "repro.analysis.storage",
+    "LookaheadOracle": "repro.analysis.oracle",
+    "OracleObserver": "repro.analysis.oracle",
+    "run_oracle": "repro.analysis.oracle",
+    "EvaluationResult": "repro.analysis.experiments",
+    "resolve_jobs": "repro.analysis.experiments",
+    "run_cached": "repro.analysis.experiments",
+    "run_single": "repro.analysis.experiments",
+    "run_suite": "repro.analysis.experiments",
+    "CheckpointManifest": "repro.analysis.checkpoint",
+    "get_checkpoint": "repro.analysis.checkpoint",
+    "set_checkpoint": "repro.analysis.checkpoint",
+    "FaultInjector": "repro.analysis.parallel",
+    "FaultReport": "repro.analysis.parallel",
+    "RetryPolicy": "repro.analysis.parallel",
+    "map_resilient": "repro.analysis.parallel",
+    "RunCache": "repro.analysis.runcache",
+    "get_run_cache": "repro.analysis.runcache",
+    "set_run_cache": "repro.analysis.runcache",
+    "format_table": "repro.analysis.reporting",
+    "format_timing_table": "repro.analysis.reporting",
+    "export_curves_csv": "repro.analysis.export",
+    "export_evaluation_csv": "repro.analysis.export",
+    "export_pareto_csv": "repro.analysis.export",
+    "export_series_csv": "repro.analysis.export",
+    "SweepPoint": "repro.analysis.sweeps",
+    "sweep_entangling_parameter": "repro.analysis.sweeps",
+    "sweep_sim_parameter": "repro.analysis.sweeps",
+    "crowding_distances": "repro.analysis.pareto",
+    "dominates": "repro.analysis.pareto",
+    "nondominated_sort": "repro.analysis.pareto",
+    "pareto_front_indices": "repro.analysis.pareto",
+    "GeneticTuner": "repro.analysis.tune",
+    "GridTuner": "repro.analysis.tune",
+    "RandomTuner": "repro.analysis.tune",
+    "TunableParam": "repro.analysis.tune",
+    "TuneResult": "repro.analysis.tune",
+    "Tuner": "repro.analysis.tune",
+    "make_tuner": "repro.analysis.tune",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

@@ -41,7 +41,7 @@ logger = logging.getLogger(__name__)
 if TYPE_CHECKING:
     from repro.analysis.parallel import FaultReport, RetryPolicy, RunTask
 from repro.prefetchers.base import InstructionPrefetcher, NullPrefetcher
-from repro.prefetchers.registry import make_prefetcher
+from repro.prefetchers.registry import available_prefetchers, make_prefetcher
 from repro.sim.config import SimConfig
 from repro.sim.fetchunits import FetchUnits, build_fetch_units
 from repro.sim.simulator import SimResult, simulate
@@ -221,16 +221,32 @@ def telemetry_scope(
             write_chrome_trace(traced, trace_path)
 
 
+def resolve_sim_config(name: str, base: SimConfig) -> SimConfig:
+    """The simulator config a configuration name runs under, built
+    without its prefetcher (so keying a task imports no prefetcher).
+
+    Raises:
+        KeyError: unknown name, as :func:`resolve_config` does.
+    """
+    if name == "l1i_64kb":
+        return base.with_l1i_kb(64)
+    if name == "l1i_96kb":
+        return base.with_l1i_kb(96)
+    if name not in available_prefetchers():
+        raise KeyError(
+            f"unknown prefetcher {name!r}; available: {available_prefetchers()}"
+        )
+    if name.endswith("_phys"):
+        return base.with_physical_addresses()
+    return base
+
+
 def resolve_config(name: str, base: SimConfig) -> Tuple[InstructionPrefetcher, SimConfig]:
     """Map a configuration name to (prefetcher instance, simulator config)."""
-    if name == "l1i_64kb":
-        return NullPrefetcher(), base.with_l1i_kb(64)
-    if name == "l1i_96kb":
-        return NullPrefetcher(), base.with_l1i_kb(96)
-    prefetcher = make_prefetcher(name)
-    if name.endswith("_phys"):
-        return prefetcher, base.with_physical_addresses()
-    return prefetcher, base
+    sim_config = resolve_sim_config(name, base)
+    if name in PSEUDO_CONFIGS:
+        return NullPrefetcher(), sim_config
+    return make_prefetcher(name), sim_config
 
 
 @dataclass
@@ -429,7 +445,7 @@ def run_cached(
     if active is None:
         return run_single(spec, config_name, base_config, warmup_instructions)
     base = base_config or SimConfig()
-    _prefetcher, sim_config = resolve_config(config_name, base)
+    sim_config = resolve_sim_config(config_name, base)
     warmup = resolve_warmup(spec, warmup_instructions)
     key = run_key(spec, config_name, sim_config, warmup)
     label = f"{config_name}/{spec.name}"

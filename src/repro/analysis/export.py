@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import List, Mapping, Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, TextIO, Union
 
 from repro.analysis.experiments import EvaluationResult
 from repro.check.artifacts import atomic_write_text
-from repro.obs.registry import MetricsRegistry, registry_for_run
+
+if TYPE_CHECKING:
+    from repro.obs.registry import MetricsRegistry
 
 PathOrFile = Union[str, TextIO]
 
@@ -55,6 +57,8 @@ def evaluation_metrics_registry(
     the evaluation-level derived gauges (normalized IPC and coverage
     against ``baseline``), labelled with the run's identity.
     """
+    from repro.obs.registry import registry_for_run
+
     result = evaluation.runs[config][workload]
     registry = registry_for_run(result)
     registry.register(

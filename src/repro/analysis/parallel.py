@@ -73,7 +73,7 @@ from repro.analysis.checkpoint import CheckpointManifest
 from repro.analysis.experiments import (
     TraceFile,
     installed_event_bus,
-    resolve_config,
+    resolve_sim_config,
     resolve_warmup,
     run_single,
 )
@@ -793,7 +793,7 @@ def task_key(task: RunTask) -> Optional[str]:
     if not isinstance(spec, WorkloadSpec):
         return None
     entangling_config, sim_config = task.configs or (
-        None, resolve_config(task.config_name, task.base_config or SimConfig())[1]
+        None, resolve_sim_config(task.config_name, task.base_config or SimConfig())
     )
     return run_key(
         spec, task.config_name, sim_config,

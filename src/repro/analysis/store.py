@@ -44,7 +44,6 @@ import json
 import logging
 import os
 import re
-import socket
 import sys
 import threading
 import time
@@ -250,6 +249,8 @@ class ShardedRunStore:
             max_age if max_age is not None else _env_age("REPRO_RUN_CACHE_MAX_AGE")
         )
         self.lease_ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
+        import socket
+
         self.host = socket.gethostname()
         #: Duck-typed telemetry hook (an ``EventBus``): cache_evicted /
         #: store_degraded events, same zero-cost pattern as RunCache.

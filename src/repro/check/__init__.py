@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
+from repro import _lazy_exports
 from repro.check.artifacts import (
     atomic_write_bytes,
     atomic_write_json,
@@ -65,22 +66,15 @@ __all__ = [
     "SanitizerReport",
 ]
 
-#: Lazily resolved exports (PEP 562) so importing :mod:`repro.check` for
-#: the error taxonomy or atomic IO never pulls in the sanitizer (and its
-#: core-model imports).
+#: Lazily resolved exports (see :mod:`repro`) so importing
+#: :mod:`repro.check` for the error taxonomy or atomic IO never pulls in
+#: the sanitizer (and its core-model imports).
 _LAZY = {
     "Sanitizer": "repro.check.sanitize",
     "SanitizerReport": "repro.check.sanitize",
 }
 
-
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)
 
 
 def sanitize_mode_from_env(value: Optional[str] = None) -> Optional[str]:

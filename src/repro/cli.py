@@ -71,6 +71,7 @@ from repro.analysis.experiments import (
     _cached_workload,
     resolve_config,
     resolve_jobs,
+    resolve_sim_config,
     telemetry_scope,
 )
 from repro.analysis.reporting import format_table
@@ -82,7 +83,6 @@ from repro.workloads.generators import (
     WorkloadSpec,
     make_workload,
 )
-from repro.workloads.importers import load_external_trace
 from repro.workloads.trace import write_trace
 
 
@@ -139,7 +139,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    from repro.workloads.importers import detect_trace_format
+    from repro.workloads.importers import detect_trace_format, load_external_trace
 
     try:
         fmt = args.format
@@ -217,7 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     source = _trace_source(args)
-    resolve_config(args.prefetcher, SimConfig())  # an unknown name raises here
+    resolve_sim_config(args.prefetcher, SimConfig())  # an unknown name raises here
     overrides = {}
     if args.backend:
         # One switch covers both the in-process path and guarded worker

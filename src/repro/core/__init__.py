@@ -9,40 +9,31 @@ Public entry points:
   the ablation switches used by :mod:`repro.core.variants`.
 * :mod:`repro.core.variants` — the Figure 11 ablations (BB, BBEnt,
   BBEntBB, Ent, BBEntBB-Merge) and the EPI performance-oriented variant.
+
+Exports resolve lazily (see :mod:`repro`).
 """
 
-from repro.core.confidence import SaturatingCounter
-from repro.core.compression import CompressionScheme, MODE_FIELD_BITS
-from repro.core.history import HistoryBuffer, HistoryEntry
-from repro.core.entangled_table import EntangledEntry, EntangledTable
-from repro.core.entangling import EntanglingConfig, EntanglingPrefetcher
-from repro.core.split_table import (
-    BlockSizeTable,
-    SplitEntanglingPrefetcher,
-    make_split_entangling,
-)
-from repro.core.variants import (
-    ablation_variants,
-    make_ablation,
-    make_entangling,
-    make_epi,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "SaturatingCounter",
-    "CompressionScheme",
-    "MODE_FIELD_BITS",
-    "HistoryBuffer",
-    "HistoryEntry",
-    "EntangledEntry",
-    "EntangledTable",
-    "EntanglingConfig",
-    "EntanglingPrefetcher",
-    "BlockSizeTable",
-    "SplitEntanglingPrefetcher",
-    "make_split_entangling",
-    "ablation_variants",
-    "make_ablation",
-    "make_entangling",
-    "make_epi",
-]
+_LAZY = {
+    "SaturatingCounter": "repro.core.confidence",
+    "CompressionScheme": "repro.core.compression",
+    "MODE_FIELD_BITS": "repro.core.compression",
+    "HistoryBuffer": "repro.core.history",
+    "HistoryEntry": "repro.core.history",
+    "EntangledEntry": "repro.core.entangled_table",
+    "EntangledTable": "repro.core.entangled_table",
+    "EntanglingConfig": "repro.core.entangling",
+    "EntanglingPrefetcher": "repro.core.entangling",
+    "BlockSizeTable": "repro.core.split_table",
+    "SplitEntanglingPrefetcher": "repro.core.split_table",
+    "make_split_entangling": "repro.core.split_table",
+    "ablation_variants": "repro.core.variants",
+    "make_ablation": "repro.core.variants",
+    "make_entangling": "repro.core.variants",
+    "make_epi": "repro.core.variants",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

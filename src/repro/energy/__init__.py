@@ -1,6 +1,16 @@
-"""Cache-hierarchy energy model (CACTI-P-class, 22nm; paper Table IV)."""
+"""Cache-hierarchy energy model (CACTI-P-class, 22nm; paper Table IV).
 
-from repro.energy.cacti import CacheEnergyParams, cacti_params_for
-from repro.energy.model import EnergyModel, EnergyReport
+Exports resolve lazily (see :mod:`repro`)."""
 
-__all__ = ["CacheEnergyParams", "cacti_params_for", "EnergyModel", "EnergyReport"]
+from repro import _lazy_exports
+
+_LAZY = {
+    "CacheEnergyParams": "repro.energy.cacti",
+    "cacti_params_for": "repro.energy.cacti",
+    "EnergyModel": "repro.energy.model",
+    "EnergyReport": "repro.energy.model",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

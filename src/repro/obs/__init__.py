@@ -28,65 +28,35 @@ Independent facilities, all strictly opt-in:
 Overhead contract: a simulation constructed without a tracer or profiler
 executes the exact pre-observability code paths — every hook site is a
 single attribute-is-None check — and its ``SimStats.signature()`` is
-bit-identical to a process that never imported this package.  The
-event and trace submodules are *not* imported here (they
-resolve lazily via ``__getattr__``): an untraced process must never
-load the telemetry machinery (``tests/test_events.py`` pins this with
-a subprocess check).
+bit-identical to a process that never imported this package.  Every
+export resolves lazily (see :mod:`repro`): an untraced process must
+never load the telemetry machinery (``tests/test_events.py`` pins this
+with a subprocess check), and a plain run loads no ``repro.obs`` module
+at all.
 """
 
-from repro.obs.profiler import PhaseProfiler
-from repro.obs.registry import Metric, MetricsRegistry, registry_for_run
-from repro.obs.tracer import (
-    EVENT_KINDS,
-    PrefetchTracer,
-    TimelinessReport,
-    TraceEvent,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "EVENT_KINDS",
-    "EventBus",
-    "EventLedger",
-    "FlightRecorder",
-    "Metric",
-    "MetricsHTTPServer",
-    "MetricsRegistry",
-    "PhaseProfiler",
-    "PrefetchTracer",
-    "StatusAggregator",
-    "TelemetryEvent",
-    "TimelinessReport",
-    "TraceEvent",
-    "open_bus",
-    "read_events",
-    "registry_for_run",
-    "write_chrome_trace",
-]
-
-#: Lazily resolved exports (PEP 562): importing repro.obs must not load
-#: the event/trace machinery — the zero-cost contract's
-#: subprocess test asserts they stay out of untraced processes.
 _LAZY = {
-    "write_chrome_trace": ("repro.obs.chrometrace", "write_chrome_trace"),
-    "EventBus": ("repro.obs.events", "EventBus"),
-    "EventLedger": ("repro.obs.events", "EventLedger"),
-    "FlightRecorder": ("repro.obs.events", "FlightRecorder"),
-    "StatusAggregator": ("repro.obs.events", "StatusAggregator"),
-    "TelemetryEvent": ("repro.obs.events", "TelemetryEvent"),
-    "open_bus": ("repro.obs.events", "open_bus"),
-    "read_events": ("repro.obs.events", "read_events"),
-    "MetricsHTTPServer": ("repro.obs.exporthttp", "MetricsHTTPServer"),
+    "EVENT_KINDS": "repro.obs.tracer",
+    "EventBus": "repro.obs.events",
+    "EventLedger": "repro.obs.events",
+    "FlightRecorder": "repro.obs.events",
+    "Metric": "repro.obs.registry",
+    "MetricsHTTPServer": "repro.obs.exporthttp",
+    "MetricsRegistry": "repro.obs.registry",
+    "PhaseProfiler": "repro.obs.profiler",
+    "PrefetchTracer": "repro.obs.tracer",
+    "StatusAggregator": "repro.obs.events",
+    "TelemetryEvent": "repro.obs.events",
+    "TimelinessReport": "repro.obs.tracer",
+    "TraceEvent": "repro.obs.tracer",
+    "open_bus": "repro.obs.events",
+    "read_events": "repro.obs.events",
+    "registry_for_run": "repro.obs.registry",
+    "write_chrome_trace": "repro.obs.chrometrace",
 }
 
+__all__ = list(_LAZY)
 
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

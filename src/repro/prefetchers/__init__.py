@@ -6,37 +6,30 @@ prefetcher implements plus from-scratch reimplementations of the paper's
 comparison points: Next-line, SN4L, MANA, RDIP, D-JOLT, FNL+MMA, EPI, and
 the Ideal prefetcher — plus PIF, the temporal-streaming reference point
 of the related-work discussion.
+
+Exports resolve lazily (see :mod:`repro`), and the registry imports a
+prefetcher's module only when :func:`make_prefetcher` builds one.
 """
 
-from repro.prefetchers.base import (
-    FillInfo,
-    InstructionPrefetcher,
-    NullPrefetcher,
-    PrefetchRequest,
-)
-from repro.prefetchers.next_line import NextLinePrefetcher
-from repro.prefetchers.sn4l import SN4LPrefetcher
-from repro.prefetchers.mana import ManaPrefetcher
-from repro.prefetchers.pif import PifPrefetcher
-from repro.prefetchers.rdip import RdipPrefetcher
-from repro.prefetchers.djolt import DJoltPrefetcher
-from repro.prefetchers.fnl_mma import FnlMmaPrefetcher
-from repro.prefetchers.ideal import IdealPrefetcher
-from repro.prefetchers.registry import available_prefetchers, make_prefetcher
+from repro import _lazy_exports
 
-__all__ = [
-    "FillInfo",
-    "InstructionPrefetcher",
-    "NullPrefetcher",
-    "PrefetchRequest",
-    "NextLinePrefetcher",
-    "SN4LPrefetcher",
-    "ManaPrefetcher",
-    "PifPrefetcher",
-    "RdipPrefetcher",
-    "DJoltPrefetcher",
-    "FnlMmaPrefetcher",
-    "IdealPrefetcher",
-    "available_prefetchers",
-    "make_prefetcher",
-]
+_LAZY = {
+    "FillInfo": "repro.prefetchers.base",
+    "InstructionPrefetcher": "repro.prefetchers.base",
+    "NullPrefetcher": "repro.prefetchers.base",
+    "PrefetchRequest": "repro.prefetchers.base",
+    "NextLinePrefetcher": "repro.prefetchers.next_line",
+    "SN4LPrefetcher": "repro.prefetchers.sn4l",
+    "ManaPrefetcher": "repro.prefetchers.mana",
+    "PifPrefetcher": "repro.prefetchers.pif",
+    "RdipPrefetcher": "repro.prefetchers.rdip",
+    "DJoltPrefetcher": "repro.prefetchers.djolt",
+    "FnlMmaPrefetcher": "repro.prefetchers.fnl_mma",
+    "IdealPrefetcher": "repro.prefetchers.ideal",
+    "available_prefetchers": "repro.prefetchers.registry",
+    "make_prefetcher": "repro.prefetchers.registry",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _LAZY)

@@ -1,58 +1,59 @@
 """Name-based prefetcher factory.
 
-Every evaluated configuration of the paper's Figure 6 is constructible by
-name, so experiment drivers and benchmarks can be parameterized by plain
-strings.  Fresh instances are returned on every call (prefetchers are
+Every evaluated configuration of the paper's Figure 6, and the split-table
+extension, is constructible by name, so experiment drivers and benchmarks
+can be parameterized by plain strings (and run as scheduler tasks).  Fresh instances are returned on every call (prefetchers are
 stateful).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import importlib
+from typing import Any, Dict, List, Tuple
 
-from repro.prefetchers.base import InstructionPrefetcher, NullPrefetcher
-from repro.prefetchers.djolt import DJoltPrefetcher
-from repro.prefetchers.fnl_mma import FnlMmaPrefetcher
-from repro.prefetchers.ideal import IdealPrefetcher
-from repro.prefetchers.mana import ManaPrefetcher
-from repro.prefetchers.next_line import NextLinePrefetcher
-from repro.prefetchers.pif import PifPrefetcher
-from repro.prefetchers.rdip import RdipPrefetcher
-from repro.prefetchers.sn4l import SN4LPrefetcher
+from repro.prefetchers.base import InstructionPrefetcher
 
-
-def _entangling(entries: int, address_space: str = "virtual") -> InstructionPrefetcher:
-    # Imported lazily to avoid a circular import with repro.core.
-    from repro.core.variants import make_entangling
-
-    return make_entangling(entries, address_space)
-
-
-def _epi() -> InstructionPrefetcher:
-    from repro.core.variants import make_epi
-
-    return make_epi()
-
-
-_FACTORIES: Dict[str, Callable[[], InstructionPrefetcher]] = {
-    "no": NullPrefetcher,
-    "next_line": NextLinePrefetcher,
-    "sn4l": SN4LPrefetcher,
-    "mana_2k": lambda: ManaPrefetcher(entries=2048),
-    "mana_4k": lambda: ManaPrefetcher(entries=4096),
-    "mana_8k": lambda: ManaPrefetcher(entries=8192),
-    "pif": PifPrefetcher,
-    "rdip": RdipPrefetcher,
-    "djolt": DJoltPrefetcher,
-    "fnl_mma": FnlMmaPrefetcher,
-    "epi": _epi,
-    "entangling_2k": lambda: _entangling(2048),
-    "entangling_4k": lambda: _entangling(4096),
-    "entangling_8k": lambda: _entangling(8192),
-    "entangling_2k_phys": lambda: _entangling(2048, "physical"),
-    "entangling_4k_phys": lambda: _entangling(4096, "physical"),
-    "entangling_8k_phys": lambda: _entangling(8192, "physical"),
-    "ideal": IdealPrefetcher,
+#: name -> (defining module, factory in it, keyword arguments).  The
+#: module is imported when :func:`make_prefetcher` first builds the name,
+#: so a process loads only the prefetchers it runs.
+_FACTORIES: Dict[str, Tuple[str, str, Dict[str, Any]]] = {
+    "no": ("repro.prefetchers.base", "NullPrefetcher", {}),
+    "next_line": ("repro.prefetchers.next_line", "NextLinePrefetcher", {}),
+    "sn4l": ("repro.prefetchers.sn4l", "SN4LPrefetcher", {}),
+    "mana_2k": ("repro.prefetchers.mana", "ManaPrefetcher", {"entries": 2048}),
+    "mana_4k": ("repro.prefetchers.mana", "ManaPrefetcher", {"entries": 4096}),
+    "mana_8k": ("repro.prefetchers.mana", "ManaPrefetcher", {"entries": 8192}),
+    "pif": ("repro.prefetchers.pif", "PifPrefetcher", {}),
+    "rdip": ("repro.prefetchers.rdip", "RdipPrefetcher", {}),
+    "djolt": ("repro.prefetchers.djolt", "DJoltPrefetcher", {}),
+    "fnl_mma": ("repro.prefetchers.fnl_mma", "FnlMmaPrefetcher", {}),
+    "epi": ("repro.core.variants", "make_epi", {}),
+    "entangling_2k": ("repro.core.variants", "make_entangling", {"entries": 2048}),
+    "entangling_4k": ("repro.core.variants", "make_entangling", {"entries": 4096}),
+    "entangling_8k": ("repro.core.variants", "make_entangling", {"entries": 8192}),
+    "entangling_2k_phys": (
+        "repro.core.variants", "make_entangling",
+        {"entries": 2048, "address_space": "physical"},
+    ),
+    "entangling_4k_phys": (
+        "repro.core.variants", "make_entangling",
+        {"entries": 4096, "address_space": "physical"},
+    ),
+    "entangling_8k_phys": (
+        "repro.core.variants", "make_entangling",
+        {"entries": 8192, "address_space": "physical"},
+    ),
+    # The split Entangled table (pairs and block sizes in separate
+    # structures) at two budgets.
+    "entangling_split_1k": (
+        "repro.core.split_table", "make_split_entangling",
+        {"pair_entries": 1024, "size_entries": 2048},
+    ),
+    "entangling_split_2k": (
+        "repro.core.split_table", "make_split_entangling",
+        {"pair_entries": 2048, "size_entries": 4096},
+    ),
+    "ideal": ("repro.prefetchers.ideal", "IdealPrefetcher", {}),
 }
 
 
@@ -67,9 +68,10 @@ def make_prefetcher(name: str) -> InstructionPrefetcher:
     Raises:
         KeyError: unknown name (message lists the valid ones).
     """
-    factory = _FACTORIES.get(name)
-    if factory is None:
+    entry = _FACTORIES.get(name)
+    if entry is None:
         raise KeyError(
             f"unknown prefetcher {name!r}; available: {available_prefetchers()}"
         )
-    return factory()
+    module, factory, kwargs = entry
+    return getattr(importlib.import_module(module), factory)(**kwargs)

@@ -8,7 +8,8 @@ different code paths inside the fast core:
 
 * workload category (branchy int vs. loopy fp vs. miss-heavy srv);
 * prefetcher kind (passive ``no`` → the monolithic passive loop; active
-  ``next_line``/``entangling_4k`` → the active streak loop);
+  ``next_line``/``entangling_4k``/``entangling_split_1k`` → the active
+  streak loop);
 * L1I replacement policy (LRU move-to-end vs. FIFO insertion order);
 * address translation (a mapper disables the streak loops entirely,
   forcing the staged per-stage path);
@@ -80,7 +81,9 @@ def _no_env_backend(monkeypatch):
 
 @pytest.mark.parametrize("backend", FAST_BACKENDS)
 @pytest.mark.parametrize("category", ("int", "fp", "srv"))
-@pytest.mark.parametrize("prefetcher", ("no", "next_line", "entangling_4k"))
+@pytest.mark.parametrize(
+    "prefetcher", ("no", "next_line", "entangling_4k", "entangling_split_1k")
+)
 def test_backend_bit_identical(backend, category, prefetcher):
     trace = _trace(category)
     reference = _signature(trace, prefetcher, SimConfig())

@@ -49,6 +49,13 @@ VARIANTS = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _no_env_backend(monkeypatch):
+    """Each run below names its engine; an outer REPRO_BACKEND must not
+    turn the reference run into a second staged one."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+
+
 def _signature(config_name, config, warmup, spec=SPEC):
     return run_single(spec, config_name, config, warmup).stats.signature()
 
